@@ -22,7 +22,7 @@ import numpy as np
 from . import jsonio
 from .core import Gram, line_type, point, realize_gram, tance
 from .errors import GeometryError, InadmissibleModuli
-from .holonomy import holonomy_dimension, holonomy_samples
+from .holonomy import _rank_of_samples, holonomy_samples
 from .isometry import CubeRoot, reflection
 from .paths import bending, follow_path, path_sample
 from .pentagons import (
@@ -183,12 +183,9 @@ def cmd_pentagon_connect(args) -> str:
 def cmd_holonomy_probe(args) -> str:
     tol = _tol(args)
     T = jsonio.decode_triple(_load(args.triple), tol)
-    samples = holonomy_samples(
-        T, args.samples, ds=args.ds, rng=default_rng(args.seed), tol=tol
-    )
-    dim = holonomy_dimension(
-        T, args.samples, ds=args.ds, rng=default_rng(args.seed), tol=tol
-    )
+    rng = default_rng(args.seed)
+    samples = holonomy_samples(T, args.samples, ds=args.ds, rng=rng, tol=tol)
+    dim = _rank_of_samples(T, samples, args.samples, args.ds, rng, tol)
     sv = np.linalg.svd(samples, compute_uv=False)
     verdict = _render(
         {

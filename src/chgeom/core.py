@@ -13,6 +13,7 @@ off the restricted form.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,12 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     Raises IsotropicVector when the self-product is below `tol` relative to
     the euclidean size of the vector.
     """
+    # Three entries: Python scalars beat numpy's per-call overhead here.
+    # The arithmetic that produces rep stays numpy's (self_product, the
+    # phase on the numpy scalar rep[k]), whose roundoff differs from
+    # Python's complex arithmetic in the last bit.
     v = np.asarray(v, dtype=complex).reshape(3)
-    norm2 = float(np.vdot(v, v).real)
+    norm2 = sum(abs(z) ** 2 for z in v.tolist())
     if norm2 == 0.0:
         raise IsotropicVector("zero vector spans no point")
     s = self_product(v)
@@ -92,8 +97,9 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
         raise IsotropicVector(
             f"self-product {s:.3e} is isotropic at tolerance {tol:.1e}"
         )
-    rep = v / np.sqrt(abs(s))
-    k = int(np.argmax(np.abs(rep)))
+    rep = v / math.sqrt(abs(s))
+    mags = [abs(z) for z in rep.tolist()]
+    k = mags.index(max(mags))
     rep = rep * (abs(rep[k]) / rep[k])
     rep[k] = rep[k].real
     rep.flags.writeable = False

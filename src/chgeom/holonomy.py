@@ -299,6 +299,15 @@ def holonomy_dimension(
     if rng is None or not isinstance(rng, np.random.Generator):
         rng = default_rng(rng)
     rows = holonomy_samples(T, n_samples, ds, rng, tol)
+    return _rank_of_samples(T, rows, n_samples, ds, rng, tol)
+
+
+def _rank_of_samples(T, rows, n_samples, ds, rng, tol) -> int:
+    """holonomy_dimension's decision from its first-round rows.
+
+    `rng` must be the generator that drew `rows`, in the state it was left
+    in, so any resampling round continues the same stream.
+    """
     for _ in range(3):
         sv = np.linalg.svd(rows, compute_uv=False)
         if sv[0] <= 1e-12:

@@ -121,24 +121,47 @@ def normalized_lift(path, max_angle: float = 0.2) -> np.ndarray:
     StepTooLarge when consecutive samples are further apart than `max_angle`
     radians of euclidean angle (the phase alignment would be unreliable),
     SignChange when the points change sign.
+
+    Neither test depends on the unit phases of the lift, so both run on the
+    raw representatives r_k; the lift is c_k = phase_k r_k with phase_k the
+    running product of sign * <r_{k-1}, r_k> / |<r_{k-1}, r_k>|.
     """
     points = path.points if isinstance(path, PathSample) else list(path)
     sign = _same_sign(points)
-    out = np.empty((len(points), 3), dtype=complex)
-    out[0] = points[0].rep
-    for k in range(1, len(points)):
-        r = points[k].rep
-        c = out[k - 1]
-        cosang = min(1.0, abs(np.vdot(c, r)) / (np.linalg.norm(c) * np.linalg.norm(r)))
-        if np.arccos(cosang) > max_angle:
-            raise StepTooLarge(
-                f"samples {k - 1} and {k} are {np.arccos(cosang):.3f} rad apart"
-            )
-        w = form(c, r)
-        if abs(w) < 1e-12:
-            raise StepTooLarge("consecutive samples are nearly orthogonal")
-        out[k] = (sign * w / abs(w)) * r
-    return out
+    reps = np.array([p.rep for p in points])
+    prev, nxt = reps[:-1], reps[1:]
+    cosang = np.minimum(
+        1.0,
+        np.abs(np.einsum("ki,ki->k", prev.conj(), nxt))
+        / (np.linalg.norm(prev, axis=1) * np.linalg.norm(nxt, axis=1)),
+    )
+    ang = np.arccos(cosang)
+    w = form(prev, nxt)
+    absw = np.abs(w)
+    bad = np.flatnonzero((ang > max_angle) | (absw < 1e-12))
+    if bad.size:
+        k = int(bad[0])
+        if ang[k] > max_angle:
+            raise StepTooLarge(f"samples {k} and {k + 1} are {ang[k]:.3f} rad apart")
+        raise StepTooLarge("consecutive samples are nearly orthogonal")
+    phase = np.empty(len(points), dtype=complex)
+    phase[0] = 1.0
+    np.cumprod(sign * w / absw, out=phase[1:])
+    phase /= np.abs(phase)
+    return phase[:, None] * reps
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """steps[n-1] @ ... @ steps[0] by pairwise tree reduction.
+
+    Each level multiplies neighbouring pairs in one batched matmul and
+    carries an odd last step up unchanged, so the roundoff grows with
+    log n rather than n (Blelloch, "Prefix sums and their applications").
+    """
+    while len(steps) > 1:
+        paired = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate([paired, steps[2 * len(paired) :]])
+    return steps[0]
 
 
 def follow_path(path, F0: Isometry | None = None, max_angle: float = 0.2) -> Isometry:
@@ -146,14 +169,15 @@ def follow_path(path, F0: Isometry | None = None, max_angle: float = 0.2) -> Iso
 
     Returns the isometry F with R(c_end) = F R(c_start) F^{-1}; composing
     with F0 on the right when given.  A midpoint rule on the normalized lift
-    gives second-order accuracy in the step size.
+    gives second-order accuracy in the step size.  The step exponentials
+    are multiplied by a pairwise tree product and projected onto SU(2, 1)
+    once, at the end.
     """
-    lift = normalized_lift(path, max_angle)
+    points = path.points if isinstance(path, PathSample) else list(path)
+    lift = normalized_lift(points, max_angle)
     if len(lift) < 2:
         return F0 if F0 is not None else IDENTITY
-    sign = (
-        path.points[0].sign if isinstance(path, PathSample) else list(path)[0].sign
-    )
+    sign = points[0].sign
     mids = 0.5 * (lift[:-1] + lift[1:])
     mids = mids / np.sqrt(np.abs(form(mids, mids).real))[:, None]
     vels = lift[1:] - lift[:-1]
@@ -163,13 +187,7 @@ def follow_path(path, F0: Isometry | None = None, max_angle: float = 0.2) -> Iso
     gens = sign * (
         np.einsum("ki,kj->kij", vels, jm) - np.einsum("ki,kj->kij", mids, jv)
     )
-    steps = _expm3_batch(gens)
-    f = np.eye(3, dtype=complex)
-    for k in range(steps.shape[0]):
-        f = steps[k] @ f
-        if k % 256 == 255:
-            f = project_to_su(f).m
-    f = project_to_su(f).m
+    f = project_to_su(_ordered_product(_expm3_batch(gens))).m
     if F0 is not None:
         f = f @ F0.m
     return Isometry(_ro(f))

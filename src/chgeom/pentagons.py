@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Gram, Point, form, gram, projectively_equal, tance
+from .core import (
+    DEFAULT_TOL,
+    Gram,
+    Point,
+    _rep,
+    form,
+    gram,
+    projectively_equal,
+    tance,
+)
 from .errors import (
     DifferentDelta,
     InadmissibleCoords,
@@ -74,12 +83,23 @@ class Pentagon:
 
 
 def verify_pentagon(points, tol: float = 1e-8) -> CubeRoot:
-    """The central value of R5 R4 R3 R2 R1, or NotAPentagon."""
+    """The central value of R5 R4 R3 R2 R1, or NotAPentagon.
+
+    The off-center residual is bounded by tol times the largest of 1, |f|
+    and the squared euclidean norms of the unit representatives: f itself
+    is ~delta I, but the roundoff of the five reflections grows with
+    |rep|^2, so a valid pentagon far from the origin misses a bound of
+    tol * |f|.
+    """
     ms = [reflection(p).m for p in points]
     f = ms[4] @ ms[3] @ ms[2] @ ms[1] @ ms[0]
     root = nearest_cube_root(complex(np.trace(f)) / 3.0)
     resid = float(np.abs(f - root.matrix()).max())
-    if resid > tol * max(1.0, float(np.abs(f).max())):
+    reps = np.array([_rep(p) for p in points])
+    rep_norm2 = float(
+        (np.linalg.norm(reps, axis=1) ** 2 / np.abs(form(reps, reps).real)).max()
+    )
+    if resid > tol * max(1.0, float(np.abs(f).max()), rep_norm2):
         raise NotAPentagon(f"product is off-center by {resid:.2e}")
     return root
 

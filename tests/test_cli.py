@@ -16,6 +16,7 @@ from chgeom import (
     tance,
 )
 from chgeom.cli import main
+from chgeom.holonomy import holonomy_dimension, holonomy_samples
 from chgeom.sampling import random_negative_point, random_strongly_regular_triple
 
 
@@ -259,6 +260,22 @@ class TestHolonomyProbe:
                         "--samples", "4", "--seed", "9")
         assert code_a == code_b == 0
         assert a.out == b.out
+
+    @pytest.mark.parametrize("triple_seed", [80, 21])
+    def test_probe_matches_library(self, tmp_path, capsys, triple_seed):
+        # seed 21 needs two resampling rounds at 6 loops, so the probe's
+        # rank must continue the stream its CSV rows were drawn from
+        T = random_strongly_regular_triple(default_rng(triple_seed))
+        t = write(tmp_path, "t.json", T)
+        code, out = run(capsys, "holonomy", "probe", "--triple", t, "--samples", "6",
+                        "--seed", "9", "--out", str(tmp_path / "rows.csv"))
+        assert code == 0
+        d = json.loads(out.out)
+        rows = holonomy_samples(T, 6, rng=default_rng(9))
+        assert d["dimension"] == holonomy_dimension(T, 6, rng=default_rng(9))
+        assert d["singular_values"] == [
+            float(s) for s in np.linalg.svd(rows, compute_uv=False)
+        ]
 
 
 class TestOutFlag:

@@ -91,6 +91,46 @@ def test_point_rejects_isotropic():
         chg.point([0.0, 0.0, 0.0])
 
 
+def reference_point(v, tol=1e-9):
+    """point() written with numpy reductions over the three entries; the
+    library's version must reproduce it bit for bit."""
+    v = np.asarray(v, dtype=complex).reshape(3)
+    norm2 = float(np.vdot(v, v).real)
+    if norm2 == 0.0:
+        raise errors.IsotropicVector("zero vector spans no point")
+    s = chg.self_product(v)
+    if abs(s) <= tol * norm2:
+        raise errors.IsotropicVector("isotropic")
+    rep = v / np.sqrt(abs(s))
+    k = int(np.argmax(np.abs(rep)))
+    rep = rep * (abs(rep[k]) / rep[k])
+    rep[k] = rep[k].real
+    return rep, 1 if s > 0 else -1
+
+
+def test_point_is_bitwise_reference():
+    rng = default_rng(23)
+    for i in range(2000):
+        v = random_vector(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if i % 5 == 0:
+            v[1] = 1j * v[0]  # equal moduli: the first one must win
+        if i % 7 == 0:
+            v[rng.integers(3)] = 0.0
+        try:
+            rep, sign = reference_point(v)
+        except errors.IsotropicVector:
+            with pytest.raises(errors.IsotropicVector):
+                chg.point(v)
+            continue
+        p = chg.point(v)
+        assert np.array_equal(p.rep, rep) and p.sign == sign
+    for v in ([1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1e-3, 1e-3j, np.sqrt(2) * 1e-3]):
+        with pytest.raises(errors.IsotropicVector):
+            reference_point(v)
+        with pytest.raises(errors.IsotropicVector):
+            chg.point(v)
+
+
 def test_point_canonicalization_is_scale_free():
     rng = default_rng(7)
     for _ in range(50):

@@ -15,6 +15,7 @@ from chgeom.core import form, point, project_orthogonal, self_product
 from chgeom.isometry import IDENTITY, _expm3, reflection, star
 from chgeom.paths import (
     Bending,
+    _ordered_product,
     bend_pair,
     bending,
     follow_path,
@@ -68,6 +69,19 @@ def random_mixed_pair(rng):
 
 
 EUCLIDEAN_PAIR = (point([0.0, 1.0, 0.0]), point([1.0, 1.0, 1.0]))
+
+
+def serial_lift(points):
+    """Reference lift: each phase taken from the pairing with the previous
+    lifted vector, one sample at a time."""
+    sign = points[0].sign
+    out = np.empty((len(points), 3), dtype=complex)
+    out[0] = points[0].rep
+    for k in range(1, len(points)):
+        r = points[k].rep
+        w = form(out[k - 1], r)
+        out[k] = (sign * w / abs(w)) * r
+    return out
 
 
 class TestTangentAndHat:
@@ -140,6 +154,42 @@ class TestNormalizedLift:
         with pytest.raises(errors.StepTooLarge):
             normalized_lift([p, far])
 
+    def test_step_too_large_names_first_pair(self):
+        a, b = point([0.0, 0.0, 1.0]), point([0.01, 0.0, 1.0])
+        c, d = point([0.5, 0.0, 1.0]), point([0.5, 0.01, 1.0])
+        e = point([0.0, 0.5, 1.0])
+        with pytest.raises(errors.StepTooLarge, match="samples 1 and 2 "):
+            normalized_lift([a, b, c, d, e])
+
+    def test_nearly_orthogonal_pair(self):
+        # two positive points near the isotropic vector (1, 0, 1): 0.14 rad
+        # apart in euclidean angle, yet form-orthogonal
+        p, q = point([1.01, 0.0, 1.0]), point([1.0, 0.2, 1.01])
+        assert p.sign == q.sign == 1
+        with pytest.raises(errors.StepTooLarge, match="nearly orthogonal"):
+            normalized_lift([p, q])
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "spherical", "euclidean"])
+    def test_matches_serial_lift(self, kind):
+        rng = default_rng(70)
+        if kind == "hyperbolic":
+            p1, p2 = random_hyperbolic_pair(rng)
+        elif kind == "spherical":
+            p1, p2 = random_spherical_pair(rng)
+        else:
+            g = chg.sampling.random_isometry(rng, 0.5)
+            p1, p2 = (g.apply(p) for p in EUCLIDEAN_PAIR)
+        b = bending(p1, p2)
+        assert b.kind.value == kind
+        pts = [b.evaluate(s).apply(p1) for s in np.linspace(0.0, 1.5, 10_001)]
+        want = serial_lift(pts)
+        # both are running products of n unit phases, each step rounding
+        # by ~eps, so they may drift apart by up to n * eps (measured here:
+        # at most 7e-14 relative, the serial loop being the one further
+        # from an extended-precision lift)
+        bound = len(pts) * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(normalized_lift(pts) - want).max() <= bound
+
 
 class TestFollowPath:
     def test_reproduces_spherical_orbit(self):
@@ -187,6 +237,31 @@ class TestFollowPath:
     def test_trivial_path(self):
         p = point([0.1, 0.0, 1.0])
         assert np.allclose(follow_path([p]).m, np.eye(3))
+
+    def test_accepts_an_iterator(self):
+        pts = [point([0.01 * k, 0.0, 1.0]) for k in range(5)]
+        assert np.array_equal(follow_path(iter(pts)).m, follow_path(pts).m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 257, 10_001])
+    def test_tree_product_lengths(self, n):
+        # odd and even counts of steps at each level of the pairwise product
+        p1, p2 = random_hyperbolic_pair(default_rng(37))
+        b = bending(p1, p2)
+        ts = np.linspace(0.0, (n - 1) * 1e-4, n)
+        pts = [b.evaluate(t).apply(p1) for t in ts]
+        f = follow_path(path_sample(pts, ts))
+        assert np.abs(f.m - b.evaluate(ts[-1]).m).max() <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 257])
+    def test_tree_product_order(self, n):
+        # non-commuting factors pin the order: steps[n-1] @ ... @ steps[0]
+        rng = default_rng(71)
+        steps = np.array([chg.sampling.random_isometry(rng, 0.3).m for _ in range(n)])
+        want = np.eye(3, dtype=complex)
+        for m in steps:
+            want = m @ want
+        got = _ordered_product(steps)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestHyperbolicBending:

@@ -76,6 +76,34 @@ class TestVerifyAndBuild:
         with pytest.raises(NotAPentagon):
             verify_pentagon(pts)
 
+    def test_far_pentagon_verifies(self):
+        # a valid pentagon moved far from the origin: its product misses
+        # delta I by ~2e-8, roundoff grown with the squared representative
+        # norms (up to ~3060), not a broken relation
+        pts = [
+            point([-3.9775353174279346 - 1.6031944110727985j,
+                   10.144651150215996 - 1.7889201316594903j,
+                   11.113289419344614 + 0j]),
+            point([-2.7605650544909976 - 1.157037779222456j,
+                   4.722165673170484 - 0.829494001478384j,
+                   5.739892401951729 + 0j]),
+            point([-8.43074275901438 - 2.9063214419542973j,
+                   10.914386525160577 - 1.425071148877404j,
+                   14.201365736879191 + 0j]),
+            point([-22.217592602144492 - 6.761446317878561j,
+                   31.277874595163702 - 3.42471802903754j,
+                   39.11997840124175 + 0j]),
+            point([-6.762889594204351 - 2.176041567111665j,
+                   9.850060623635317 - 1.1640617048595223j,
+                   12.241346596972358 + 0j]),
+        ]
+        assert [p.sign for p in pts] == [1, -1, -1, -1, -1]
+        assert verify_pentagon(pts).k == 1
+        # the scaled bound still rejects the same points with one moved
+        pts[3] = point(pts[3].rep + np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(NotAPentagon):
+            verify_pentagon(pts)
+
     def test_build_completes_a_split_pair(self):
         rng = default_rng(61)
         for k in (0, 1, 2):
