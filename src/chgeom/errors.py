@@ -65,6 +65,11 @@ class StepTooLarge(GeometryError):
     """Adjacent path samples are too far apart to resolve the lift."""
 
 
+class NoPrincipalLog(GeometryError):
+    """No principal logarithm is returned: an eigenvalue lies on the closed
+    negative real axis, or a square root could not be taken accurately."""
+
+
 class ExceptionalCase(GeometryError):
     """A configuration for which no bending can repair the line type."""
 

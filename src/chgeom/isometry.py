@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-import scipy.linalg
 
 from .core import DEFAULT_TOL, Gram, J, Point, _rep, form, point, self_product
 from .errors import (
+    NoPrincipalLog,
     NotConjugate,
     NotRegular,
     NotTwoReflectionProduct,
@@ -120,34 +120,13 @@ def project_to_su_algebra(y) -> np.ndarray:
     return y - (np.trace(y) / 3.0) * np.eye(3)
 
 
-def _expm3(a: np.ndarray) -> np.ndarray:
-    """exp of a 3x3 matrix by scaled Taylor series.
-
-    Exact (to roundoff) for the small-norm generators in the path and
-    bending hot loops, and exact for nilpotent generators.
-    """
-    a = np.asarray(a, dtype=complex)
-    norm = float(np.abs(a).sum())
-    s = 0
-    while norm > 0.25:
-        norm *= 0.5
-        s += 1
-    if s:
-        a = a * (0.5**s)
-    out = np.eye(3, dtype=complex) + a
-    term = a
-    for k in range(2, 18):
-        term = term @ a / k
-        out = out + term
-        if float(np.abs(term).max()) < 1e-18:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 def _expm3_batch(a: np.ndarray) -> np.ndarray:
-    """Vectorized _expm3 for a stack of matrices, one shared scaling power."""
+    """exp of a stack of 3x3 matrices by scaled Taylor series.
+
+    One scaling power is shared by the stack.  Exact (to roundoff) for the
+    small-norm generators in the path and bending hot loops, and exact for
+    nilpotent generators.
+    """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=(-2, -1)).max(initial=0.0))
     s = 0
@@ -169,12 +148,28 @@ def _expm3_batch(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logm3(m: np.ndarray) -> np.ndarray:
-    """Principal log, by series near the identity, else the dense algorithm."""
-    m = np.asarray(m, dtype=complex)
-    x = m - np.eye(3)
-    if float(np.abs(x).sum()) > 0.3:
-        return np.asarray(scipy.linalg.logm(m), dtype=complex)
+def _expm3(a: np.ndarray) -> np.ndarray:
+    """exp of a 3x3 matrix: _expm3_batch on a stack of one."""
+    return _expm3_batch(np.asarray(a)[None])[0]
+
+
+#: The principal log series runs for entrywise sum |M - I| at most this.
+LOG_SERIES_RADIUS = 0.3
+
+#: An eigenvalue with negative real part and |Im| below this relative to
+#: its modulus sits on the branch cut of the principal log.
+LOG_CUT_TOL = 1e-8
+
+#: Relative residual bound on each square root; the log's relative error
+#: stays within a small multiple of it.
+ROOT_TOL = 1e-10
+
+_MAX_SQRTS = 64
+_MAX_DB_STEPS = 100
+
+
+def _log_series(x: np.ndarray) -> np.ndarray:
+    """log(I + x) by its Mercator series, for x small."""
     term = x
     out = x.copy()
     for k in range(2, 80):
@@ -185,8 +180,82 @@ def _logm3(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sqrtm3(a: np.ndarray) -> np.ndarray:
+    """Principal square root by the scaled product-form Denman-Beavers
+    iteration (Higham, Functions of Matrices, 2008, eq. 6.28).
+
+    The iteration inverts its iterates, which loses accuracy near the
+    branch cut and at large non-normal matrices; a root whose residual
+    |y^2 - a| exceeds ROOT_TOL * |y|^2 raises NoPrincipalLog.
+    """
+    eye = np.eye(3)
+    m, y = a, a
+    prev = np.inf
+    for _ in range(_MAX_DB_STEPS):
+        try:
+            minv = np.linalg.inv(m)
+        except np.linalg.LinAlgError as exc:
+            raise NoPrincipalLog("singular iterate in the square-root iteration") from exc
+        mu2 = abs(np.linalg.det(m)) ** (-1.0 / 3.0)
+        y = 0.5 * np.sqrt(mu2) * (y @ (eye + minv / mu2))
+        m = 0.5 * (eye + 0.5 * (mu2 * m + minv / mu2))
+        err = float(np.abs(m - eye).sum())
+        # quadratic convergence ends where roundoff stops the decrease
+        if err <= 1e-15 or (err <= 1e-8 and err > 0.5 * prev):
+            break
+        prev = err
+    else:
+        raise NoPrincipalLog("square-root iteration did not converge")
+    resid = float(np.abs(y @ y - a).max()) / float(np.abs(y).max()) ** 2
+    if not resid <= ROOT_TOL:
+        raise NoPrincipalLog(
+            f"square root residual {resid:.2e} exceeds {ROOT_TOL:.0e}: "
+            "the log is ill-conditioned here"
+        )
+    return y
+
+
+def _logm3(m: np.ndarray) -> np.ndarray:
+    """Principal log: series near the identity, else inverse scaling and
+    squaring (Al-Mohy and Higham, SIAM J. Sci. Comput. 34(4), 2012).
+
+    Far from the identity, k principal square roots bring the matrix within
+    the series radius and the series result is multiplied by 2^k.  Raises
+    NoPrincipalLog when an eigenvalue lies on the closed negative real axis
+    (a reflection, for one), where no principal log exists, and when a
+    square root cannot be taken to ROOT_TOL.
+    """
+    m = np.asarray(m, dtype=complex)
+    x = m - np.eye(3)
+    if float(np.abs(x).sum()) <= LOG_SERIES_RADIUS:
+        return _log_series(x)
+    vals = np.linalg.eigvals(m)
+    on_cut = (vals.real <= 0.0) & (np.abs(vals.imag) <= LOG_CUT_TOL * np.abs(vals))
+    if on_cut.any():
+        lam = complex(vals[np.flatnonzero(on_cut)[0]])
+        raise NoPrincipalLog(f"eigenvalue {lam:.6g} lies on the branch cut of the log")
+    # The iteration loses accuracy on eigenvalues near the cut, so the
+    # first root is taken with the spectrum rotated to straddle the positive
+    # axis: sqrt(m) = e^{i phi/2} sqrt(e^{-i phi} m) while no argument
+    # crosses the cut.
+    args = np.angle(vals)
+    phi = 0.5 * float(args.max() + args.min())
+    m = np.exp(0.5j * phi) * _sqrtm3(np.exp(-1j * phi) * m)
+    k = 1
+    while float(np.abs(m - np.eye(3)).sum()) > LOG_SERIES_RADIUS:
+        if k == _MAX_SQRTS:
+            raise NoPrincipalLog(f"{k} square roots did not reach the identity")
+        m = _sqrtm3(m)
+        k += 1
+    return 2.0**k * _log_series(m - np.eye(3))
+
+
 def isometry_log(F: Isometry) -> np.ndarray:
-    """Lie algebra element Y with exp(Y) = F, for F near the identity."""
+    """Lie algebra element Y with exp(Y) = F, the principal log.
+
+    Raises NoPrincipalLog where _logm3 does: F with an eigenvalue on the
+    negative real axis, or too ill-conditioned for its square roots.
+    """
     return project_to_su_algebra(_logm3(F.m))
 
 

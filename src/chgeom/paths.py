@@ -13,10 +13,10 @@ line.  Bendings are the elementary moves used everywhere downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .core import (
     DEFAULT_TOL,
@@ -353,6 +353,48 @@ def _spherical_peak(z1: complex, z2: complex) -> float:
     return (a + b) / 2.0 + float(np.hypot((a - b) / 2.0, c))
 
 
+def _spherical_root(z1: complex, z2: complex, level: float) -> float:
+    """Smallest theta >= 0 with |cos(theta) z1 + sin(theta) z2|^2 = level,
+    for a level between the value at 0 and the peak.
+
+    The square is (a + b)/2 + r cos(2 theta - phi), a sinusoid whose first
+    crossing of the level lies on its rise to the peak at theta = phi/2.
+    """
+    a, b = abs(z1) ** 2, abs(z2) ** 2
+    c = (z1 * z2.conjugate()).real
+    r = math.hypot((a - b) / 2.0, c)
+    phi = math.atan2(c, (a - b) / 2.0) % (2.0 * math.pi)
+    cos_level = min(1.0, max(-1.0, (level - (a + b) / 2.0) / r))
+    return max(0.0, phi - math.acos(cos_level)) / 2.0
+
+
+def _hyperbolic_roots(a: complex, b: complex, level: float) -> tuple[float, float]:
+    """The two theta with |e^-theta a + e^theta b|^2 = level, above the
+    value at theta = 0: (the positive root, the negative root).
+
+    The square is |a|^2/x + |b|^2 x + 2 Re(a conj(b)) with x = e^{2 theta},
+    a quadratic in x once multiplied by x; a missing coefficient sends its
+    root to infinity.
+    """
+    aa, bb = abs(a) ** 2, abs(b) ** 2
+    lin = level - 2.0 * (a * b.conjugate()).real
+    r = lin + math.sqrt(max(lin * lin - 4.0 * aa * bb, 0.0))
+    up = 0.5 * (math.log(r) - math.log(2.0 * bb)) if bb > 0.0 else math.inf
+    down = 0.5 * (math.log(2.0 * aa) - math.log(r)) if aa > 0.0 else -math.inf
+    return up, down
+
+
+def _euclidean_root(h0: complex, h1: complex, level: float) -> float:
+    """The positive s with |h0 + s h1|^2 = level > |h0|^2."""
+    p = (h0 * h1.conjugate()).real
+    q = abs(h1) ** 2
+    gap = level - abs(h0) ** 2
+    disc = math.sqrt(p * p + q * gap)
+    if p >= 0.0:
+        return gap / (p + disc)
+    return (disc - p) / q
+
+
 def make_hyperbolic(
     p1: Point,
     p2: Point,
@@ -368,56 +410,44 @@ def make_hyperbolic(
     can repair: p3 on the euclidean line of (p1, p2), p3 the polar point of
     a hyperbolic line, or a spherical bending whose orbit never clears the
     threshold.
+
+    p2 lies on its own line, so the pairing h(s) = <E(s) p2, p3> has a
+    closed form in the bending's normal form: e^{-theta} a + e^{theta} b
+    (hyperbolic), cos(theta) z1 + sin(theta) z2 (spherical), h0 + s h1
+    (euclidean).  The invariant is |h(s)|^2 and is solved for directly:
+    the root nearest 0, a positive one if it exists.  On a spherical line
+    the margin is capped at half the orbit's peak.
     """
     if p2.sign * p3.sign < 0:
         return 0.0
     b = bending(p1, p2, tol)
-
-    def gap(s: float) -> float:
-        q = b.evaluate(s).m @ p2.rep
-        return abs(form(q, p3.rep)) ** 2 / (self_product(q) * p3.sign) - 1.0
-
-    if gap(0.0) > 0.0:
+    q = b.evaluate(0.0).m @ p2.rep
+    if abs(form(q, p3.rep)) ** 2 / (self_product(q) * p3.sign) > 1.0:
         return 0.0
+    # coordinates of p2 in the adapted basis, pairings of the basis with p3
+    c = (b.cols_inv @ p2.rep).tolist()
+    w = form(b.cols.T, p3.rep).tolist()
     p3norm = float(np.linalg.norm(p3.rep))
     if b.kind is LineType.EUCLIDEAN:
         u = b.cols[:, 2]
-        if abs(form(u, p3.rep)) <= 1e-8 * float(np.linalg.norm(u)) * p3norm:
+        if abs(w[2]) <= 1e-8 * float(np.linalg.norm(u)) * p3norm:
             raise ExceptionalCase("p3 lies on the euclidean line of (p1, p2)")
-    elif b.kind is LineType.HYPERBOLIC:
-        z1 = form(b.cols[:, 0], p3.rep) / (np.linalg.norm(b.cols[:, 0]) * p3norm)
-        z2 = form(b.cols[:, 1], p3.rep) / (np.linalg.norm(b.cols[:, 1]) * p3norm)
-        if max(abs(z1), abs(z2)) <= 1e-8:
-            raise ExceptionalCase("p3 is the polar point of the line of (p1, p2)")
-    else:
-        # theta-amplitude of the rotating pairing, in p2's normalization
-        c = b.cols_inv @ p2.rep
-        norm = np.linalg.norm(c[:2])
-        z1 = form(b.cols[:, 0], p3.rep) * norm
-        z2 = form(b.cols[:, 1], p3.rep) * norm
-        peak = _spherical_peak(z1, z2)
-        if peak - 1.0 <= 1e-10:
-            raise ExceptionalCase("the spherical orbit never becomes hyperbolic")
-        target = min(margin, 0.5 * (peak - 1.0))
-        period = np.pi / b.rate
-        grid = np.linspace(0.0, period, 129)
-        vals = np.array([gap(s) for s in grid])
-        k = int(np.argmax(vals))
-        if vals[k] < target:
-            target = 0.9 * vals[k]
-        root = scipy.optimize.brentq(lambda s: gap(s) - target, 0.0, grid[k])
-        return float(root)
-
-    target = margin
+        return _euclidean_root(c[1] * w[1] + c[2] * w[2], c[1] * w[2], 1.0 + margin)
     if b.kind is LineType.HYPERBOLIC:
-        max_s = 700.0 / max(abs(b.rate), 1e-9)
-    else:
-        max_s = 1e12
-    for direction in (1.0, -1.0):
-        s = 0.5 * direction
-        while abs(s) <= max_s:
-            if gap(s) >= target:
-                root = scipy.optimize.brentq(lambda t: gap(t) - target, 0.0, s)
-                return float(root)
-            s *= 2.0
-    raise ExceptionalCase("no bending parameter clears the threshold")
+        z = [abs(w[j]) / (np.linalg.norm(b.cols[:, j]) * p3norm) for j in (0, 1)]
+        if max(z) <= 1e-8:
+            raise ExceptionalCase("p3 is the polar point of the line of (p1, p2)")
+        # p3 orthogonal to an isotropic end (to 1e-8) has no root toward it
+        a, e = (c[j] * w[j] if z[j] > 1e-8 else 0.0 for j in (0, 1))
+        roots = [th / b.rate for th in _hyperbolic_roots(a, e, 1.0 + margin)]
+        for s in sorted(roots, reverse=True):
+            if math.isfinite(s):
+                return s
+        raise ExceptionalCase("no bending parameter clears the threshold")
+    z1 = c[0] * w[0] + c[1] * w[1]
+    z2 = c[0] * w[1] - c[1] * w[0]
+    peak = _spherical_peak(z1, z2)
+    if peak - 1.0 <= 1e-10:
+        raise ExceptionalCase("the spherical orbit never becomes hyperbolic")
+    level = 1.0 + min(margin, 0.5 * (peak - 1.0))
+    return _spherical_root(z1, z2, level) / b.rate

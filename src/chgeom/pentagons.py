@@ -54,6 +54,12 @@ from .triples import (
 )
 
 
+def _reflection_product(points) -> np.ndarray:
+    """Matrix of R5 R4 R3 R2 R1, the reflection in the first point first."""
+    ms = [reflection(p).m for p in points]
+    return ms[4] @ ms[3] @ ms[2] @ ms[1] @ ms[0]
+
+
 @dataclass(frozen=True)
 class Pentagon:
     p1: Point
@@ -75,8 +81,7 @@ class Pentagon:
 
     def product(self) -> Isometry:
         """R5 R4 R3 R2 R1, equal to delta I for a valid pentagon."""
-        ms = [reflection(p).m for p in self.points]
-        return Isometry(ms[4] @ ms[3] @ ms[2] @ ms[1] @ ms[0])
+        return Isometry(_reflection_product(self.points))
 
     def apply(self, g: Isometry, tol: float = DEFAULT_TOL) -> "Pentagon":
         return Pentagon(*(g.apply(p, tol) for p in self.points), delta=self.delta)
@@ -91,8 +96,7 @@ def verify_pentagon(points, tol: float = 1e-8) -> CubeRoot:
     |rep|^2, so a valid pentagon far from the origin misses a bound of
     tol * |f|.
     """
-    ms = [reflection(p).m for p in points]
-    f = ms[4] @ ms[3] @ ms[2] @ ms[1] @ ms[0]
+    f = _reflection_product(points)
     root = nearest_cube_root(complex(np.trace(f)) / 3.0)
     resid = float(np.abs(f - root.matrix()).max())
     reps = np.array([_rep(p) for p in points])

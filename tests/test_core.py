@@ -131,6 +131,35 @@ def test_point_is_bitwise_reference():
             chg.point(v)
 
 
+def test_self_product_is_bitwise_form():
+    """self_product must give float(form(u, u).real) bit for bit, that is
+    the form evaluated on 0-d slices, written out here."""
+    rng = default_rng(24)
+    vectors = [
+        [1.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0],
+        np.array([0.0, 2.0, 0.0]),
+        np.array([3j, 0.0, 1.0 - 1j]),
+    ]
+    for i in range(5000):
+        v = random_vector(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if i % 7 == 0:
+            v[rng.integers(3)] = 0.0
+        if i % 11 == 0:
+            v = v.real.copy()
+        vectors.append(v)
+    for v in vectors:
+        u = np.asarray(v)
+        want = float(
+            (
+                u[..., 0] * u[..., 0].conj()
+                + u[..., 1] * u[..., 1].conj()
+                - u[..., 2] * u[..., 2].conj()
+            ).real
+        )
+        assert np.array_equal(chg.self_product(v), want)
+
+
 def test_point_canonicalization_is_scale_free():
     rng = default_rng(7)
     for _ in range(50):

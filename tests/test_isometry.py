@@ -162,6 +162,112 @@ class TestExpLog:
         assert np.allclose(back + star(back), 0.0, atol=1e-14)
         assert abs(np.trace(back)) < 1e-14
 
+    def test_expm3_is_bitwise_reference(self):
+        # random_isometry draws through _expm3, so the seeded inputs of the
+        # tests and the benchmark depend on these bits
+        rng = default_rng(12)
+        for _ in range(2000):
+            a = random_su_element(rng, 10.0 ** rng.uniform(-3.0, np.log10(3.0)))
+            assert np.array_equal(_expm3(a), reference_expm3(a))
+        n = np.array([[0.0, 1.0, 0], [0, 0, 1.0], [0, 0, 0]])
+        assert np.array_equal(_expm3(n), reference_expm3(n))
+
+
+def reference_expm3(a):
+    """The serial scaled Taylor exponential _expm3 once was; _expm3 must
+    reproduce it bit for bit."""
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum())
+    s = 0
+    while norm > 0.25:
+        norm *= 0.5
+        s += 1
+    if s:
+        a = a * (0.5**s)
+    out = np.eye(3, dtype=complex) + a
+    term = a
+    for k in range(2, 18):
+        term = term @ a / k
+        out = out + term
+        if float(np.abs(term).max()) < 1e-18:
+            break
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def reference_log_series(m):
+    """The Mercator series _logm3 runs near the identity, written out."""
+    x = np.asarray(m, dtype=complex) - np.eye(3)
+    term = x
+    out = x.copy()
+    for k in range(2, 80):
+        term = -term @ x
+        out = out + term / k
+        if float(np.abs(term).max()) < 1e-18 * k:
+            break
+    return out
+
+
+class TestLogm:
+    def test_series_branch_is_bitwise_reference(self):
+        rng = default_rng(13)
+        n = 0
+        for _ in range(500):
+            m = _expm3(random_su_element(rng, 10.0 ** rng.uniform(-6.0, -1.3)))
+            if np.abs(m - np.eye(3)).sum() > 0.3:
+                continue
+            assert np.array_equal(_logm3(m), reference_log_series(m))
+            n += 1
+        assert n >= 400
+
+    def test_matches_scipy_far_from_identity(self):
+        rng = default_rng(14)
+        far = 0
+        for scale in (0.1, 0.5, 1.0, 1.5):
+            for _ in range(50):
+                m = _expm3(random_su_element(rng, scale))
+                far += np.abs(m - np.eye(3)).sum() > 0.3
+                got = _logm3(m)
+                want = scipy.linalg.logm(m)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+                assert np.abs(_expm3(got) - m).max() <= 1e-11 * np.abs(m).max()
+        assert far >= 150  # the square-root branch, not the series
+
+    def test_one_sided_near_the_cut(self):
+        # an eigenvalue 1e-6..1e-2 rad short of -1, the others away from
+        # the cut: exact log from the diagonal form
+        rng = default_rng(15)
+        for d in (1e-2, 1e-4, 1e-6):
+            for _ in range(5):
+                g = random_isometry(rng, 0.5)
+                th = np.array([np.pi - d, -1.0, 1.0 - np.pi + d])
+                m = g.m @ np.diag(np.exp(1j * th)) @ g.inv().m
+                want = g.m @ np.diag(1j * th) @ g.inv().m
+                assert np.abs(_logm3(m) - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_reflection_has_no_principal_log(self):
+        rng = default_rng(16)
+        for _ in range(10):
+            r = reflection(random_point(rng))
+            with pytest.raises(errors.NoPrincipalLog):
+                _logm3(r.m)
+            with pytest.raises(errors.NoPrincipalLog):
+                isometry_log(r)
+        with pytest.raises(errors.NoPrincipalLog):
+            _logm3(np.zeros((3, 3)))
+
+    def test_straddling_the_cut_raises_rather_than_drifts(self):
+        # eigenvalues e^{+-i(pi - 1e-6)}: the square roots lose ~1e-3, so
+        # no log comes back
+        rng = default_rng(17)
+        for _ in range(5):
+            g = random_isometry(rng, 0.5)
+            th = np.array([np.pi - 1e-6, -(np.pi - 1e-6), 0.0])
+            m = g.m @ np.diag(np.exp(1j * th)) @ g.inv().m
+            with pytest.raises(errors.NoPrincipalLog):
+                _logm3(m)
+
 
 class TestProjectToSu:
     def test_repairs_drift(self):

@@ -8,6 +8,7 @@ its defining geometric action.
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import chgeom as chg
 from chgeom import errors
@@ -28,6 +29,7 @@ from chgeom.paths import (
 )
 from chgeom.sampling import (
     default_rng,
+    random_isometry,
     random_negative_point,
     random_point,
     random_vector,
@@ -483,3 +485,125 @@ class TestMakeHyperbolic:
         s = make_hyperbolic(p1, p2, p3)
         _, q2 = bend_pair(p1, p2, s)
         assert chg.line_type(q2, p3) is chg.LineType.HYPERBOLIC
+
+
+def spherical_partner(rng, p):
+    """A positive point spanning a spherical line with the positive p."""
+    while True:
+        w = project_orthogonal(p, random_vector(rng))
+        if self_product(w) > 0.05:
+            break
+    w = w / np.sqrt(self_product(w))
+    a = rng.uniform(0.05, 1.5)
+    return point(np.cos(a) * p.rep + np.sin(a) * w)
+
+
+def random_euclidean_pair(rng):
+    """EUCLIDEAN_PAIR's line, p2 slid along it, moved by an isometry."""
+    g = random_isometry(rng, 0.3)
+    p1 = point([0.0, 1.0, 0.0])
+    p2 = point([0.0, 1.0, 0.0] + rng.uniform(-2.0, 2.0) * np.array([1.0, 0.0, 1.0]))
+    return g.apply(p1), g.apply(p2)
+
+
+PAIRS = {
+    "hyperbolic": random_mixed_pair,
+    "spherical": random_spherical_pair,
+    "euclidean": random_euclidean_pair,
+}
+
+
+def bending_gap(b, p2, p3):
+    """The invariant make_hyperbolic drives: ta(p2(s), p3) - 1."""
+
+    def gap(s):
+        q = b.evaluate(s).m @ p2.rep
+        return abs(form(q, p3.rep)) ** 2 / (self_product(q) * p3.sign) - 1.0
+
+    return gap
+
+
+def spherical_target(b, gap, margin=0.5):
+    """min(margin, half the orbit's peak gap), the peak found numerically."""
+    grid = np.linspace(0.0, np.pi / b.rate, 257)
+    k = int(np.argmax([gap(s) for s in grid]))
+    res = scipy.optimize.minimize_scalar(
+        lambda s: -gap(s),
+        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 256)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return min(margin, 0.5 * (-res.fun))
+
+
+def root_finder_bracket(b, gap, target):
+    """The interval a bracketing root finder searched for make_hyperbolic:
+    the argmax of a 129-point grid over one period on spherical lines, else
+    [0, s] with s doubled from 0.5 until the gap clears the target, the
+    positive side first.  None when that search finds no bracket."""
+    if b.kind is chg.LineType.SPHERICAL:
+        grid = np.linspace(0.0, np.pi / b.rate, 129)
+        vals = [gap(s) for s in grid]
+        k = int(np.argmax(vals))
+        return grid[k] if vals[k] >= target else None
+    max_s = 700.0 / abs(b.rate) if b.kind is chg.LineType.HYPERBOLIC else 1e12
+    for direction in (1.0, -1.0):
+        s = 0.5 * direction
+        while abs(s) <= max_s:
+            if gap(s) >= target:
+                return s
+            s *= 2.0
+    return None
+
+
+class TestMakeHyperbolicClosedForm:
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_gap_hits_target_and_matches_brentq(self, kind):
+        rng = default_rng({"euclidean": 54, "hyperbolic": 52, "spherical": 53}[kind])
+        compared = 0
+        for _ in range(40):
+            p1, p2 = PAIRS[kind](rng)
+            p3 = spherical_partner(rng, p2)
+            b = bending(p1, p2)
+            assert b.kind is chg.LineType(kind)
+            try:
+                s = make_hyperbolic(p1, p2, p3)
+            except errors.ExceptionalCase:
+                assert kind == "spherical"
+                continue
+            gap = bending_gap(b, p2, p3)
+            target = spherical_target(b, gap) if kind == "spherical" else 0.5
+            assert abs(gap(s) - target) <= 1e-10
+            end = root_finder_bracket(b, gap, target)
+            if end is None:
+                continue
+            root = scipy.optimize.brentq(lambda t: gap(t) - target, 0.0, end, xtol=1e-14)
+            assert abs(s - root) <= 1e-10 * max(1.0, abs(root))
+            compared += 1
+        assert compared >= 30
+
+    def test_one_sided_hyperbolic_profile(self):
+        # p3 in the span of the polar point and one isotropic end: the
+        # pairing grows toward one end only, so the root has one sign
+        rng = default_rng(55)
+        signs = set()
+        for _ in range(10):
+            p1, p2 = random_mixed_pair(rng)
+            b = bending(p1, p2)
+            end = b.cols[:, int(rng.integers(2))]
+            p3 = point(b.cols[:, 2] + rng.uniform(0.1, 0.5) * end / np.linalg.norm(end))
+            gap = bending_gap(b, p2, p3)
+            assert gap(0.0) < 0.0
+            s = make_hyperbolic(p1, p2, p3)
+            assert abs(gap(s) - 0.5) <= 1e-10
+            # toward the other end the pairing decays (a bracket search
+            # there runs into overflow, where the gap reads garbage)
+            side = np.sign(s)
+            assert all(gap(-side * th / abs(b.rate)) < 0.5 for th in (0.5, 1.0, 2.0, 4.0, 8.0))
+            end_s = 0.5 * side
+            while gap(end_s) < 0.5:
+                end_s *= 2.0
+            root = scipy.optimize.brentq(lambda t: gap(t) - 0.5, 0.0, end_s, xtol=1e-14)
+            assert abs(s - root) <= 1e-10 * max(1.0, abs(root))
+            signs.add(side)
+        assert signs == {-1.0, 1.0}
