@@ -115,4 +115,18 @@ class DifferentDelta(GeometryError):
 
 
 class RankInconclusive(GeometryError):
-    """The numerical rank of the holonomy sample could not be resolved."""
+    """The numerical rank of the holonomy could not be resolved.
+
+    `value` is the measured singular-value ratio sv1/sv0 and `bound` the
+    (rank-one, rank-two) band it fell strictly inside.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        value: float | None = None,
+        bound: tuple[float, float] | None = None,
+    ):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound

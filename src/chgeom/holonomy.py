@@ -1,14 +1,21 @@
 """Curvature and holonomy of the bending fibration over the surface.
 
 The two bending fields b1 (pair 12) and b2 (pair 23) preserve the product
-R(p3) R(p2) R(p1) exactly and span the directions along the surface; every
-other product-preserving deformation is vertical, meaning induced by a
-one-parameter group of isometries commuting with the product.  The bracket
+F = R(p3) R(p2) R(p1) exactly and span the directions along the surface;
+every other product-preserving deformation is vertical, meaning induced by
+a one-parameter group of isometries commuting with F.  The bracket
 [b1, b2] is such a mixture, and its vertical part is the curvature of the
 fibration.  Transporting a triple around a small coordinate rectangle
-produces a holonomy isometry in the centralizer of the product whose
-logarithm recovers that curvature; the span of many such logarithms is the
-holonomy dimension (one for real triples, two otherwise).
+produces a holonomy isometry in the centralizer C(F) whose logarithm
+recovers that curvature.
+
+The holonomy dimension (one for real triples, two otherwise) is decided
+without transport.  Every holonomy element lies in C(F), which is abelian
+when F is regular, so by the Ambrose-Singer theorem (Trans. AMS 75, 1953)
+the holonomy algebra is the span of the curvature's values over the fibre,
+with no conjugation back to the base point.  `holonomy_dimension` reads
+the rank of a few such values; the loop samples (`holonomy_samples`,
+`rectangle_holonomy`) remain as the independent check.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 from .core import DEFAULT_TOL
 from .errors import (
     LeavesAdmissibleRegion,
+    NotRegular,
     OnRamification,
     RankInconclusive,
     Unreachable,
@@ -186,6 +194,13 @@ def omega_commutator(T: Triple, ram_tol: float = RAMIFICATION_TOL) -> np.ndarray
     )
 
 
+def _frame_quotient(T: Triple, cur: Triple) -> Isometry:
+    """The isometry taking the standard frame of cur to that of T."""
+    pa = _standard_cols(cur)
+    pb = _standard_cols(T)
+    return center_reduce(project_to_su(pb @ np.linalg.inv(pa)))
+
+
 def rectangle_holonomy(
     T: Triple,
     ds1: float,
@@ -216,10 +231,7 @@ def rectangle_holonomy(
             ds1 *= 0.5
             ds2 *= 0.5
             continue
-        pa = _standard_cols(cur)
-        pb = _standard_cols(T)
-        g = center_reduce(project_to_su(pb @ np.linalg.inv(pa)))
-        return g, (ds1, ds2)
+        return _frame_quotient(T, cur), (ds1, ds2)
     raise LeavesAdmissibleRegion("rectangle does not fit in the admissible region")
 
 
@@ -248,10 +260,11 @@ def _loop_sample(T, basis, ds, rng, tol):
     for pair, s in reversed(out):
         b = _pair_bending(cur, pair, tol)
         cur = _apply_pair_move(cur, pair, b, -s, tol)
-    pa = _standard_cols(cur)
-    pb = _standard_cols(T)
-    g = center_reduce(project_to_su(pb @ np.linalg.inv(pa)))
-    w = isometry_log(g)
+    return _basis_coords(basis, isometry_log(_frame_quotient(T, cur)))
+
+
+def _basis_coords(basis, w: np.ndarray) -> np.ndarray:
+    """Real least-squares coordinates of the algebra element w in basis."""
     cols = np.column_stack(
         [np.concatenate([y.real.ravel(), y.imag.ravel()]) for y in basis]
     )
@@ -280,6 +293,39 @@ def holonomy_samples(
     )
 
 
+#: sv1/sv0 of the curvature rows at or above this is rank 2, at or below
+#: RANK_ONE_BELOW rank 1; in between the rank is undecided.
+RANK_TWO_ABOVE = 1e-6
+RANK_ONE_BELOW = 1e-10
+
+#: The curvature's sample points: sheet-pinned moves from T, each scaling
+#: the tracked coordinate of the current triple by the factor.
+_SPAN_MOVES = (("12", 1.3), ("23", 1.45), ("12", 1.6), ("23", 1.35))
+
+
+def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
+    """sv1/sv0 of the normalised curvature values at T and four moves away,
+    in centralizer coordinates of the product."""
+    c = s_coords(T)
+    if abs(c.t - 1.0) <= RAMIFICATION_TOL:
+        raise OnRamification("the curvature's sample moves need a pinned sheet")
+    basis = centralizer_basis(T.product())
+    if len(basis) != 2:
+        # the span argument needs the abelian centralizer of a regular product
+        raise NotRegular(f"centralizer has dimension {len(basis)}, expected 2")
+    cur = T
+    rows = [_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie)]
+    for pair, factor in _SPAN_MOVES:
+        cc = s_coords(cur)
+        target = (cc.t2 if pair == "12" else cc.t1) * factor
+        cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
+        rows.append(_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie))
+    rows = np.array(rows)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return float(sv[1] / sv[0])
+
+
 def holonomy_dimension(
     T: Triple,
     n_samples: int = 8,
@@ -287,36 +333,30 @@ def holonomy_dimension(
     rng=None,
     tol: float = DEFAULT_TOL,
 ) -> int:
-    """Dimension of the span of holonomy logs: 0 for trivial loops
-    (ds = 0), 1 for real triples, 2 otherwise.
+    """Dimension of the holonomy algebra: 0 for trivial loops (ds = 0), 1
+    for real triples, 2 otherwise.
 
-    Decided from the singular values of the sampled coordinate rows; the
-    sample count grows until the spectrum shows a decisive gap, and
-    RankInconclusive reports an undecided spectrum after that budget.
+    The holonomy lies in the centralizer of the product, abelian when the
+    product is regular, so by Ambrose-Singer its algebra is the span of the
+    curvature vertical_part(P, b_commutator(P)).lie over the fibre.  The
+    curvature is evaluated at T and at four sheet-pinned moves from it,
+    each value written in the centralizer basis and normalised; the rank is
+    2 when sv1/sv0 >= RANK_TWO_ABOVE, 1 when sv1/sv0 <= RANK_ONE_BELOW.  A
+    ratio in between raises RankInconclusive carrying the ratio and the
+    band; nothing is resampled.  A non-regular product raises NotRegular,
+    and t = 1 raises OnRamification.  n_samples and rng are accepted for
+    compatibility and unused; ds matters only as ds = 0.
     """
-    from .sampling import default_rng
-
-    if rng is None or not isinstance(rng, np.random.Generator):
-        rng = default_rng(rng)
-    rows = holonomy_samples(T, n_samples, ds, rng, tol)
-    return _rank_of_samples(T, rows, n_samples, ds, rng, tol)
-
-
-def _rank_of_samples(T, rows, n_samples, ds, rng, tol) -> int:
-    """holonomy_dimension's decision from its first-round rows.
-
-    `rng` must be the generator that drew `rows`, in the state it was left
-    in, so any resampling round continues the same stream.
-    """
-    for _ in range(3):
-        sv = np.linalg.svd(rows, compute_uv=False)
-        if sv[0] <= 1e-12:
-            return 0
-        if sv[1] > 1e-3 * sv[0]:
-            return 2
-        if sv[1] < 1e-5 * sv[0]:
-            return 1
-        rows = np.vstack([rows, holonomy_samples(T, n_samples, ds, rng, tol)])
+    if ds == 0:
+        return 0
+    ratio = _curvature_span_ratio(T, tol)
+    if ratio >= RANK_TWO_ABOVE:
+        return 2
+    if ratio <= RANK_ONE_BELOW:
+        return 1
     raise RankInconclusive(
-        f"singular values {sv} show no decisive gap"
+        f"curvature span ratio sv1/sv0 = {ratio:.3g} lies in the undecided band "
+        f"({RANK_ONE_BELOW:g}, {RANK_TWO_ABOVE:g})",
+        value=ratio,
+        bound=(RANK_ONE_BELOW, RANK_TWO_ABOVE),
     )

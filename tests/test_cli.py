@@ -49,12 +49,6 @@ class TestFixture:
         assert by_pair[("p1", "p2")]["tance"] == pytest.approx(-9 / 16, abs=1e-12)
         assert d["z"] == 0.125
 
-    def test_alias(self, capsys):
-        code_a, out_a = run(capsys, "fixture", "spherical-flip")
-        code_b, out_b = run(capsys, "fixture", "section-4-3")
-        assert code_a == code_b == 0
-        assert out_a.out == out_b.out
-
     def test_unknown_name(self, capsys):
         code, out = run(capsys, "fixture", "nonesuch")
         assert code == 2
@@ -263,8 +257,8 @@ class TestHolonomyProbe:
 
     @pytest.mark.parametrize("triple_seed", [80, 21])
     def test_probe_matches_library(self, tmp_path, capsys, triple_seed):
-        # seed 21 needs two resampling rounds at 6 loops, so the probe's
-        # rank must continue the stream its CSV rows were drawn from
+        # the probe's rank is the library's curvature-span rank; its
+        # singular values are those of the loop rows it prints
         T = random_strongly_regular_triple(default_rng(triple_seed))
         t = write(tmp_path, "t.json", T)
         code, out = run(capsys, "holonomy", "probe", "--triple", t, "--samples", "6",

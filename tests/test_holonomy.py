@@ -4,9 +4,13 @@ rectangle holonomy, holonomy dimension."""
 import numpy as np
 import pytest
 
+from chgeom import holonomy, jsonio
 from chgeom.core import form, self_product
-from chgeom.errors import OnRamification
+from chgeom.errors import NotRegular, OnRamification, RankInconclusive
 from chgeom.holonomy import (
+    RANK_ONE_BELOW,
+    RANK_TWO_ABOVE,
+    _curvature_span_ratio,
     b_commutator,
     b_fields,
     holonomy_dimension,
@@ -317,3 +321,87 @@ class TestHolonomyDimension:
         assert rows.shape == (6, 2)
         sv = np.linalg.svd(rows, compute_uv=False)
         assert sv[1] > 1e-3 * sv[0]
+
+    def test_ramification_raises(self):
+        c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)
+        with pytest.raises(OnRamification):
+            holonomy_dimension(triple_from_coords(c))
+
+    def test_non_regular_product_raises(self, monkeypatch):
+        T = random_strongly_regular_triple(default_rng(5))
+        basis = centralizer_basis(T.product())
+        monkeypatch.setattr(holonomy, "centralizer_basis", lambda F: basis + basis)
+        with pytest.raises(NotRegular):
+            holonomy_dimension(T)
+
+    def test_undecided_ratio_is_reported(self, monkeypatch):
+        T = random_strongly_regular_triple(default_rng(5))
+        monkeypatch.setattr(holonomy, "_curvature_span_ratio", lambda T, tol: 1e-8)
+        with pytest.raises(RankInconclusive) as info:
+            holonomy_dimension(T)
+        assert info.value.value == 1e-8
+        assert info.value.bound == (RANK_ONE_BELOW, RANK_TWO_ABOVE)
+
+
+# A generic triple on which sampling eight loops (seed below) left the rank
+# undecided after three rounds, sv1/sv0 = 6.4e-4 in the last one.
+GENERIC_UNDECIDED_BY_LOOPS = {
+    "points": [
+        {
+            "rep": [
+                [-1.378798763583889, 0.005651948862070504],
+                [0.5340872300111483, -0.004949983997449136],
+                [1.7850466791064477, 0.0],
+            ],
+            "sign": -1,
+        },
+        {
+            "rep": [
+                [0.1427498694343847, 0.008998472623711156],
+                [1.4725144280847948, 0.0],
+                [-1.0902997051815657, 0.0019471856549017892],
+            ],
+            "sign": 1,
+        },
+        {
+            "rep": [
+                [1.4531614871526306, -1.0403716726440435e-18],
+                [0.3621246170812613, 0.006498921660875095],
+                [1.8007928204051262, 0.0],
+            ],
+            "sign": -1,
+        },
+    ]
+}
+GENERIC_UNDECIDED_LOOP_SEED = 2684871745958651372
+
+
+class TestCurvatureSpan:
+    def test_decides_where_loops_did_not(self):
+        T = jsonio.decode_triple(GENERIC_UNDECIDED_BY_LOOPS)
+        rng = default_rng(GENERIC_UNDECIDED_LOOP_SEED)
+        assert holonomy_dimension(T, 8, ds=1e-2, rng=rng) == 2
+
+    def test_ratio_is_far_outside_the_band(self):
+        rng = default_rng(212)
+        for _ in range(100):
+            T = random_strongly_regular_triple(rng)
+            assert _curvature_span_ratio(T) >= 10 * RANK_TWO_ABOVE
+        for _ in range(40):
+            T = random_strongly_regular_triple(rng, real=True)
+            assert _curvature_span_ratio(T) <= 0.1 * RANK_ONE_BELOW
+
+    def test_matches_loop_rank(self):
+        rng = default_rng(210)
+        draws = [random_strongly_regular_triple(rng) for _ in range(20)]
+        draws += [
+            triple_from_coords(random_strongly_regular_coords(rng, real=True))
+            for _ in range(20)
+        ]
+        for T in draws:
+            sv = np.linalg.svd(
+                holonomy_samples(T, 8, ds=1e-2, rng=default_rng(2)), compute_uv=False
+            )
+            # the loop logs' roundoff floor sits near 1e-16 of the largest
+            loop_rank = int(np.sum(sv > 1e-8 * sv[0]))
+            assert holonomy_dimension(T) == loop_rank
