@@ -126,33 +126,46 @@ def tance(p, q) -> float:
     return float(abs(g) ** 2 / (self_product(a) * self_product(b)))
 
 
+def _triple_invariants(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """(t1, t2, tau, alpha, beta) of a triple from its Gram m[j, k] = <p_j, p_k>.
+
+    tau is None where m12 m23 vanishes relative to the form norms
+    sqrt|m11 m33| |m22| (1 for points), a test isometries leave unchanged.
+    """
+    (g11, g12, g13), (_, g22, g23), (g31, _, g33) = m.tolist()
+    d1, d2, d3 = g11.real, g22.real, g33.real
+    n = d1 * d2 * d3
+    denom = g12 * g23
+    degenerate = abs(denom) <= tol * math.sqrt(abs(d1 * d3)) * abs(d2)
+    return (
+        abs(g12) ** 2 / (d1 * d2),
+        abs(g23) ** 2 / (d2 * d3),
+        None if degenerate else g13 * g22 / denom,
+        (g12 * g23 * g31).imag / n,
+        float(np.linalg.det(m).real / n),
+    )
+
+
 def alpha(p1, p2, p3) -> float:
     """Normalized imaginary part of the cyclic triple product."""
-    a, b, c = _rep(p1), _rep(p2), _rep(p3)
-    num = (form(a, b) * form(b, c) * form(c, a)).imag
-    return float(num / (self_product(a) * self_product(b) * self_product(c)))
+    return _triple_invariants(gram((p1, p2, p3)).m)[3]
 
 
 def beta(p1, p2, p3) -> float:
     """Normalized Gram determinant of a triple."""
-    m = gram((p1, p2, p3)).m
-    return float(
-        np.linalg.det(m).real / (m[0, 0] * m[1, 1] * m[2, 2]).real
-    )
+    return _triple_invariants(gram((p1, p2, p3)).m)[4]
 
 
 def tau_complex(p1, p2, p3, tol: float = DEFAULT_TOL):
     """The complex shape ratio g13*g22 / (g12*g23).
 
-    Raises DegenerateTau when the denominator vanishes.
+    Raises DegenerateTau when the denominator vanishes relative to the
+    points' form norms.
     """
-    a, b, c = _rep(p1), _rep(p2), _rep(p3)
-    g12, g23 = form(a, b), form(b, c)
-    denom = g12 * g23
-    scale = np.linalg.norm(a) * np.linalg.norm(b) ** 2 * np.linalg.norm(c)
-    if abs(denom) <= tol * scale:
+    t = _triple_invariants(gram((p1, p2, p3)).m, tol)[2]
+    if t is None:
         raise DegenerateTau("g12 * g23 vanishes, shape ratio undefined")
-    return form(a, c) * form(b, b) / denom
+    return t
 
 
 def tau(p1, p2, p3, tol: float = DEFAULT_TOL) -> float:
@@ -176,12 +189,15 @@ def line_type(p, q, tol: float = DEFAULT_TOL) -> LineType:
     if projectively_equal(p, q, tol):
         raise SamePoint("equal points span no line")
     a, b = _rep(p), _rep(q)
-    g12 = form(a, b)
-    det2 = self_product(a) * self_product(b) - abs(g12) ** 2
-    scale = abs(self_product(a) * self_product(b)) + abs(g12) ** 2
-    if det2 < -tol * scale:
+    return _minor_type(self_product(a) * self_product(b), abs(form(a, b)) ** 2, tol)
+
+
+def _minor_type(d: float, gg: float, tol: float) -> LineType:
+    """Line type from the pair's Gram minor: the product d of its diagonal
+    entries and the squared modulus gg of its off-diagonal entry."""
+    if d - gg < -tol * (abs(d) + gg):
         return LineType.HYPERBOLIC
-    if det2 > tol * scale:
+    if d - gg > tol * (abs(d) + gg):
         return LineType.SPHERICAL
     return LineType.EUCLIDEAN
 

@@ -34,16 +34,16 @@ from .errors import (
 )
 from .isometry import (
     Isometry,
-    center_reduce,
+    _frame_map,
     centralizer_basis,
     isometry_log,
-    project_to_su,
     project_to_su_algebra,
 )
 from .triples import (
     Triple,
     _apply_pair_move,
     _coordinate_move,
+    _invariants,
     _pair_bending,
     _standard_cols,
     s_coords,
@@ -139,8 +139,7 @@ def vertical_part(
     gauge Re<v_j, p_j> = 0).  Raises OnRamification where the bending
     fields stop being transverse coordinates.
     """
-    c = s_coords(T)
-    if abs(c.t - 1.0) <= ram_tol:
+    if abs(_invariants(T)[2] - 1.0) <= ram_tol:
         raise OnRamification("bending fields degenerate at t = 1")
     P = np.column_stack([p.rep for p in T.points])
     p_inv = np.linalg.inv(P)
@@ -194,13 +193,6 @@ def omega_commutator(T: Triple, ram_tol: float = RAMIFICATION_TOL) -> np.ndarray
     )
 
 
-def _frame_quotient(T: Triple, cur: Triple) -> Isometry:
-    """The isometry taking the standard frame of cur to that of T."""
-    pa = _standard_cols(cur)
-    pb = _standard_cols(T)
-    return center_reduce(project_to_su(pb @ np.linalg.inv(pa)))
-
-
 def rectangle_holonomy(
     T: Triple,
     ds1: float,
@@ -231,7 +223,7 @@ def rectangle_holonomy(
             ds1 *= 0.5
             ds2 *= 0.5
             continue
-        return _frame_quotient(T, cur), (ds1, ds2)
+        return _frame_map(_standard_cols(cur), _standard_cols(T)), (ds1, ds2)
     raise LeavesAdmissibleRegion("rectangle does not fit in the admissible region")
 
 
@@ -260,7 +252,8 @@ def _loop_sample(T, basis, ds, rng, tol):
     for pair, s in reversed(out):
         b = _pair_bending(cur, pair, tol)
         cur = _apply_pair_move(cur, pair, b, -s, tol)
-    return _basis_coords(basis, isometry_log(_frame_quotient(T, cur)))
+    g = _frame_map(_standard_cols(cur), _standard_cols(T))
+    return _basis_coords(basis, isometry_log(g))
 
 
 def _basis_coords(basis, w: np.ndarray) -> np.ndarray:
@@ -286,7 +279,7 @@ def holonomy_samples(
     if rng is None or not isinstance(rng, np.random.Generator):
         rng = default_rng(rng)
     basis = centralizer_basis(T.product())
-    if abs(s_coords(T).t - 1.0) <= RAMIFICATION_TOL:
+    if abs(_invariants(T)[2] - 1.0) <= RAMIFICATION_TOL:
         raise OnRamification("holonomy loops need a pinned sheet")
     return np.array(
         [_loop_sample(T, basis, ds, rng, tol) for _ in range(n_samples)]

@@ -294,6 +294,12 @@ def center_reduce(g: Isometry) -> Isometry:
     return Isometry(_ro(_OMEGA**k * g.m))
 
 
+def _frame_map(pa, pb) -> Isometry:
+    """The isometry nearest the identity with g pa = z pb, |z| = 1, for
+    frames (columns) with equal Grams: pb pa^-1 projected onto the group."""
+    return center_reduce(project_to_su(pb @ np.linalg.inv(pa)))
+
+
 def trace_formula(G, tol: float = DEFAULT_TOL) -> complex:
     """Trace of R_n ... R_2 R_1 from the Gram matrix of the points alone.
 
@@ -482,7 +488,7 @@ def conjugator(F: Isometry, G: Isometry, tol: float = DEFAULT_TOL) -> Isometry:
     bg, signs_g = _normalize_eigenbasis(gvals, gvecs, tol)
     if signs_f != signs_g:
         raise NotConjugate("eigenvector sign patterns differ")
-    g = project_to_su(bg @ np.linalg.inv(bf))
+    g = _frame_map(bf, bg)
     resid = float(np.abs(g.m @ F.m - G.m @ g.m).max())
     if resid > 1e4 * tol * max(1.0, float(np.abs(G.m).max())):
         raise NotConjugate(f"no isometry matches the eigenbases (residual {resid:.2e})")

@@ -23,11 +23,10 @@ from .core import (
     J,
     LineType,
     Point,
+    _minor_type,
     _rep,
     form,
-    line_type,
     point,
-    polar_point,
     project_orthogonal,
     projectively_equal,
     self_product,
@@ -262,22 +261,20 @@ class Bending:
         return float(r.real), q.sign
 
 
-def _phase_fixed(p1: Point, p2: Point, tol: float):
-    """p2's representative rotated so its pairing with p1 is real positive."""
-    g = form(p1.rep, p2.rep)
-    scale = max(1.0, float(np.linalg.norm(p1.rep) * np.linalg.norm(p2.rep)))
-    if abs(g) <= tol * scale:
-        raise OrthogonalPoints("orthogonal points admit no bending")
-    return (g / abs(g)) * p2.rep, abs(g)
-
-
 def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     """The bending group of an ordered pair of distinct non-orthogonal points."""
     if projectively_equal(p1, p2, tol):
         raise EqualPoints("equal points admit no bending")
-    kind = line_type(p1, p2, tol)
-    q2, g = _phase_fixed(p1, p2, tol)
     s1, s2 = p1.sign, p2.sign
+    g12 = form(p1.rep, p2.rep)
+    g = abs(g12)
+    kind = _minor_type(s1 * s2, g * g, tol)
+    if g <= tol * max(1.0, float(np.linalg.norm(p1.rep) * np.linalg.norm(p2.rep))):
+        raise OrthogonalPoints("orthogonal points admit no bending")
+    # p2's representative rotated so its pairing with p1 is real positive
+    q2 = (g12 / g) * p2.rep
+    if kind is not LineType.EUCLIDEAN:
+        pol = point(np.conj(np.cross(J @ p1.rep, J @ p2.rep)), tol)
     if kind is LineType.HYPERBOLIC:
         d = g * g - s1 * s2
         rp = (-g + np.sqrt(d)) / s1
@@ -289,14 +286,12 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         # geodesic parameter -log|lam|, which normalizes the speed.
         lam = abs((g + np.sqrt(d)) / s1)
         rate = -np.log(lam)
-        pol = polar_point(p1, p2, tol)
         cols = np.column_stack([v1, v2, pol.rep])
     elif kind is LineType.SPHERICAL:
         ang = np.arccos(min(1.0, g))
         if ang <= tol:
             raise EqualPoints("spherical pair at angle zero")
         p1prime = (q2 - g * p1.rep) / np.sin(ang)
-        pol = polar_point(p1, p2, tol)
         cols = np.column_stack([p1.rep, p1prime, pol.rep])
         rate = float(ang)
     else:

@@ -27,17 +27,15 @@ from .core import (
     Gram,
     LineType,
     Point,
-    alpha as alpha_of,
-    beta as beta_of,
+    _triple_invariants,
     form,
     gram,
     point,
     projectively_equal,
     realize_gram,
-    tance,
-    tau,
 )
 from .errors import (
+    DegenerateTau,
     GeometryError,
     IncompatibleInvariants,
     InadmissibleCoords,
@@ -49,9 +47,8 @@ from .errors import (
 )
 from .isometry import (
     Isometry,
-    center_reduce,
+    _frame_map,
     conjugator,
-    project_to_su,
     reflection,
     star,
 )
@@ -76,7 +73,10 @@ class Triple:
         return (self.p1, self.p2, self.p3)
 
     def gram(self) -> Gram:
-        return gram(self.points)
+        """The Gram matrix of the points, built on first use and kept."""
+        if "_gram" not in self.__dict__:
+            self.__dict__["_gram"] = gram(self.points)
+        return self.__dict__["_gram"]
 
     def apply(self, g: Isometry, tol: float = DEFAULT_TOL) -> "Triple":
         return Triple(*(g.apply(p, tol) for p in self.points))
@@ -122,15 +122,13 @@ def classify_triple(T: Triple, tol: float = DEFAULT_TOL) -> TripleClass:
     regularity; otherwise alpha separates the real locus from the generic
     one.
     """
-    p1, p2, p3 = T.points
     if sum(1 for p in T.points if p.sign > 0) >= 2:
         return TripleClass.NOT_REGULAR
     m = T.gram().m
     if min(abs(m[0, 1]), abs(m[1, 2])) <= tol:
         return TripleClass.NOT_REGULAR
-    a = alpha_of(p1, p2, p3)
-    b = beta_of(p1, p2, p3)
-    if abs(a) <= tol and abs(b) <= tol and _on_common_geodesic(p1, p2, p3):
+    *_, a, b = _triple_invariants(m, tol)
+    if abs(a) <= tol and abs(b) <= tol and _on_common_geodesic(*T.points):
         return TripleClass.NOT_REGULAR
     if abs(b) <= tol:
         return TripleClass.REGULAR
@@ -194,19 +192,23 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
         )
 
 
+def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+    """(t1, t2, t, alpha, beta) of T from its Gram; DegenerateTau where the
+    shape ratio, and so t, is undefined."""
+    t1, t2, tau, a, b = _triple_invariants(T.gram().m, tol)
+    if tau is None:
+        raise DegenerateTau("g12 * g23 vanishes, shape ratio undefined")
+    return t1, t2, tau.real, a, b
+
+
 def s_coords(T: Triple, tol: float = DEFAULT_TOL) -> SCoords:
     """Surface coordinates of a (real) strongly regular triple."""
     cls = classify_triple(T, tol)
     if cls not in (TripleClass.STRONGLY_REGULAR, TripleClass.REAL_STRONGLY_REGULAR):
         raise NotStronglyRegular(f"triple is {cls.value}")
-    p1, p2, p3 = T.points
+    t1, t2, t, a, b = _invariants(T, tol)
     return SCoords(
-        t=tau(p1, p2, p3, tol),
-        t1=tance(p1, p2),
-        t2=tance(p2, p3),
-        sigma=(p1.sign, p2.sign, p3.sign),
-        alpha=alpha_of(p1, p2, p3),
-        beta=beta_of(p1, p2, p3),
+        t=t, t1=t1, t2=t2, sigma=tuple(p.sign for p in T.points), alpha=a, beta=b
     )
 
 
@@ -239,12 +241,10 @@ def _standard_cols(T: Triple) -> np.ndarray:
     Triples with equal surface coordinates get bases with equal Grams, so
     the change of basis between them is the conjugating isometry.
     """
-    c1 = T.p1.rep
-    g12 = form(c1, T.p2.rep)
-    c2 = (g12 / abs(g12)) * T.p2.rep
-    g23 = form(c2, T.p3.rep)
-    c3 = (g23 / abs(g23)) * T.p3.rep
-    return np.column_stack([c1, c2, c3])
+    m = T.gram().m
+    u12 = m[0, 1] / abs(m[0, 1])
+    u23 = m[1, 2] / abs(m[1, 2])
+    return np.column_stack([T.p1.rep, u12 * T.p2.rep, (u12 * u23) * T.p3.rep])
 
 
 def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple:
@@ -415,10 +415,9 @@ def _coordinate_move(
     best: tuple[float, Triple, float] | None = None
     for s in cand_s:
         cand = _apply_pair_move(T, pair, b, s, tol)
-        tc = tau(cand.p1, cand.p2, cand.p3)
+        tc = _invariants(cand)[2]
         if sheet is None:
-            t_cur = tau(T.p1, T.p2, T.p3)
-            score = -abs(tc - t_cur)
+            score = -abs(tc - _invariants(T)[2])
         else:
             score = sheet * (tc - 1.0)
         if best is None or score > best[0]:
@@ -504,28 +503,6 @@ def _bend_onto(
     return moves, cur
 
 
-def _frame_conjugator(T: Triple, B: Triple) -> tuple[Isometry, float]:
-    """The isometry carrying T onto B (equal coordinates), and its error.
-
-    The error estimate is the form residual of the isometry times the
-    largest squared representative norm of T: the relative error that
-    applying it to T's representatives leaves in their pairings.
-    """
-    pa = _standard_cols(T)
-    pb = _standard_cols(B)
-    m = pb @ np.linalg.inv(pa)
-    # a badly conditioned frame leaves a form residual in the quotient;
-    # polish back onto the isometry group before the determinant fix
-    for _ in range(3):
-        err = star(m) @ m - np.eye(3)
-        if np.abs(err).max() <= 1e-15:
-            break
-        m = m @ (np.eye(3) - 0.5 * err)
-    g = center_reduce(project_to_su(m))
-    residual = float(np.abs(star(g.m) @ g.m - np.eye(3)).max())
-    return g, residual * float(np.max(np.sum(np.abs(pa) ** 2, axis=0)))
-
-
 def connect_triples(
     A: Triple, B: Triple, tol: float = DEFAULT_TOL
 ) -> tuple[BendProgram, Isometry]:
@@ -535,7 +512,10 @@ def connect_triples(
     S-coordinates of the result are within CLOSURE_TOL (1e-8) of B's,
     relative to max(1, |coordinate|), or NotConjugate is raised.  The
     error is estimated, not measured: the isometry's form residual times
-    the largest squared representative norm of the bent triple.
+    the largest squared representative norm of the bent triple.  That
+    covers the isometry's roundoff only, not how far the moves landed from
+    B's coordinates (bench connect seed 2, draw 217, 12 first: estimate
+    3.7e-15, error 5.3e-10 at representative norm 3.5).
 
     The program bends pair 23 first and pair 12 second.  That order can
     drive the representatives far out, where the isometry's roundoff is
@@ -552,16 +532,23 @@ def connect_triples(
     if abs(ca.alpha - cb.alpha) > inv_tol or abs(ca.beta - cb.beta) > inv_tol:
         raise IncompatibleInvariants("alpha or beta differ between the triples")
 
-    moves, cur = _bend_onto(A, ca, cb, "23", tol)
-    g, est = _frame_conjugator(cur, B)
-    if est > tol:
+    best = None
+    for first in ("23", "12"):
         try:
-            alt_moves, alt_cur = _bend_onto(A, ca, cb, "12", tol)
-            alt_g, alt_est = _frame_conjugator(alt_cur, B)
+            moves, cur = _bend_onto(A, ca, cb, first, tol)
         except GeometryError:
-            alt_est = np.inf
-        if alt_est < est:
-            moves, cur, g, est = alt_moves, alt_cur, alt_g, alt_est
+            if best is None:  # the first order's failure is the caller's
+                raise
+            break
+        pa = _standard_cols(cur)
+        g = _frame_map(pa, _standard_cols(B))
+        residual = float(np.abs(star(g.m) @ g.m - np.eye(3)).max())
+        est = residual * float(np.max(np.sum(np.abs(pa) ** 2, axis=0)))
+        if best is None or est < best[3]:
+            best = (moves, cur, g, est)
+        if est <= tol:
+            break
+    moves, cur, g, est = best
     if est > CLOSURE_TOL:
         raise NotConjugate(
             f"estimated closure error {est:.2e} exceeds {CLOSURE_TOL:.0e} "

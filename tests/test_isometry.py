@@ -17,6 +17,7 @@ from chgeom.isometry import (
     CubeRoot,
     _expm3,
     _expm3_batch,
+    _frame_map,
     _logm3,
     center_reduce,
     centralizer_basis,
@@ -40,9 +41,11 @@ from chgeom.sampling import (
     random_isometry,
     random_negative_point,
     random_point,
+    random_strongly_regular_triple,
     random_su_element,
     random_vector,
 )
+from chgeom.triples import _standard_cols
 
 J = chg.J
 
@@ -427,6 +430,27 @@ class TestConjugator:
         h = random_isometry(default_rng(23))
         with pytest.raises(errors.NotRegular):
             conjugator(g, h @ g @ h.inv())
+
+
+class TestFrameMap:
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    def test_carries_frame_onto_equal_gram_frame(self, scale):
+        # triples with equal coordinates have standard frames with equal
+        # Grams; the map is exact up to the unit scalar fixing det g = 1.
+        # These frames reach euclidean norm 60 and condition number 4e3;
+        # beyond that the frames themselves limit the accuracy (at
+        # random_isometry scale 2: norm 650, condition 2e6, error 1e-11).
+        rng = default_rng(24)
+        for _ in range(20):
+            T = random_strongly_regular_triple(rng)
+            pa = _standard_cols(T)
+            pb = _standard_cols(T.apply(random_isometry(rng, scale)))
+            g = _frame_map(pa, pb)
+            got = g.m @ pa
+            z = np.vdot(pb, got) / np.vdot(pb, pb)
+            assert abs(abs(z) - 1.0) <= 1e-12
+            assert np.abs(got - z * pb).max() <= 1e-12 * np.abs(pb).max()
+            assert center_reduce(g) is g
 
 
 class TestSplitTwoReflections:

@@ -341,6 +341,15 @@ class TestHyperbolicBending:
             b.point_parameter(q)
 
 
+@pytest.mark.parametrize("pair", [random_hyperbolic_pair, random_spherical_pair])
+def test_bending_pairs_the_points_once(pair, count_calls):
+    p1, p2 = pair(default_rng(43))
+    counts = count_calls(chg.core.form, chg.core.line_type, chg.core.polar_point)
+    bending(p1, p2)
+    assert counts["form"] <= 1
+    assert counts["line_type"] == 0 and counts["polar_point"] == 0
+
+
 class TestSphericalBending:
     def test_carries_first_point_to_second(self):
         rng = default_rng(45)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from chgeom import core
 from chgeom.core import (
+    alpha,
+    beta,
     form,
     point,
     polar_point,
     projectively_equal,
     realize_gram,
+    self_product,
     tance,
     tau,
 )
@@ -193,6 +197,75 @@ class TestSurfaceCoordinates:
         assert abs(c.residual()) < 1e-14
         with pytest.raises(InadmissibleCoords):
             validate_coords(c)
+
+
+def reference_coords(T: Triple) -> list[float]:
+    """(t, t1, t2, alpha, beta) by the point-level formulas, one pairing at
+    a time, as the invariants were computed before the Gram reader."""
+    a, b, c = (p.rep for p in T.points)
+    sa, sb, sc = self_product(a), self_product(b), self_product(c)
+    g12, g23, g13 = form(a, b), form(b, c), form(a, c)
+    G = np.array([[form(u, v) for v in (a, b, c)] for u in (a, b, c)])
+    return [
+        (g13 * form(b, b) / (g12 * g23)).real,
+        abs(g12) ** 2 / (sa * sb),
+        abs(g23) ** 2 / (sb * sc),
+        (g12 * g23 * form(c, a)).imag / (sa * sb * sc),
+        np.linalg.det(G).real / (G[0, 0] * G[1, 1] * G[2, 2]).real,
+    ]
+
+
+# random_strongly_regular_triple(default_rng(5)) carried along the bending
+# of (point([0, 0, 1]), point([0.5, 0, 1])) by s = 12.25, where its
+# representatives reach euclidean norm 2.6e3.  |g12 g23| stays 2.77, but a
+# degeneracy test scaled by the euclidean norms |a| |b|^2 |c| called it zero.
+FAR_REPS = [
+    [97.76614527272538 + 9.34917802092219e-05j,
+     0.1230385366728617 - 0.0025865449528086597j,
+     97.7713368358442 + 0j],
+    [313.471800281857 + 0j,
+     0.5455366415941704 - 0.015245815302020608j,
+     313.47068031094994 + 2.915993185711649e-05j],
+    [1830.9023520531282 - 1.8373599301558383e-20j,
+     -0.09997221072730035 + 0.002748383156433126j,
+     1830.902627873933 + 0j],
+]
+
+
+class TestGramReader:
+    @pytest.mark.parametrize("pattern", PATTERNS + ["real"])
+    def test_s_coords_matches_point_formulas(self, pattern):
+        rng = default_rng(79 + (PATTERNS + ["real"]).index(pattern))
+        for _ in range(25):
+            if pattern == "real":
+                T = random_strongly_regular_triple(rng, real=True)
+            else:
+                T = random_strongly_regular_triple(rng, sigma=pattern)
+            c = s_coords(T)
+            got = [c.t, c.t1, c.t2, c.alpha, c.beta]
+            p1, p2, p3 = T.points
+            public = [tau(p1, p2, p3), tance(p1, p2), tance(p2, p3),
+                      alpha(p1, p2, p3), beta(p1, p2, p3)]
+            for g, ref, pub in zip(got, reference_coords(T), public):
+                assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref))
+                assert abs(g - pub) <= 1e-13 * max(1.0, abs(pub))
+
+    def test_far_triple_keeps_its_shape_ratio(self):
+        near = s_coords(random_strongly_regular_triple(default_rng(5)))
+        far = triple(*(point(v) for v in FAR_REPS))
+        assert max(np.linalg.norm(p.rep) for p in far.points) > 2.5e3
+        c = s_coords(far)
+        assert c.sigma == near.sigma
+        for a, b in zip([c.t, c.t1, c.t2, c.alpha, c.beta],
+                        [near.t, near.t1, near.t2, near.alpha, near.beta]):
+            assert abs(a - b) <= 1e-8 * abs(b)
+
+    def test_s_coords_builds_one_gram(self, count_calls):
+        T = random_strongly_regular_triple(default_rng(73))
+        counts = count_calls(core.form, core.gram)
+        s_coords(Triple(*T.points))
+        assert counts["gram"] == 1
+        assert counts["form"] == 0
 
 
 class TestClassification:
