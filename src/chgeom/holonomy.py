@@ -40,12 +40,13 @@ from .isometry import (
     project_to_su_algebra,
 )
 from .triples import (
+    Move,
+    SCoords,
     Triple,
-    _apply_pair_move,
     _coordinate_move,
     _invariants,
-    _pair_bending,
     _standard_cols,
+    apply_bend_program,
     s_coords,
 )
 
@@ -112,8 +113,11 @@ class VerticalPart:
     residual: float
 
 
-def _gram_rows(G: np.ndarray, p_inv: np.ndarray, vels) -> tuple[np.ndarray, np.ndarray]:
-    """Obstruction rows to verticality, and the map in the point basis.
+def _gram_rows(
+    G: np.ndarray, p_inv: np.ndarray, vels
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Obstruction rows to verticality, the map in the point basis, and the
+    gauge phase differences (th_1 - th_2, th_2 - th_3).
 
     A deformation is vertical iff the Gram derivative W is pure gauge,
     W_jk = i (th_j - th_k) G_jk, with the trace of the map supplying the
@@ -127,7 +131,7 @@ def _gram_rows(G: np.ndarray, p_inv: np.ndarray, vels) -> tuple[np.ndarray, np.n
     rows = np.array(
         [a12.real, a23.real, float(np.trace(t_p).real), c13.real, c13.imag]
     )
-    return rows, t_p
+    return rows, t_p, (a12.imag, a23.imag)
 
 
 def vertical_part(
@@ -145,23 +149,20 @@ def vertical_part(
     p_inv = np.linalg.inv(P)
     G = T.gram().m
     b1, b2 = b_fields(T)
-    rows1, _ = _gram_rows(G, p_inv, b1)
-    rows2, _ = _gram_rows(G, p_inv, b2)
-    rows_x, _ = _gram_rows(G, p_inv, vels)
+    rows1, *_ = _gram_rows(G, p_inv, b1)
+    rows2, *_ = _gram_rows(G, p_inv, b2)
+    rows_x, *_ = _gram_rows(G, p_inv, vels)
     A = np.column_stack([rows1, rows2])
     sol, *_ = np.linalg.lstsq(A, rows_x, rcond=None)
     c1, c2 = (float(v) for v in sol)
     rem = tuple(
         v - c1 * w1 - c2 * w2 for v, w1, w2 in zip(vels, b1, b2)
     )
-    rows_rem, t_p = _gram_rows(G, p_inv, rem)
+    rows_rem, t_p, (a12, a23) = _gram_rows(G, p_inv, rem)
     scale = max(1.0, float(np.abs(np.column_stack(vels)).max()))
     residual = float(np.abs(rows_rem).max())
     # gauge phases: differences from the off-diagonal Gram derivative,
     # absolute scale from the trace
-    W = t_p.T @ G + G @ np.conj(t_p)
-    a12 = (W[0, 1] / G[0, 1]).imag
-    a23 = (W[1, 2] / G[1, 2]).imag
     a31 = -a12 - a23
     d = float(np.trace(t_p).imag)
     th = np.array([(d + a12 - a31) / 3.0, (d + a23 - a12) / 3.0, (d + a31 - a23) / 3.0])
@@ -193,6 +194,16 @@ def omega_commutator(T: Triple, ram_tol: float = RAMIFICATION_TOL) -> np.ndarray
     )
 
 
+def _rectangle(T: Triple, c: SCoords, ds1: float, ds2: float, tol: float) -> Triple:
+    """T carried around the coordinate rectangle from c = s_coords(T): t2
+    up by ds1, t1 up by ds2, then both back, every leg on c's sheet."""
+    cur = T
+    legs = (("12", c.t2 + ds1), ("23", c.t1 + ds2), ("12", c.t2), ("23", c.t1))
+    for pair, target in legs:
+        cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
+    return cur
+
+
 def rectangle_holonomy(
     T: Triple,
     ds1: float,
@@ -211,14 +222,9 @@ def rectangle_holonomy(
     c = s_coords(T)
     if abs(c.t - 1.0) <= ram_tol:
         raise OnRamification("rectangle sheet is pinned only away from t = 1")
-    sheet = c.sheet
     for _ in range(8):
         try:
-            cur = T
-            cur, _ = _coordinate_move(cur, "12", c.t2 + ds1, sheet, tol)
-            cur, _ = _coordinate_move(cur, "23", c.t1 + ds2, sheet, tol)
-            cur, _ = _coordinate_move(cur, "12", c.t2, sheet, tol)
-            cur, _ = _coordinate_move(cur, "23", c.t1, sheet, tol)
+            cur = _rectangle(T, c, ds1, ds2, tol)
         except Unreachable:
             ds1 *= 0.5
             ds2 *= 0.5
@@ -230,28 +236,20 @@ def rectangle_holonomy(
 def _loop_sample(T, basis, ds, rng, tol):
     """One holonomy log, in centralizer coordinates, around a random loop."""
     cur = T
-    out: list[tuple[str, float]] = []
+    out: list[Move] = []
     for _ in range(int(rng.integers(0, 4))):
         pair = "12" if rng.random() < 0.5 else "23"
         cc = s_coords(cur)
         # scaling up the tracked coordinate stays reachable on the same sheet
         target = (cc.t2 if pair == "12" else cc.t1) * rng.uniform(1.2, 1.8)
         cur, mv = _coordinate_move(cur, pair, target, cc.sheet, tol)
-        out.append((mv.pair, mv.s))
+        out.append(mv)
     cc = s_coords(cur)
     ds1 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t2))
     ds2 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t1))
-    for pair, target in (
-        ("12", cc.t2 + ds1),
-        ("23", cc.t1 + ds2),
-        ("12", cc.t2),
-        ("23", cc.t1),
-    ):
-        cur, _ = _coordinate_move(cur, pair, target, cc.sheet, tol)
+    cur = _rectangle(cur, cc, ds1, ds2, tol)
     # undo the outbound legs so the loop closes at the base triple
-    for pair, s in reversed(out):
-        b = _pair_bending(cur, pair, tol)
-        cur = _apply_pair_move(cur, pair, b, -s, tol)
+    cur = apply_bend_program(cur, [Move(mv.pair, -mv.s) for mv in reversed(out)], tol)
     g = _frame_map(_standard_cols(cur), _standard_cols(T))
     return _basis_coords(basis, isometry_log(g))
 

@@ -417,9 +417,14 @@ def stabilizer_algebra(p: Point, rtol: float = EIGEN_TOL) -> list[np.ndarray]:
 
 
 def _matched_eigen(F: Isometry, G: Isometry, tol: float):
-    """Eigen data of F and G with spectra matched up, or NotConjugate."""
+    """Eigen data of F and G with spectra matched up: NotRegular when either
+    has eigenvalues closer than SEPARATION_TOL, NotConjugate when the
+    spectra differ."""
     fvals, fvecs = np.linalg.eig(F.m)
     gvals, gvecs = np.linalg.eig(G.m)
+    for vals in (fvals, gvals):
+        if len(_eigen_clusters(vals, SEPARATION_TOL)) < 3:
+            raise NotRegular("eigenvalues too close: eigenbasis method unavailable")
     scale = max(1.0, float(np.abs(fvals).max()))
     best, best_perm = None, None
     for perm in permutations(range(3)):
@@ -431,15 +436,13 @@ def _matched_eigen(F: Isometry, G: Isometry, tol: float):
     return fvals, fvecs, gvals[best_perm], gvecs[:, best_perm]
 
 
-def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray, tol: float):
+def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
     """Scale eigenvectors of a regular isometry to a canonical Gram.
 
     Unit-modulus eigenvalues get self-product +-1 vectors (their signs are
     returned for compatibility checks); the two eigenvectors of a non-unit
     pair (lam, 1/conj(lam)) are isotropic and are normalized to pair to 1/2.
     """
-    if len(_eigen_clusters(vals, SEPARATION_TOL)) < 3:
-        raise NotRegular("repeated eigenvalue: eigenbasis method unavailable")
     cols = [None, None, None]
     signs: dict[int, int] = {}
     unit = [i for i in range(3) if abs(abs(vals[i]) - 1.0) <= EIGEN_TOL]
@@ -480,12 +483,9 @@ def conjugator(F: Isometry, G: Isometry, tol: float = DEFAULT_TOL) -> Isometry:
     spectra or the eigenvector sign patterns differ, NotRegular when the
     eigenbasis method degenerates.
     """
-    for h in (F, G):
-        if len(_eigen_clusters(np.linalg.eigvals(h.m), SEPARATION_TOL)) < 3:
-            raise NotRegular("eigenvalues too close: eigenbasis method unavailable")
     fvals, fvecs, gvals, gvecs = _matched_eigen(F, G, tol)
-    bf, signs_f = _normalize_eigenbasis(fvals, fvecs, tol)
-    bg, signs_g = _normalize_eigenbasis(gvals, gvecs, tol)
+    bf, signs_f = _normalize_eigenbasis(fvals, fvecs)
+    bg, signs_g = _normalize_eigenbasis(gvals, gvecs)
     if signs_f != signs_g:
         raise NotConjugate("eigenvector sign patterns differ")
     g = _frame_map(bf, bg)

@@ -44,9 +44,8 @@ from .triples import (
     Move,
     SCoords,
     Triple,
-    _apply_pair_move,
+    _bend,
     _bend_targets,
-    _pair_bending,
     connect_triples,
     decompose_three_reflections,
     s_coords,
@@ -195,7 +194,7 @@ def is_real_pentagon(P: Pentagon, tol: float = 1e-8) -> bool:
         g = form(reps[j + 1], reps[j])
         if abs(g) > 1e-12:
             reps[j + 1] = reps[j + 1] * (abs(g) / g)
-    G = np.array([[form(u, v) for v in reps] for u in reps])
+    G = gram(reps).m
     return float(np.abs(G.imag).max()) <= tol * max(1.0, float(np.abs(G).max()))
 
 
@@ -203,32 +202,16 @@ def _move_34(P: Pentagon, t4_target: float, tol: float) -> tuple[Pentagon, Move]
     """Bend the pair (p3, p4) until ta(p4, p5) = t4_target (smallest slide)."""
     b = bending(P.p3, P.p4, tol)
     s = min(_bend_targets(b, P.p4, P.p5, t4_target, tol), key=abs)
-    g = b.evaluate(s)
-    moved = Pentagon(
-        P.p1, P.p2, g.apply(P.p3, tol), g.apply(P.p4, tol), P.p5, P.delta
-    )
+    moved = Pentagon(*_bend(P.points, "34", s, tol, b), delta=P.delta)
     return moved, Move(pair="34", s=float(s))
 
 
 def apply_pentagon_moves(P: Pentagon, moves, tol: float = DEFAULT_TOL) -> Pentagon:
-    """Replay bending moves; pairs 12 and 23 act on the triple, 34 and 45
-    on the tail."""
+    """Replay bending moves on the pairs 12, 23, 34 and 45."""
+    pts = P.points
     for mv in moves:
-        if mv.pair in ("12", "23"):
-            t = P.triple()
-            b = _pair_bending(t, mv.pair, tol)
-            t = _apply_pair_move(t, mv.pair, b, mv.s, tol)
-            P = Pentagon(t.p1, t.p2, t.p3, P.p4, P.p5, P.delta)
-        elif mv.pair in ("34", "45"):
-            i = 2 if mv.pair == "34" else 3
-            pts = list(P.points)
-            g = bending(pts[i], pts[i + 1], tol).evaluate(mv.s)
-            pts[i] = g.apply(pts[i], tol)
-            pts[i + 1] = g.apply(pts[i + 1], tol)
-            P = Pentagon(*pts, delta=P.delta)
-        else:
-            raise ValueError(f"unknown pair {mv.pair!r} for a pentagon")
-    return P
+        pts = _bend(pts, mv.pair, mv.s, tol)
+    return Pentagon(*pts, delta=P.delta)
 
 
 def connect_pentagons(
@@ -265,9 +248,8 @@ def connect_pentagons(
     if not projectively_equal(cur.p4, target, tol=1e-9):
         b45 = bending(cur.p4, cur.p5, tol)
         s_align = float(b45.point_parameter(target)[0])
-        mv = Move(pair="45", s=s_align)
-        cur = apply_pentagon_moves(cur, [mv], tol)
-        moves.append(mv)
+        cur = Pentagon(*_bend(cur.points, "45", s_align, tol, b45), delta=cur.delta)
+        moves.append(Move(pair="45", s=s_align))
     if s_back is not None:
         mv = Move(pair="34", s=-s_back)
         cur = apply_pentagon_moves(cur, [mv], tol)

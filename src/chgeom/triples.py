@@ -13,6 +13,12 @@ glued along the ramification locus t = 1.  Bending a consecutive pair (both
 points of the pair move, the third stays) preserves sigma, alpha, beta and
 one coordinate while sweeping the other: these are the vertical and
 horizontal lines used to connect triples.
+
+A move bends one consecutive pair of a chain of points: "12" and "23" on a
+triple, "34" and "45" as well on a pentagon.  `_bend` is the only code that
+applies one; replaying a program bends whatever pair `bending` accepts,
+while the coordinate moves, which solve a hyperbolic profile, require a
+hyperbolic pair.
 """
 
 from __future__ import annotations
@@ -313,31 +319,37 @@ class Move:
 BendProgram = list[Move]
 
 
-def _pair_bending(T: Triple, pair: str, tol: float) -> Bending:
-    if pair == "12":
-        b = bending(T.p1, T.p2, tol)
-    elif pair == "23":
-        b = bending(T.p2, T.p3, tol)
-    else:
-        raise ValueError(f"unknown pair {pair!r} for a triple")
-    if b.kind is not LineType.HYPERBOLIC:
-        raise ValueError(f"pair {pair} does not span a hyperbolic line")
-    return b
+#: The first point's index in each consecutive pair a move can bend.
+_PAIR_START = {"12": 0, "23": 1, "34": 2, "45": 3}
+
+#: The coordinate each bending pair sweeps: pair 12 moves t2, pair 23 moves t1.
+_SWEPT = {"12": "t2", "23": "t1"}
 
 
-def _apply_pair_move(T: Triple, pair: str, b: Bending, s: float, tol: float) -> Triple:
+def _bend(points, pair: str, s: float, tol: float, b: Bending | None = None) -> tuple:
+    """The points with the consecutive pair `pair` moved by its bending at s.
+
+    Every move on triples, pentagons and holonomy loops goes through here.
+    `b` is the pair's bending when the caller has already built it.  Raises
+    ValueError for a pair the chain lacks.
+    """
+    i = _PAIR_START.get(pair)
+    if i is None or i + 2 > len(points):
+        raise ValueError(f"unknown pair {pair!r} for {len(points)} points")
+    if b is None:
+        b = bending(points[i], points[i + 1], tol)
     g = b.evaluate(s)
-    if pair == "12":
-        return Triple(g.apply(T.p1, tol), g.apply(T.p2, tol), T.p3)
-    return Triple(T.p1, g.apply(T.p2, tol), g.apply(T.p3, tol))
+    out = list(points)
+    out[i] = g.apply(points[i], tol)
+    out[i + 1] = g.apply(points[i + 1], tol)
+    return tuple(out)
 
 
 def apply_bend_program(T: Triple, moves, tol: float = DEFAULT_TOL) -> Triple:
-    cur = T
+    pts = T.points
     for mv in moves:
-        b = _pair_bending(cur, mv.pair, tol)
-        cur = _apply_pair_move(cur, mv.pair, b, mv.s, tol)
-    return cur
+        pts = _bend(pts, mv.pair, mv.s, tol)
+    return Triple(*pts)
 
 
 def _bend_targets(
@@ -408,13 +420,17 @@ def _coordinate_move(
     target has one preimage per sheet; `sheet` picks by the sign of t - 1,
     None keeps the current sheet.
     """
-    b = _pair_bending(T, pair, tol)
-    moving = T.p2
+    if pair not in _SWEPT:
+        raise ValueError(f"unknown pair {pair!r} for a triple")
+    i = _PAIR_START[pair]
+    b = bending(T.points[i], T.points[i + 1], tol)
+    if b.kind is not LineType.HYPERBOLIC:
+        raise ValueError(f"pair {pair} does not span a hyperbolic line")
     fixed = T.p3 if pair == "12" else T.p1
-    cand_s = _bend_targets(b, moving, fixed, target, tol)
+    cand_s = _bend_targets(b, T.p2, fixed, target, tol)
     best: tuple[float, Triple, float] | None = None
     for s in cand_s:
-        cand = _apply_pair_move(T, pair, b, s, tol)
+        cand = Triple(*_bend(T.points, pair, s, tol, b))
         tc = _invariants(cand)[2]
         if sheet is None:
             score = -abs(tc - _invariants(T)[2])
@@ -442,9 +458,6 @@ def horizontal_line(
 #: Relative accuracy of the S-coordinates that connect_triples promises for
 #: the replayed program followed by its isometry.
 CLOSURE_TOL = 1e-8
-
-#: The coordinate each bending pair sweeps: pair 12 moves t2, pair 23 moves t1.
-_SWEPT = {"12": "t2", "23": "t1"}
 
 
 def _bend_onto(

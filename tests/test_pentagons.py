@@ -4,11 +4,13 @@ and connection."""
 import numpy as np
 import pytest
 
-from chgeom.core import point, projectively_equal, tance
+from chgeom import paths
+from chgeom.core import LineType, line_type, point, projectively_equal, tance
 from chgeom.errors import (
     DifferentDelta,
     InadmissibleModuli,
     NotAPentagon,
+    NotConjugate,
 )
 from chgeom.isometry import CubeRoot, split_two_reflections
 from chgeom.pentagons import (
@@ -22,7 +24,12 @@ from chgeom.pentagons import (
     pentagon_moduli,
     verify_pentagon,
 )
-from chgeom.sampling import default_rng, random_isometry, random_negative_point
+from chgeom.sampling import (
+    default_rng,
+    random_isometry,
+    random_negative_point,
+    random_point,
+)
 from chgeom.triples import Move, SCoords, s_coords, triple_from_coords
 
 J = np.diag([1.0, 1.0, -1.0])
@@ -220,6 +227,25 @@ class TestMoves:
         with pytest.raises(ValueError):
             apply_pentagon_moves(P, [Move(pair="51", s=0.1)])
 
+    def test_replay_bends_a_spherical_45_pair(self):
+        # replay bends any pair a bending exists for: two positive points
+        # can span a spherical line, which no coordinate move solves on
+        rng = default_rng(5)
+        for _ in range(50):
+            p4, p5 = random_point(rng, 1), random_point(rng, 1)
+            try:
+                P = build_pentagon(CubeRoot(int(rng.integers(0, 3))), p4, p5)
+            except NotConjugate:
+                continue
+            if line_type(P.p4, P.p5) is LineType.SPHERICAL:
+                break
+        else:
+            pytest.fail("no spherical 45 pair in 50 draws")
+        moved = apply_pentagon_moves(
+            P, [Move(pair="45", s=0.7), Move(pair="34", s=-0.4)]
+        )
+        assert relation_residual(moved) <= 1e-9
+
 
 class TestConnect:
     def test_random_pairs_connect_within_six_moves(self):
@@ -277,6 +303,16 @@ class TestConnect:
         replay = apply_pentagon_moves(A, moves).apply(g)
         for p, q in zip(replay.points, B.points):
             assert projectively_equal(p, q, tol=1e-7)
+
+    def test_45_alignment_builds_its_bending_once(self, count_calls):
+        A = pentagon_from_moduli((-2.0, 3.0, 4.0), CubeRoot(1), s5=0.3)
+        B = pentagon_from_moduli((-1.2, 2.2, 2.0), CubeRoot(1), s5=-0.2)
+        # no move before the alignment touches p5, so the 45 pair's
+        # bendings are the ones built with A.p5 as second point
+        counts = count_calls(paths.bending, where=lambda p, q, *_: q is A.p5)
+        moves, _ = connect_pentagons(A, B)
+        assert [m.pair for m in moves].count("45") == 1
+        assert counts["bending"] == 1
 
     def test_different_central_values_are_rejected(self):
         A = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))

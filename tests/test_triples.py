@@ -360,6 +360,12 @@ class TestCoordinateMoves:
         for pa, pb in zip(replay.points, T2.points):
             assert projectively_equal(pa, pb, 1e-10)
 
+    def test_unknown_pair_is_rejected(self):
+        T = random_strongly_regular_triple(default_rng(38))
+        for pair in ("34", "51"):
+            with pytest.raises(ValueError):
+                apply_bend_program(T, [Move(pair=pair, s=0.1)])
+
     def test_invariant_drift_along_move_chain(self):
         rng = default_rng(41)
         T = random_strongly_regular_triple(rng, sigma=(-1, -1, -1))
