@@ -88,22 +88,28 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     the euclidean size of the vector.
     """
     # Three entries: Python scalars beat numpy's per-call overhead here.
-    # The arithmetic that produces rep stays numpy's (self_product, the
-    # phase on the numpy scalar rep[k]), whose roundoff differs from
-    # Python's complex arithmetic in the last bit.
+    # t holds the squared moduli; s = (t0 + t1) - t2 is self_product's
+    # arithmetic, so it gives the same bits.  The phase stays a numpy
+    # scalar division on rep[k], whose roundoff differs from Python's
+    # complex arithmetic in the last bit.
     v = np.asarray(v, dtype=complex).reshape(3)
-    norm2 = sum(abs(z) ** 2 for z in v.tolist())
+    t = (v * v.conj()).real.tolist()
+    norm2 = t[0] + t[1] + t[2]
     if norm2 == 0.0:
         raise IsotropicVector("zero vector spans no point")
-    s = self_product(v)
+    s = (t[0] + t[1]) - t[2]
     if abs(s) <= tol * norm2:
+        rel = abs(s) / norm2
         raise IsotropicVector(
-            f"self-product {s:.3e} is isotropic at tolerance {tol:.1e}"
+            f"self-product {s:.3e} is {rel:.1e} of |v|^2, "
+            f"isotropic at tolerance {tol:.1e}",
+            value=rel,
+            bound=tol,
         )
     rep = v / math.sqrt(abs(s))
     mags = [abs(z) for z in rep.tolist()]
     k = mags.index(max(mags))
-    rep = rep * (abs(rep[k]) / rep[k])
+    rep *= mags[k] / rep[k]
     rep[k] = rep[k].real
     rep.flags.writeable = False
     return Point(rep=rep, sign=1 if s > 0 else -1)
@@ -202,6 +208,11 @@ def _minor_type(d: float, gg: float, tol: float) -> LineType:
     return LineType.EUCLIDEAN
 
 
+def _cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit, without its axis handling."""
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+
+
 def polar_point(p, q, tol: float = DEFAULT_TOL) -> Point:
     """The point orthogonal to both p and q.
 
@@ -209,7 +220,7 @@ def polar_point(p, q, tol: float = DEFAULT_TOL) -> Point:
     """
     if line_type(p, q, tol) is LineType.EUCLIDEAN:
         raise EuclideanLine("a euclidean line has an isotropic polar vector")
-    v = np.conj(np.cross(J @ _rep(p), J @ _rep(q)))
+    v = np.conj(_cross(J @ _rep(p), J @ _rep(q)))
     return point(v, tol)
 
 

@@ -2,11 +2,24 @@
 
 
 class GeometryError(Exception):
-    """Base class for all geometric errors raised by this package."""
+    """Base class for all geometric errors raised by this package.
+
+    A numeric test that fails can attach the measured `value` and the
+    `bound` it was tested against; both are None otherwise.
+    """
+
+    def __init__(self, message: str, value=None, bound=None):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound
 
 
 class IsotropicVector(GeometryError):
-    """The vector has (numerically) vanishing self-product and spans no point."""
+    """The vector has (numerically) vanishing self-product and spans no point.
+
+    For a nonzero vector, `value` is |self-product| / |v|^2 and `bound` the
+    tolerance it fell to or below.
+    """
 
 
 class SamePoint(GeometryError):
@@ -62,7 +75,11 @@ class SignChange(GeometryError):
 
 
 class StepTooLarge(GeometryError):
-    """Adjacent path samples are too far apart to resolve the lift."""
+    """Adjacent path samples are too far apart to resolve the lift.
+
+    When raised for the step angle, `value` is that angle in radians and
+    `bound` the largest angle accepted.
+    """
 
 
 class NoPrincipalLog(GeometryError):
@@ -120,13 +137,3 @@ class RankInconclusive(GeometryError):
     `value` is the measured singular-value ratio sv1/sv0 and `bound` the
     (rank-one, rank-two) band it fell strictly inside.
     """
-
-    def __init__(
-        self,
-        message: str,
-        value: float | None = None,
-        bound: tuple[float, float] | None = None,
-    ):
-        super().__init__(message)
-        self.value = value
-        self.bound = bound

@@ -61,7 +61,7 @@ class Isometry:
         return NotImplemented
 
     def apply(self, p: Point, tol: float = DEFAULT_TOL) -> Point:
-        return point(self.m @ p.rep, tol)
+        return point(self.m.dot(p.rep), tol)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Isometry(trace={self.trace:.6g})"

@@ -23,6 +23,7 @@ from .core import (
     J,
     LineType,
     Point,
+    _cross,
     _minor_type,
     form,
     point,
@@ -146,7 +147,11 @@ def normalized_lift(path) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         if ang[k] > _MAX_STEP_ANGLE:
-            raise StepTooLarge(f"samples {k} and {k + 1} are {ang[k]:.3f} rad apart")
+            raise StepTooLarge(
+                f"samples {k} and {k + 1} are {ang[k]:.3f} rad apart",
+                value=float(ang[k]),
+                bound=_MAX_STEP_ANGLE,
+            )
         raise StepTooLarge("consecutive samples are nearly orthogonal")
     phase = np.empty(len(points), dtype=complex)
     phase[0] = 1.0
@@ -211,19 +216,20 @@ class Bending:
     cols_inv: np.ndarray
     rate: float
 
-    def _normal_form(self, s: float) -> np.ndarray:
+    def evaluate(self, s: float) -> Isometry:
+        # cols @ N(s) @ cols_inv for the normal form N(s); ndarray.dot
+        # gives the bits of @ on 3x3 complex matrices at less call cost,
+        # and scaling the columns gives those of @ with a diagonal N.
         th = self.rate * s
         if self.kind is LineType.HYPERBOLIC:
-            return np.diag([np.exp(-th), np.exp(th), 1.0])
+            m = (self.cols * np.exp([-th, th, 0.0])).dot(self.cols_inv)
+            return Isometry(_ro(m))
         if self.kind is LineType.SPHERICAL:
             c, sn = np.cos(th), np.sin(th)
-            return np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
-        return np.array(
-            [[1.0, 0.0, 0.0], [-s, 1.0, 0.0], [-s * s / 2.0, s, 1.0]]
-        )
-
-    def evaluate(self, s: float) -> Isometry:
-        m = self.cols @ self._normal_form(s) @ self.cols_inv
+            n = [[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]]
+        else:
+            n = [[1.0, 0.0, 0.0], [-s, 1.0, 0.0], [-s * s / 2.0, s, 1.0]]
+        m = self.cols.dot(np.array(n, dtype=complex)).dot(self.cols_inv)
         return Isometry(_ro(m))
 
     def point_parameter(self, q: Point, tol: float = 1e-7) -> tuple[float, int]:
@@ -279,7 +285,7 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     # p2's representative rotated so its pairing with p1 is real positive
     q2 = (g12 / g) * p2.rep
     if kind is not LineType.EUCLIDEAN:
-        pol = point(np.conj(np.cross(J @ p1.rep, J @ p2.rep)), tol)
+        pol = point(np.conj(_cross(J @ p1.rep, J @ p2.rep)), tol)
     if kind is LineType.HYPERBOLIC:
         d = g * g - s1 * s2
         rp = (-g + np.sqrt(d)) / s1

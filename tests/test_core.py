@@ -91,6 +91,17 @@ def test_point_rejects_isotropic():
         chg.point([0.0, 0.0, 0.0])
 
 
+def test_isotropic_error_carries_value_and_bound():
+    # |s| / |v|^2 = 1e-6 / (2 + 1e-6), below the tolerance 1e-5
+    with pytest.raises(errors.IsotropicVector) as info:
+        chg.point([1.0, 0.0, np.sqrt(1.0 - 1e-6)], tol=1e-5)
+    assert info.value.value == pytest.approx(1e-6 / (2.0 + 1e-6), rel=1e-9)
+    assert info.value.bound == 1e-5
+    with pytest.raises(errors.IsotropicVector) as info:
+        chg.point([1.0, 0.0, 1.0])
+    assert info.value.value == 0.0 and info.value.bound == chg.DEFAULT_TOL
+
+
 def reference_point(v, tol=1e-9):
     """point() written with numpy reductions over the three entries; the
     library's version must reproduce it bit for bit."""
@@ -227,6 +238,22 @@ def test_polar_point_orthogonality():
         assert pol.sign == (1 if lt is chg.LineType.HYPERBOLIC else -1)
     assert found[chg.LineType.HYPERBOLIC] > 10
     assert found[chg.LineType.SPHERICAL] > 10
+
+
+def test_cross_is_bitwise_numpy():
+    rng = default_rng(25)
+    for i in range(5000):
+        a, b = random_vector(rng), random_vector(rng)
+        if i % 3 == 0:
+            a, b = a.real.astype(complex), b.real.astype(complex)
+        if i % 5 == 0:
+            a[rng.integers(3)] = 0.0
+        if i % 7 == 0:
+            b[rng.integers(3)] = 0.0
+        if i % 11 == 0:
+            a, b = a.real, b.real
+        got, want = chg.core._cross(a, b), np.cross(a, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_polar_point_euclidean_line_fails():

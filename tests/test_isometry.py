@@ -125,6 +125,14 @@ class TestIsometryType:
         assert q.sign == -1
         assert chg.tance(p, q) >= 1.0  # both inside the ball
 
+    def test_apply_is_bitwise_point_of_product(self):
+        rng = default_rng(7)
+        for _ in range(2000):
+            p = random_point(rng)
+            g = random_isometry(rng, rng.uniform(0.1, 2.0))
+            got, want = g.apply(p), chg.point(g.m @ p.rep)
+            assert got.rep.tobytes() == want.rep.tobytes() and got.sign == want.sign
+
 
 class TestExpLog:
     def test_expm3_matches_scipy(self):

@@ -15,6 +15,7 @@ from chgeom import errors
 from chgeom.core import form, point, project_orthogonal, self_product
 from chgeom.isometry import IDENTITY, _expm3, reflection, star
 from chgeom.paths import (
+    _MAX_STEP_ANGLE,
     Bending,
     _ordered_product,
     bend_pair,
@@ -339,6 +340,47 @@ class TestHyperbolicBending:
         q = point(b.cols[:, 0] - (0.5 + 0.5j) * b.cols[:, 1])
         with pytest.raises(errors.NotOnGeodesic):
             b.point_parameter(q)
+
+
+def reference_evaluate(b: Bending, s: float) -> np.ndarray:
+    """cols @ N(s) @ cols_inv with the normal form N(s) written out; the
+    library's evaluate must reproduce it bit for bit."""
+    th = b.rate * s
+    if b.kind is chg.LineType.HYPERBOLIC:
+        n = np.diag([np.exp(-th), np.exp(th), 1.0])
+    elif b.kind is chg.LineType.SPHERICAL:
+        c, sn = np.cos(th), np.sin(th)
+        n = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
+    else:
+        n = np.array([[1.0, 0.0, 0.0], [-s, 1.0, 0.0], [-s * s / 2.0, s, 1.0]])
+    return b.cols @ n @ b.cols_inv
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "spherical", "euclidean"])
+def test_evaluate_is_bitwise_reference(kind):
+    rng = default_rng(44)
+    for _ in range(100):
+        if kind == "hyperbolic":
+            p1, p2 = random_hyperbolic_pair(rng)
+        elif kind == "spherical":
+            p1, p2 = random_spherical_pair(rng)
+        else:
+            g = random_isometry(rng, 0.6)
+            p1, p2 = (g.apply(p) for p in EUCLIDEAN_PAIR)
+        b = bending(p1, p2)
+        assert b.kind.value == kind
+        for s in [*np.linspace(-5.0, 5.0, 9), *rng.uniform(-5.0, 5.0, 20)]:
+            got, want = b.evaluate(float(s)).m, reference_evaluate(b, float(s))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_step_angle_error_carries_value_and_bound():
+    p, far = point([0.0, 0.0, 1.0]), point([0.5, 0.0, 1.0])
+    with pytest.raises(errors.StepTooLarge) as info:
+        normalized_lift([p, far])
+    # the euclidean angle between (0, 0, 1) and (0.5, 0, 1)
+    assert info.value.value == pytest.approx(np.arctan(0.5), rel=1e-12)
+    assert info.value.bound == _MAX_STEP_ANGLE
 
 
 @pytest.mark.parametrize("pair", [random_hyperbolic_pair, random_spherical_pair])
