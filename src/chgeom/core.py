@@ -249,6 +249,18 @@ def gram(points) -> Gram:
     return Gram(m=m)
 
 
+def _chain_phases(m: np.ndarray) -> np.ndarray:
+    """Unit phases c, c_0 = 1, making each c_j conj(c_{j+1}) m[j, j+1] real
+    positive for the Gram m of a chain of points.  A pairing of modulus
+    1e-12 or less breaks the chain: the next phase restarts at 1.  Scalar
+    running products, because np.divide and np.cumprod round differently."""
+    c = [1.0]
+    for j in range(len(m) - 1):
+        a = abs(m[j, j + 1])
+        c.append(c[-1] * (m[j, j + 1] / a) if a > 1e-12 else 1.0)
+    return np.array(c, dtype=complex)
+
+
 def _as_hermitian(G, tol: float) -> np.ndarray:
     m = np.asarray(G.m if isinstance(G, Gram) else G, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -40,6 +40,7 @@ from .isometry import (
     project_to_su_algebra,
 )
 from .triples import (
+    _SWEPT,
     Move,
     SCoords,
     Triple,
@@ -51,6 +52,13 @@ from .triples import (
 )
 
 RAMIFICATION_TOL = 1e-8
+
+
+def _pin_sheet(t: float, why: str) -> None:
+    """Raise OnRamification, saying why, when t sits on t = 1."""
+    if abs(t - 1.0) <= RAMIFICATION_TOL:
+        raise OnRamification(why)
+
 
 TripleVelocities = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -141,8 +149,7 @@ def vertical_part(T: Triple, vels: TripleVelocities) -> VerticalPart:
     gauge Re<v_j, p_j> = 0).  Raises OnRamification where the bending
     fields stop being transverse coordinates.
     """
-    if abs(_invariants(T)[2] - 1.0) <= RAMIFICATION_TOL:
-        raise OnRamification("bending fields degenerate at t = 1")
+    _pin_sheet(_invariants(T)[2], "bending fields degenerate at t = 1")
     P = np.column_stack([p.rep for p in T.points])
     p_inv = np.linalg.inv(P)
     G = T.gram().m
@@ -175,8 +182,7 @@ def omega_commutator(T: Triple) -> np.ndarray:
     """The curvature vector at p1: the vertical part of [b1, b2] applied
     to the first point, in closed form."""
     c = s_coords(T)
-    if abs(c.t - 1.0) <= RAMIFICATION_TOL:
-        raise OnRamification("curvature normalization degenerates at t = 1")
+    _pin_sheet(c.t, "curvature normalization degenerates at t = 1")
     G = T.gram().m
     p1, p2, p3 = (p.rep for p in T.points)
     s1, s2 = T.p1.sign, T.p2.sign
@@ -217,8 +223,7 @@ def rectangle_holonomy(
     by the area converges to the normalized curvature as the sides shrink.
     """
     c = s_coords(T)
-    if abs(c.t - 1.0) <= RAMIFICATION_TOL:
-        raise OnRamification("rectangle sheet is pinned only away from t = 1")
+    _pin_sheet(c.t, "rectangle sheet is pinned only away from t = 1")
     for _ in range(8):
         try:
             cur = _rectangle(T, c, ds1, ds2, tol)
@@ -238,7 +243,7 @@ def _loop_sample(T, basis, ds, rng, tol):
         pair = "12" if rng.random() < 0.5 else "23"
         cc = s_coords(cur)
         # scaling up the tracked coordinate stays reachable on the same sheet
-        target = (cc.t2 if pair == "12" else cc.t1) * rng.uniform(1.2, 1.8)
+        target = getattr(cc, _SWEPT[pair]) * rng.uniform(1.2, 1.8)
         cur, mv = _coordinate_move(cur, pair, target, cc.sheet, tol)
         out.append(mv)
     cc = s_coords(cur)
@@ -274,8 +279,7 @@ def holonomy_samples(
     if rng is None or not isinstance(rng, np.random.Generator):
         rng = default_rng(rng)
     basis = centralizer_basis(T.product())
-    if abs(_invariants(T)[2] - 1.0) <= RAMIFICATION_TOL:
-        raise OnRamification("holonomy loops need a pinned sheet")
+    _pin_sheet(_invariants(T)[2], "holonomy loops need a pinned sheet")
     return np.array(
         [_loop_sample(T, basis, ds, rng, tol) for _ in range(n_samples)]
     )
@@ -295,8 +299,7 @@ def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
     """sv1/sv0 of the normalised curvature values at T and four moves away,
     in centralizer coordinates of the product."""
     c = s_coords(T)
-    if abs(c.t - 1.0) <= RAMIFICATION_TOL:
-        raise OnRamification("the curvature's sample moves need a pinned sheet")
+    _pin_sheet(c.t, "the curvature's sample moves need a pinned sheet")
     basis = centralizer_basis(T.product())
     if len(basis) != 2:
         # the span argument needs the abelian centralizer of a regular product
@@ -305,7 +308,7 @@ def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
     rows = [_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie)]
     for pair, factor in _SPAN_MOVES:
         cc = s_coords(cur)
-        target = (cc.t2 if pair == "12" else cc.t1) * factor
+        target = getattr(cc, _SWEPT[pair]) * factor
         cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
         rows.append(_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie))
     rows = np.array(rows)

@@ -96,6 +96,15 @@ def reflection(p: Point) -> Isometry:
     return Isometry(_ro(m))
 
 
+def _reflection_product(points) -> np.ndarray:
+    """Matrix of R(p_n) ... R(p_2) R(p_1), the reflection in the first point
+    applied first, multiplied left to right from R(p_n)."""
+    m = reflection(points[-1]).m
+    for p in reversed(points[:-1]):
+        m = m @ reflection(p).m
+    return _ro(m)
+
+
 def project_to_su(m) -> Isometry:
     """Nearest-isometry correction for a small perturbation of an isometry.
 
@@ -210,7 +219,9 @@ def _sqrtm3(a: np.ndarray) -> np.ndarray:
     if not resid <= ROOT_TOL:
         raise NoPrincipalLog(
             f"square root residual {resid:.2e} exceeds {ROOT_TOL:.0e}: "
-            "the log is ill-conditioned here"
+            "the log is ill-conditioned here",
+            value=resid,
+            bound=ROOT_TOL,
         )
     return y
 
@@ -338,17 +349,11 @@ def _eigen_clusters(vals: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def is_regular(F: Isometry, eigen_tol: float = EIGEN_TOL) -> bool:
-    """Whether every eigenvalue of F has a one-dimensional eigenspace."""
-    vals = np.linalg.eigvals(F.m)
-    for c in _eigen_clusters(vals, eigen_tol):
-        if len(c) < 2:
-            continue
-        mu = vals[c].mean()
-        sv = np.linalg.svd(F.m - mu * np.eye(3), compute_uv=False)
-        if sv[1] <= eigen_tol * max(sv[0], 1.0):
-            return False
-    return True
+def is_regular(F: Isometry) -> bool:
+    """Whether every eigenvalue of F has a one-dimensional eigenspace: its
+    centralizer in su, read as centralizer_basis reads it (SVD cutoff
+    EIGEN_TOL), is two-dimensional exactly then and larger otherwise."""
+    return len(_centralizer(F)) == 2
 
 
 def su_basis() -> list[np.ndarray]:
@@ -369,51 +374,37 @@ def su_basis() -> list[np.ndarray]:
 _SU_BASIS = su_basis()
 
 
-def _nullspace_coeffs(mat: np.ndarray, rtol: float) -> np.ndarray:
-    """Rows spanning the nullspace of a real matrix (SVD cutoff `rtol`)."""
-    u, s, vt = np.linalg.svd(mat)
-    ncols = mat.shape[1]
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
-    return vt[rank:ncols]
+def _su_kernel(images, scale: float = 1.0) -> list[np.ndarray]:
+    """Real basis of the kernel of a real-linear map on su, given the images
+    of _SU_BASIS: the SVD nullspace (cutoff EIGEN_TOL) of the realified
+    images over `scale`, each row signed to make its largest entry positive."""
+    cols = [np.concatenate([w.real.ravel(), w.imag.ravel()]) for w in images]
+    _, s, vt = np.linalg.svd(np.array(cols).T / scale)
+    rank = int(np.sum(s > EIGEN_TOL * max(s[0], 1.0)))
+    out = []
+    for c in vt[rank:]:
+        if c[int(np.argmax(np.abs(c)))] < 0:
+            c = -c
+        out.append(sum(ci * bi for ci, bi in zip(c, _SU_BASIS)))
+    return out
 
 
-def _canonical_sign(c: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(c)))
-    return c if c[k] >= 0 else -c
+def _centralizer(F: Isometry) -> list[np.ndarray]:
+    scale = max(1.0, float(np.abs(F.m).max()))
+    return _su_kernel([b @ F.m - F.m @ b for b in _SU_BASIS], scale)
 
 
-def centralizer_basis(F: Isometry, rtol: float = EIGEN_TOL) -> list[np.ndarray]:
+def centralizer_basis(F: Isometry) -> list[np.ndarray]:
     """Real basis of {Y in su : [Y, F] = 0}; two elements iff F is regular."""
-    cols = []
-    for b in _SU_BASIS:
-        c = b @ F.m - F.m @ b
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    mat = np.array(cols).T / max(1.0, float(np.abs(F.m).max()))
-    null = _nullspace_coeffs(mat, rtol)
-    if null.shape[0] != 2:
-        raise NotRegular(
-            f"centralizer has dimension {null.shape[0]}, expected 2"
-        )
-    out = []
-    for c in null:
-        c = _canonical_sign(c)
-        out.append(sum(ci * bi for ci, bi in zip(c, _SU_BASIS)))
+    out = _centralizer(F)
+    if len(out) != 2:
+        raise NotRegular(f"centralizer has dimension {len(out)}, expected 2")
     return out
 
 
-def stabilizer_algebra(p: Point, rtol: float = EIGEN_TOL) -> list[np.ndarray]:
+def stabilizer_algebra(p: Point) -> list[np.ndarray]:
     """Real basis of {Y in su : Y p = 0} (three-dimensional)."""
-    cols = []
-    for b in _SU_BASIS:
-        w = b @ p.rep
-        cols.append(np.concatenate([w.real, w.imag]))
-    null = _nullspace_coeffs(np.array(cols).T, rtol)
-    out = []
-    for c in null:
-        c = _canonical_sign(c)
-        out.append(sum(ci * bi for ci, bi in zip(c, _SU_BASIS)))
-    return out
+    return _su_kernel([b @ p.rep for b in _SU_BASIS])
 
 
 def _matched_eigen(F: Isometry, G: Isometry, tol: float):
@@ -431,8 +422,9 @@ def _matched_eigen(F: Isometry, G: Isometry, tol: float):
         d = float(np.abs(gvals[list(perm)] - fvals).max())
         if best is None or d < best:
             best, best_perm = d, list(perm)
-    if best > 1e3 * tol * scale:
-        raise NotConjugate(f"spectra differ by {best:.2e}")
+    bound = 1e3 * tol * scale
+    if best > bound:
+        raise NotConjugate(f"spectra differ by {best:.2e}", value=best, bound=bound)
     return fvals, fvecs, gvals[best_perm], gvecs[:, best_perm]
 
 
@@ -490,8 +482,13 @@ def conjugator(F: Isometry, G: Isometry, tol: float = DEFAULT_TOL) -> Isometry:
         raise NotConjugate("eigenvector sign patterns differ")
     g = _frame_map(bf, bg)
     resid = float(np.abs(g.m @ F.m - G.m @ g.m).max())
-    if resid > 1e4 * tol * max(1.0, float(np.abs(G.m).max())):
-        raise NotConjugate(f"no isometry matches the eigenbases (residual {resid:.2e})")
+    bound = 1e4 * tol * max(1.0, float(np.abs(G.m).max()))
+    if resid > bound:
+        raise NotConjugate(
+            f"no isometry matches the eigenbases (residual {resid:.2e})",
+            value=resid,
+            bound=bound,
+        )
     return g
 
 
@@ -530,7 +527,9 @@ def split_two_reflections(
     u2 = s_param - 0.5 * np.log(lam[2])
     x1 = point(np.exp(-u1) * v1 - np.exp(u1) * v2, tol)
     x2 = point(np.exp(-u2) * v1 - np.exp(u2) * v2, tol)
-    resid = float(np.abs((reflection(x2) @ reflection(x1)).m - G.m).max())
+    resid = float(np.abs(_reflection_product((x1, x2)) - G.m).max())
     if resid > 1e-6 * scale:
-        raise NotTwoReflectionProduct(f"reconstruction residual {resid:.2e}")
+        raise NotTwoReflectionProduct(
+            f"reconstruction residual {resid:.2e}", value=resid, bound=1e-6 * scale
+        )
     return x1, x2

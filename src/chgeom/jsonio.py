@@ -120,11 +120,11 @@ def decode_triple(data, tol: float = DEFAULT_TOL) -> Triple:
     return triple(*points)
 
 
-def decode_pentagon(data, tol: float = 1e-8) -> Pentagon:
+def decode_pentagon(data) -> Pentagon:
     points = [decode_point(d) for d in data["points"]]
     if len(points) != 5:
         raise ValueError(f"a pentagon needs 5 points, got {len(points)}")
-    P = pentagon(*points, tol=tol)
+    P = pentagon(*points)
     if "delta" in data and P.delta != decode_cube_root(data["delta"]):
         raise ValueError("stored delta disagrees with the five points")
     return P

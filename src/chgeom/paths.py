@@ -202,6 +202,11 @@ def follow_path(path, F0: Isometry | None = None) -> Isometry:
     return Isometry(_ro(f))
 
 
+#: Relative size of the coordinates off a bending's geodesic (or circle)
+#: below which a point counts as on it.
+_GEODESIC_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class Bending:
     """One-parameter group of isometries preserving the line of a pair.
@@ -232,12 +237,13 @@ class Bending:
         m = self.cols.dot(np.array(n, dtype=complex)).dot(self.cols_inv)
         return Isometry(_ro(m))
 
-    def point_parameter(self, q: Point, tol: float = 1e-7) -> tuple[float, int]:
+    def point_parameter(self, q: Point) -> tuple[float, int]:
         """Parameter u with evaluate(u) carrying the base fiber onto q's.
 
         Returns (u, sign of q).  Raises NotOnGeodesic when q is off the real
-        geodesic (or circle) swept by the bending.
+        geodesic (or circle) swept by the bending, to _GEODESIC_TOL.
         """
+        tol = _GEODESIC_TOL
         c = self.cols_inv @ q.rep
         scale = float(np.abs(c).max())
         if self.kind is LineType.HYPERBOLIC:
@@ -332,18 +338,19 @@ def bend_pair(p1: Point, p2: Point, s: float, tol: float = DEFAULT_TOL):
     return p1, b.evaluate(s).apply(p2, tol)
 
 
-def orthogonal_partner(q: Point, line: Bending, tol: float = 1e-7) -> Point:
+def orthogonal_partner(q: Point, line: Bending) -> Point:
     """The point of the line orthogonal to q, on the other family.
 
     On a hyperbolic line this flips between the real geodesic and its polar
     family; on a spherical line it advances a quarter turn.  Euclidean lines
-    carry no orthogonal partners.
+    carry no orthogonal partners; q off the complex line (to _GEODESIC_TOL)
+    raises NotOnGeodesic.
     """
     if line.kind is LineType.EUCLIDEAN:
         raise EuclideanGeodesic("euclidean lines have no orthogonal partners")
     c = line.cols_inv @ q.rep
     scale = float(np.abs(c).max())
-    if abs(c[2]) > tol * scale:
+    if abs(c[2]) > _GEODESIC_TOL * scale:
         raise NotOnGeodesic("point is off the complex line")
     if line.kind is LineType.HYPERBOLIC:
         partner = c[0] * line.cols[:, 0] - c[1] * line.cols[:, 1]
@@ -364,6 +371,9 @@ def _bend_targets(
     pairing with `fixed`, relative to the norms, is at most 1e-8 is absent:
     the profile is then one-sided with a single preimage, and with both
     sides absent (`fixed` the polar point of the line) nothing is reachable.
+    Below the minimum (the infimum k of a one-sided profile), Unreachable
+    carries the target as `value` and, as `bound`, the extreme value of ta
+    the bending reaches: that minimum times the sign product of the points.
     """
     sm, sy = moving.sign, fixed.sign
     um = b.point_parameter(moving)[0]
@@ -387,7 +397,11 @@ def _bend_targets(
         if not (has1 or has2):
             raise Unreachable("the fixed point is the polar point of the line")
         if M <= k + tol * scale:
-            raise Unreachable("target is below the degenerate profile")
+            raise Unreachable(
+                "target is below the degenerate profile",
+                value=target,
+                bound=sm * sy * k,
+            )
         if has2:
             th = 0.5 * np.log((M - k) / (c2 * c2))
         else:
@@ -395,7 +409,9 @@ def _bend_targets(
         return [th / rate - um]
     if M < mmin - tol * scale:
         raise Unreachable(
-            f"target {target:.6g} lies below the profile minimum"
+            f"target {target:.6g} lies below the profile minimum",
+            value=target,
+            bound=sm * sy * mmin,
         )
     if M <= mmin + tol * scale:
         th = 0.5 * np.log(c1 / c2)
@@ -449,6 +465,11 @@ def _euclidean_root(h0: complex, h1: complex, level: float) -> float:
     return (disc - p) / q
 
 
+#: Relative error in the level ta(p2(s), p3) = 1 + margin that a hyperbolic
+#: root of make_hyperbolic must meet.
+_LEVEL_TOL = 1e-10
+
+
 def make_hyperbolic(
     p1: Point,
     p2: Point,
@@ -469,11 +490,17 @@ def make_hyperbolic(
     closed form in the bending's normal form: e^{-theta} a + e^{theta} b
     (hyperbolic), cos(theta) z1 + sin(theta) z2 (spherical), h0 + s h1
     (euclidean).  The invariant is |h(s)|^2 and is solved for directly.
-    The root returned is, on a hyperbolic line, the larger one: the
-    positive root when |h|^2 rises toward both ends, the only root when p3
-    is orthogonal to one isotropic end (to 1e-8) and |h|^2 rises toward
-    the other; on a spherical line the smallest positive root, the margin
-    capped at half the orbit's peak; on a euclidean line the positive root.
+    On a hyperbolic line the root returned is the larger one when the
+    invariant there meets the level 1 + margin to _LEVEL_TOL (1e-10)
+    relative to the level, else the other one; ExceptionalCase, carrying
+    the smaller error as `value` and the bound, when neither does.  The
+    larger root is the positive one when |h|^2 rises toward both ends, and
+    the only one when p3 is orthogonal to one isotropic end (to 1e-8) and
+    |h|^2 rises toward the other.  When p3 pairs only slightly with that
+    end, the larger root lies far out and misses the level, and the nearer
+    root is returned.  On a spherical line the root is the smallest
+    positive one, the margin capped at half the orbit's peak; on a
+    euclidean line the positive root.
     """
     if p2.sign * p3.sign < 0:
         return 0.0
@@ -481,12 +508,25 @@ def make_hyperbolic(
     if tance(p2, p3) > 1.0:
         return 0.0
     if b.kind is LineType.HYPERBOLIC:
+        level = 1.0 + margin
         try:
-            return float(max(_bend_targets(b, p2, p3, 1.0 + margin, tol)))
+            roots = sorted(_bend_targets(b, p2, p3, level, tol), reverse=True)
         except Unreachable as err:
             raise ExceptionalCase(
                 "p3 is the polar point of the line of (p1, p2)"
             ) from err
+        bound = _LEVEL_TOL * level
+        errs = []
+        for s in roots:
+            err = abs(tance(b.evaluate(s).m @ p2.rep, p3.rep) - level)
+            if err <= bound:
+                return float(s)
+            errs.append(err)
+        raise ExceptionalCase(
+            f"no root meets the level {level:.6g} (error {min(errs):.2e})",
+            value=min(errs),
+            bound=bound,
+        )
     # coordinates of p2 in the adapted basis, pairings of the basis with p3
     c = (b.cols_inv @ p2.rep).tolist()
     w = form(b.cols.T, p3.rep).tolist()

@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_TOL,
     Gram,
     Point,
+    _chain_phases,
     _rep,
     form,
     gram,
@@ -35,8 +36,8 @@ from .errors import (
 from .isometry import (
     CubeRoot,
     Isometry,
+    _reflection_product,
     nearest_cube_root,
-    reflection,
     split_two_reflections,
 )
 from .paths import _bend_targets, bending
@@ -46,16 +47,11 @@ from .triples import (
     SCoords,
     Triple,
     _bend,
+    _sheet_gap,
     connect_triples,
     decompose_three_reflections,
     triple_from_coords,
 )
-
-
-def _reflection_product(points) -> np.ndarray:
-    """Matrix of R5 R4 R3 R2 R1, the reflection in the first point first."""
-    ms = [reflection(p).m for p in points]
-    return ms[4] @ ms[3] @ ms[2] @ ms[1] @ ms[0]
 
 
 @dataclass(frozen=True)
@@ -101,8 +97,11 @@ def verify_pentagon(points, tol: float = 1e-8) -> CubeRoot:
     rep_norm2 = float(
         (np.linalg.norm(reps, axis=1) ** 2 / np.abs(form(reps, reps).real)).max()
     )
-    if resid > tol * max(1.0, float(np.abs(f).max()), rep_norm2):
-        raise NotAPentagon(f"product is off-center by {resid:.2e}")
+    bound = tol * max(1.0, float(np.abs(f).max()), rep_norm2)
+    if resid > bound:
+        raise NotAPentagon(
+            f"product is off-center by {resid:.2e}", value=resid, bound=bound
+        )
     return root
 
 
@@ -121,7 +120,7 @@ def build_pentagon(
     delta R(p4) R(p5); errors from the decomposition (non-regular or
     undecomposable products) propagate.
     """
-    f = Isometry(delta.value * (reflection(p4).m @ reflection(p5).m))
+    f = Isometry(delta.value * _reflection_product((p5, p4)))
     T = decompose_three_reflections(f, tol)
     return pentagon(T.p1, T.p2, T.p3, p4, p5, tol=1e-7)
 
@@ -160,12 +159,11 @@ def pentagon_from_moduli(
     sign = 1.0 if delta.k == 1 else -1.0
     alpha = sign * np.sqrt(3.0) * (4.0 * t4 - 1.0) / 16.0
     beta = (3.0 - 4.0 * t4) / 8.0
-    t1t2 = t1 * t2
-    rhs = 1.0 - (t1 + t2 + beta - 1.0) / t1t2 - alpha**2 / t1t2**2
-    if rhs < 0.0:
+    gap = _sheet_gap(t1, t2, alpha, beta)
+    if gap < 0.0:
         raise InadmissibleModuli("no real surface point over these moduli")
     c = SCoords(
-        t=1.0 + sheet * float(np.sqrt(rhs)),
+        t=1.0 + sheet * float(np.sqrt(gap)),
         t1=t1,
         t2=t2,
         sigma=(1, -1, -1),
@@ -184,16 +182,13 @@ def pentagon_from_moduli(
 def is_real_pentagon(P: Pentagon, tol: float = 1e-8) -> bool:
     """Whether the five points sit on a common real plane.
 
-    Tested gauge-invariantly: representatives are re-phased along the chain
-    so consecutive products are real positive, and the full Gram matrix must
-    then be real.
+    Tested gauge-invariantly: in the chain gauge c of _chain_phases, where
+    consecutive pairings are real positive, the Gram matrix
+    c_j conj(c_k) G[j, k] must be real.
     """
-    reps = [p.rep.copy() for p in P.points]
-    for j in range(4):
-        g = form(reps[j + 1], reps[j])
-        if abs(g) > 1e-12:
-            reps[j + 1] = reps[j + 1] * (abs(g) / g)
-    G = gram(reps).m
+    G = P.gram().m
+    c = _chain_phases(G)
+    G = c[:, None] * G * c.conj()
     return float(np.abs(G.imag).max()) <= tol * max(1.0, float(np.abs(G).max()))
 
 

@@ -33,6 +33,7 @@ from .core import (
     Gram,
     LineType,
     Point,
+    _chain_phases,
     _triple_invariants,
     form,  # unused here; the benchmark's tracing test reads triples.form
     gram,
@@ -54,6 +55,7 @@ from .errors import (
 from .isometry import (
     Isometry,
     _frame_map,
+    _reflection_product,
     conjugator,
     reflection,
     star,
@@ -89,7 +91,7 @@ class Triple:
 
     def product(self) -> Isometry:
         """The isometry R(p3) R(p2) R(p1)."""
-        return reflection(self.p3) @ reflection(self.p2) @ reflection(self.p1)
+        return Isometry(_reflection_product(self.points))
 
 
 def triple(p1: Point, p2: Point, p3: Point) -> Triple:
@@ -172,9 +174,12 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
     if abs(c.alpha) <= tol and any(s > 0 for s in c.sigma):
         raise InadmissibleCoords("a real configuration with a positive point")
     scale = max(1.0, abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) ** 2))
-    if abs(c.residual()) > tol * scale:
+    resid = c.residual()
+    if abs(resid) > tol * scale:
         raise InadmissibleCoords(
-            f"coordinates violate the surface relation (residual {c.residual():.2e})"
+            f"coordinates violate the surface relation (residual {resid:.2e})",
+            value=abs(resid),
+            bound=tol * scale,
         )
 
 
@@ -227,10 +232,14 @@ def _standard_cols(T: Triple) -> np.ndarray:
     Triples with equal surface coordinates get bases with equal Grams, so
     the change of basis between them is the conjugating isometry.
     """
-    m = T.gram().m
-    u12 = m[0, 1] / abs(m[0, 1])
-    u23 = m[1, 2] / abs(m[1, 2])
-    return np.column_stack([T.p1.rep, u12 * T.p2.rep, (u12 * u23) * T.p3.rep])
+    reps = np.array([p.rep for p in T.points])
+    return (_chain_phases(T.gram().m)[:, None] * reps).T
+
+
+def _sheet_gap(t1: float, t2: float, alpha: float, beta: float) -> float:
+    """(t - 1)^2 over (t1, t2) by the surface relation; negative off it."""
+    t1t2 = t1 * t2
+    return 1.0 - (t1 + t2 + beta - 1.0) / t1t2 - alpha**2 / t1t2**2
 
 
 def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple:
@@ -258,20 +267,17 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
         s1, s2, s3 = sigma
         g = 2.0
         for _ in range(20):
-            C = (
-                s1 * s3 * (b - 1.0) / g**4
-                + s2 * (s1 + s3) / g**2
-                + a**2 / g**8
-            )
-            if C <= 0.75:
+            t1, t2 = s1 * s2 * g * g, s2 * s3 * g * g
+            gap = _sheet_gap(t1, t2, a, b)
+            if gap >= 0.25:
                 break
             g *= 2.0
-        t = 1.0 + np.sqrt(1.0 - C)
+        t = 1.0 + np.sqrt(gap)
         # g is a power of two, so both consecutive pairings come out as g
         # exactly; validate_coords is skipped, it rejects |beta| <= tol
-        G = standard_gram(SCoords(t, s1 * s2 * g * g, s2 * s3 * g * g, sigma, a, b))
+        G = standard_gram(SCoords(t, t1, t2, sigma, a, b))
         pts = [point(v, tol) for v in realize_gram(G, tol)]
-        f0 = reflection(pts[2]) @ reflection(pts[1]) @ reflection(pts[0])
+        f0 = Isometry(_reflection_product(pts))
         try:
             h = conjugator(f0, F, tol)
         except (NotConjugate, NotRegular) as err:
@@ -489,7 +495,9 @@ def connect_triples(
     if est > CLOSURE_TOL:
         raise NotConjugate(
             f"estimated closure error {est:.2e} exceeds {CLOSURE_TOL:.0e} "
-            "in either move order"
+            "in either move order",
+            value=est,
+            bound=CLOSURE_TOL,
         )
     for pc, pt in zip(cur.points, B.points):
         if not projectively_equal(g.apply(pc), pt, 1e-6):

@@ -327,6 +327,11 @@ class TestHolonomyDimension:
         with pytest.raises(OnRamification):
             holonomy_dimension(triple_from_coords(c))
 
+    def test_samples_at_ramification_raise(self):
+        c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)
+        with pytest.raises(OnRamification):
+            holonomy_samples(triple_from_coords(c), 4, rng=default_rng(6))
+
     def test_non_regular_product_raises(self, monkeypatch):
         T = random_strongly_regular_triple(default_rng(5))
         basis = centralizer_basis(T.product())

@@ -357,6 +357,30 @@ class TestRegularity:
         assert np.allclose(vals, 1.0, atol=1e-6)  # all eigenvalues equal
         assert is_regular(g)
 
+    def test_complex_reflections_are_not_regular(self):
+        # one eigenvalue on a two-dimensional eigenspace: the complement of
+        # a negative point (first) or a positive one (second)
+        rng = default_rng(141)
+        for _ in range(10):
+            g = random_isometry(rng, 0.7)
+            th = rng.uniform(0.2, 2.8)
+            u, w = np.exp(1j * th), np.exp(-2j * th)
+            for d in ([u, u, w], [u, w, u]):
+                f = chg.Isometry(g.m @ np.diag(d) @ star(g.m))
+                assert not is_regular(f)
+                with pytest.raises(errors.NotRegular):
+                    centralizer_basis(f)
+
+    def test_regular_elliptics_are_regular(self):
+        rng = default_rng(142)
+        for _ in range(10):
+            g = random_isometry(rng, 0.7)
+            a, b = rng.uniform(0.3, 0.9), rng.uniform(1.5, 2.5)
+            d = np.exp(1j * np.array([a, b, -(a + b)]))
+            f = chg.Isometry(g.m @ np.diag(d) @ star(g.m))
+            assert is_regular(f)
+            assert len(centralizer_basis(f)) == 2
+
 
 class TestCentralizer:
     def test_dimension_two_for_regular(self):
@@ -419,8 +443,10 @@ class TestConjugator:
     def test_different_spectra_not_conjugate(self):
         rng = default_rng(22)
         f, g = random_isometry(rng), random_isometry(rng)
-        with pytest.raises(errors.NotConjugate):
+        with pytest.raises(errors.NotConjugate) as info:
             conjugator(f, g)
+        # the spectral distance and the bound it was tested against
+        assert info.value.value > info.value.bound >= 1e3 * chg.DEFAULT_TOL
 
     def test_same_trace_different_signs_not_conjugate(self):
         # Same eigenvalue multiset, but the negative eigendirection carries

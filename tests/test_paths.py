@@ -666,3 +666,22 @@ class TestMakeHyperbolicClosedForm:
             assert abs(s - root) <= 1e-10 * max(1.0, abs(root))
             signs.add(side)
         assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("off", [1e-7, 1e-6, 1e-5, 1e-4])
+    def test_slightly_two_sided_profile_meets_the_level(self, off):
+        # The construction above with the other end's coefficient above the
+        # 1e-8 cut: both sides are present, the larger root can lie far out
+        # where roundoff swamps the level, and the nearer root meets it.
+        rng = default_rng(55)
+        for _ in range(10):
+            p1, p2 = random_mixed_pair(rng)
+            b = bending(p1, p2)
+            j = int(rng.integers(2))
+            end, other = b.cols[:, j], b.cols[:, 1 - j]
+            p3 = point(
+                b.cols[:, 2]
+                + rng.uniform(0.1, 0.5) * end / np.linalg.norm(end)
+                + off * other / np.linalg.norm(other)
+            )
+            s = make_hyperbolic(p1, p2, p3)
+            assert abs(bending_gap(b, p2, p3)(s) - 0.5) <= 1e-10

@@ -12,7 +12,7 @@ from chgeom.errors import (
     NotAPentagon,
     NotConjugate,
 )
-from chgeom.isometry import CubeRoot, split_two_reflections
+from chgeom.isometry import CubeRoot, reflection, split_two_reflections
 from chgeom.pentagons import (
     Pentagon,
     apply_pentagon_moves,
@@ -70,6 +70,19 @@ def real_pentagon(s5=0.4, t4=2.0, t1=4.0, t2=4.0):
     return pentagon(T.p1, T.p2, T.p3, x2, x1)
 
 
+def test_reflection_products_are_the_written_out_chains():
+    # the triple and pentagon products multiply left to right from the
+    # reflection in the last point, bit for bit
+    rng = default_rng(59)
+    for _ in range(5):
+        P = pentagon_from_moduli(random_moduli(rng), CubeRoot(1), s5=0.2)
+        r = [reflection(p) for p in P.points]
+        T = P.triple()
+        assert np.array_equal(T.product().m, (r[2] @ r[1] @ r[0]).m)
+        five = r[4].m @ r[3].m @ r[2].m @ r[1].m @ r[0].m
+        assert np.array_equal(P.product().m, five)
+
+
 class TestVerifyAndBuild:
     def test_moduli_pentagons_verify(self):
         for k in (1, 2):
@@ -80,8 +93,10 @@ class TestVerifyAndBuild:
     def test_five_random_points_are_not_a_pentagon(self):
         rng = default_rng(60)
         pts = [random_negative_point(rng) for _ in range(5)]
-        with pytest.raises(NotAPentagon):
+        with pytest.raises(NotAPentagon) as info:
             verify_pentagon(pts)
+        # the off-center residual and its scaled bound
+        assert info.value.value > info.value.bound >= 1e-8
 
     def test_far_pentagon_verifies(self):
         # a valid pentagon moved far from the origin: its product misses

@@ -189,8 +189,10 @@ class TestSurfaceCoordinates:
             alpha=EXAMPLE.alpha,
             beta=EXAMPLE.beta + 0.1,
         )
-        with pytest.raises(InadmissibleCoords):
+        with pytest.raises(InadmissibleCoords) as info:
             validate_coords(c)
+        assert info.value.value == pytest.approx(0.1, rel=1e-9)
+        assert info.value.value > info.value.bound >= 1e-8
 
     def test_real_with_positive_point_rejected(self):
         c = SCoords(t=1.5, t1=-2.0, t2=2.0, sigma=(1, -1, -1), alpha=0.0, beta=-2.0)
@@ -402,8 +404,11 @@ class TestCoordinateMoves:
             tance(b.evaluate(s).apply(T.p2), T.p3)
             for s in np.linspace(-4.0, 4.0, 801)
         )
-        with pytest.raises(Unreachable):
+        with pytest.raises(Unreachable) as info:
             vertical_line(T, scanned - 1.0)
+        # the target and the profile minimum it fell below
+        assert info.value.value == scanned - 1.0
+        assert info.value.bound == pytest.approx(scanned, abs=1e-3)
 
     def test_ramification_at_profile_minimum(self):
         rng = default_rng(47)
