@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .core import Gram, line_type, point, realize_gram, tance
-from .errors import GeometryError, InadmissibleModuli
+from .errors import GeometryError, InadmissibleModuli, _require
 from .holonomy import holonomy_dimension, holonomy_samples
 from .isometry import CubeRoot, reflection
 from .paths import bending, follow_path, path_sample
@@ -130,10 +130,8 @@ def _pentagon_from_moduli_csv(raw: str, delta: CubeRoot, tol: float):
         (t1, t2, t4), delta, s5=s5, sheet=1 if t >= 1.0 else -1, tol=tol
     )
     got = s_coords(P.triple()).t
-    if abs(got - t) > 1e-6 * max(1.0, abs(t)):
-        raise InadmissibleModuli(
-            f"t = {t:.6g} is off the surface over these moduli (sheet value {got:.6g})"
-        )
+    bound = 1e-6 * max(1.0, abs(t))
+    _require(abs(got - t), bound, InadmissibleModuli, "distance of t from the surface")
     return P
 
 

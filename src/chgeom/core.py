@@ -85,7 +85,8 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     """Span a point by a vector.
 
     Raises IsotropicVector when the self-product is below `tol` relative to
-    the euclidean size of the vector.
+    the euclidean size of the vector, ValueError when its squared norm is
+    not finite (a NaN or infinite entry, or an overflow).
     """
     # Three entries: Python scalars beat numpy's per-call overhead here.
     # t holds the squared moduli; s = (t0 + t1) - t2 is self_product's
@@ -95,8 +96,10 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     v = np.asarray(v, dtype=complex).reshape(3)
     t = (v * v.conj()).real.tolist()
     norm2 = t[0] + t[1] + t[2]
-    if norm2 == 0.0:
-        raise IsotropicVector("zero vector spans no point")
+    if not 0.0 < norm2 < math.inf:
+        if norm2 == 0.0:
+            raise IsotropicVector("zero vector spans no point")
+        raise ValueError("vector has a non-finite squared norm")
     s = (t[0] + t[1]) - t[2]
     if abs(s) <= tol * norm2:
         rel = abs(s) / norm2

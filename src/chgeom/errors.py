@@ -5,13 +5,23 @@ class GeometryError(Exception):
     """Base class for all geometric errors raised by this package.
 
     A numeric test that fails can attach the measured `value` and the
-    `bound` it was tested against; both are None otherwise.
+    `bound` it was tested against; both are None otherwise.  Every ceiling
+    on a measured residual goes through `_require`, which attaches both.
     """
 
     def __init__(self, message: str, value=None, bound=None):
         super().__init__(message)
         self.value = value
         self.bound = bound
+
+
+def _require(value, bound, error: type[GeometryError], what: str) -> None:
+    """Raise `error` carrying `value` and `bound` unless value <= bound.
+
+    The test is written as `not value <= bound` so that a NaN fails it.
+    """
+    if not value <= bound:
+        raise error(f"{what} {value:.2e} exceeds {bound:.2e}", value=value, bound=bound)
 
 
 class IsotropicVector(GeometryError):

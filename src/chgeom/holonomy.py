@@ -27,7 +27,6 @@ import numpy as np
 from .core import DEFAULT_TOL
 from .errors import (
     LeavesAdmissibleRegion,
-    NotRegular,
     OnRamification,
     RankInconclusive,
     Unreachable,
@@ -301,9 +300,6 @@ def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
     c = s_coords(T)
     _pin_sheet(c.t, "the curvature's sample moves need a pinned sheet")
     basis = centralizer_basis(T.product())
-    if len(basis) != 2:
-        # the span argument needs the abelian centralizer of a regular product
-        raise NotRegular(f"centralizer has dimension {len(basis)}, expected 2")
     cur = T
     rows = [_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie)]
     for pair, factor in _SPAN_MOVES:

@@ -20,15 +20,16 @@ from .errors import (
     NotRegular,
     NotTwoReflectionProduct,
     ZeroDiagonal,
+    _require,
 )
 
 #: |lambda| - 1 below this counts as a unit-modulus eigenvalue.
 EIGEN_TOL = 1e-7
 
-#: Eigenvalues closer than this are treated as a cluster when deciding
-#: whether the eigenbasis of an isometry is usable.  Defective 3x3 matrices
-#: scatter their eigenvalues by roundoff^(1/3) ~ 1e-5, so the threshold
-#: cannot be tighter.
+#: Eigenvalues closer than this, relative to max(1, |lambda|), make the
+#: eigenbasis of an isometry unusable.  Defective 3x3 matrices scatter
+#: their eigenvalues by roundoff^(1/3) ~ 1e-5, so the threshold cannot be
+#: tighter.
 SEPARATION_TOL = 1e-5
 
 
@@ -68,8 +69,11 @@ class Isometry:
 
 
 def isometry(m, tol: float = DEFAULT_TOL) -> Isometry:
-    """Validating constructor: checks the form condition and the determinant."""
+    """Validating constructor: checks that the entries are finite, the form
+    condition and the determinant."""
     m = np.asarray(m, dtype=complex).reshape(3, 3)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     err = float(np.abs(m.conj().T @ J @ m - J).max())
     scale = max(1.0, float(np.abs(m).max()) ** 2)
     if err > tol * scale:
@@ -216,13 +220,7 @@ def _sqrtm3(a: np.ndarray) -> np.ndarray:
     else:
         raise NoPrincipalLog("square-root iteration did not converge")
     resid = float(np.abs(y @ y - a).max()) / float(np.abs(y).max()) ** 2
-    if not resid <= ROOT_TOL:
-        raise NoPrincipalLog(
-            f"square root residual {resid:.2e} exceeds {ROOT_TOL:.0e}: "
-            "the log is ill-conditioned here",
-            value=resid,
-            bound=ROOT_TOL,
-        )
+    _require(resid, ROOT_TOL, NoPrincipalLog, "square root residual")
     return y
 
 
@@ -336,19 +334,6 @@ def trace_formula(G, tol: float = DEFAULT_TOL) -> complex:
     return complex((-1) ** n * total)
 
 
-def _eigen_clusters(vals: np.ndarray, tol: float) -> list[list[int]]:
-    scale = max(1.0, float(np.abs(vals).max()))
-    clusters: list[list[int]] = []
-    for i in np.argsort(vals.real):
-        for c in clusters:
-            if abs(vals[i] - vals[c[0]]) <= tol * scale:
-                c.append(i)
-                break
-        else:
-            clusters.append([i])
-    return clusters
-
-
 def is_regular(F: Isometry) -> bool:
     """Whether every eigenvalue of F has a one-dimensional eigenspace: its
     centralizer in su, read as centralizer_basis reads it (SVD cutoff
@@ -409,22 +394,24 @@ def stabilizer_algebra(p: Point) -> list[np.ndarray]:
 
 def _matched_eigen(F: Isometry, G: Isometry, tol: float):
     """Eigen data of F and G with spectra matched up: NotRegular when either
-    has eigenvalues closer than SEPARATION_TOL, NotConjugate when the
-    spectra differ."""
+    has two eigenvalues within SEPARATION_TOL of each other, relative to
+    max(1, |lambda|), NotConjugate when the spectra differ."""
     fvals, fvecs = np.linalg.eig(F.m)
     gvals, gvecs = np.linalg.eig(G.m)
     for vals in (fvals, gvals):
-        if len(_eigen_clusters(vals, SEPARATION_TOL)) < 3:
-            raise NotRegular("eigenvalues too close: eigenbasis method unavailable")
+        gap = float(np.abs(vals[[0, 0, 1]] - vals[[1, 2, 2]]).min())
+        bound = SEPARATION_TOL * max(1.0, float(np.abs(vals).max()))
+        if not gap > bound:
+            raise NotRegular(
+                f"eigenvalue gap {gap:.2e} within {bound:.2e}", value=gap, bound=bound
+            )
     scale = max(1.0, float(np.abs(fvals).max()))
     best, best_perm = None, None
     for perm in permutations(range(3)):
         d = float(np.abs(gvals[list(perm)] - fvals).max())
         if best is None or d < best:
             best, best_perm = d, list(perm)
-    bound = 1e3 * tol * scale
-    if best > bound:
-        raise NotConjugate(f"spectra differ by {best:.2e}", value=best, bound=bound)
+    _require(best, 1e3 * tol * scale, NotConjugate, "spectral mismatch")
     return fvals, fvecs, gvals[best_perm], gvecs[:, best_perm]
 
 
@@ -453,8 +440,8 @@ def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
         if len(nonunit) != 2:
             raise NotConjugate("spectrum is not closed under lam -> 1/conj(lam)")
         i, j = nonunit
-        if abs(vals[i] * vals[j].conjugate() - 1.0) > 1e-6:
-            raise NotConjugate("non-unit eigenvalues do not pair up")
+        pair = float(abs(vals[i] * vals[j].conjugate() - 1.0))
+        _require(pair, 1e-6, NotConjugate, "eigenvalue pairing |lam conj(mu) - 1|")
         v = vecs[:, i]
         k = int(np.argmax(np.abs(v)))
         v = v / np.linalg.norm(v) * (abs(v[k]) / v[k])
@@ -483,12 +470,7 @@ def conjugator(F: Isometry, G: Isometry, tol: float = DEFAULT_TOL) -> Isometry:
     g = _frame_map(bf, bg)
     resid = float(np.abs(g.m @ F.m - G.m @ g.m).max())
     bound = 1e4 * tol * max(1.0, float(np.abs(G.m).max()))
-    if resid > bound:
-        raise NotConjugate(
-            f"no isometry matches the eigenbases (residual {resid:.2e})",
-            value=resid,
-            bound=bound,
-        )
+    _require(resid, bound, NotConjugate, "conjugator residual")
     return g
 
 
@@ -504,14 +486,14 @@ def split_two_reflections(
     """
     vals, vecs = np.linalg.eig(G.m)
     scale = max(1.0, float(np.abs(vals).max()))
-    if float(np.abs(vals.imag).max()) > 1e-7 * scale:
-        raise NotTwoReflectionProduct("spectrum is not real")
+    imag = float(np.abs(vals.imag).max())
+    _require(imag, 1e-7 * scale, NotTwoReflectionProduct, "spectrum imaginary part")
     order = np.argsort(vals.real)
     lam = vals.real[order]
     if lam[0] <= 0 or abs(lam[1] - 1.0) > 1e-7 or lam[2] < 1.0 + 1e-9:
         raise NotTwoReflectionProduct(f"spectrum {lam} is not (1/s, 1, s), s > 1")
-    if abs(lam[0] * lam[2] - 1.0) > 1e-6:
-        raise NotTwoReflectionProduct("extreme eigenvalues are not reciprocal")
+    recip = float(abs(lam[0] * lam[2] - 1.0))
+    _require(recip, 1e-6, NotTwoReflectionProduct, "reciprocity |lam_min lam_max - 1|")
     u = vecs[:, order[1]]
     if self_product(u) <= 0:
         raise NotTwoReflectionProduct("unit eigenvector is not positive")
@@ -528,8 +510,5 @@ def split_two_reflections(
     x1 = point(np.exp(-u1) * v1 - np.exp(u1) * v2, tol)
     x2 = point(np.exp(-u2) * v1 - np.exp(u2) * v2, tol)
     resid = float(np.abs(_reflection_product((x1, x2)) - G.m).max())
-    if resid > 1e-6 * scale:
-        raise NotTwoReflectionProduct(
-            f"reconstruction residual {resid:.2e}", value=resid, bound=1e-6 * scale
-        )
+    _require(resid, 1e-6 * scale, NotTwoReflectionProduct, "reconstruction residual")
     return x1, x2

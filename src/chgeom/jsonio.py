@@ -16,7 +16,8 @@ formats:
     Pentagon    {"delta": {"k":}, "points": [5 Points]}
 
 Decoders go through the validating factories, so malformed data raises the
-same errors as malformed arguments; shape and key problems raise ValueError.
+same errors as malformed arguments; shape and key problems and non-finite
+numbers raise ValueError.
 Encoding a decoded object reproduces the input bit for bit (floats are
 written with shortest round-trip precision by the json module).
 """

@@ -41,6 +41,7 @@ from .errors import (
     SignChange,
     StepTooLarge,
     Unreachable,
+    _require,
 )
 from .isometry import (
     IDENTITY,
@@ -173,19 +174,18 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def follow_path(path, F0: Isometry | None = None) -> Isometry:
+def follow_path(path) -> Isometry:
     """Integrate the tangent flow along a path of points.
 
-    Returns the isometry F with R(c_end) = F R(c_start) F^{-1}; composing
-    with F0 on the right when given.  A midpoint rule on the normalized lift
-    gives second-order accuracy in the step size.  The step exponentials
-    are multiplied by a pairwise tree product and projected onto SU(2, 1)
-    once, at the end.
+    Returns the isometry F with R(c_end) = F R(c_start) F^{-1}.  A
+    midpoint rule on the normalized lift gives second-order accuracy in the
+    step size.  The step exponentials are multiplied by a pairwise tree
+    product and projected onto SU(2, 1) once, at the end.
     """
     points = path.points if isinstance(path, PathSample) else list(path)
     lift = normalized_lift(points)
     if len(lift) < 2:
-        return F0 if F0 is not None else IDENTITY
+        return IDENTITY
     sign = points[0].sign
     mids = 0.5 * (lift[:-1] + lift[1:])
     mids = mids / np.sqrt(np.abs(form(mids, mids).real))[:, None]
@@ -196,10 +196,7 @@ def follow_path(path, F0: Isometry | None = None) -> Isometry:
     gens = sign * (
         np.einsum("ki,kj->kij", vels, jm) - np.einsum("ki,kj->kij", mids, jv)
     )
-    f = project_to_su(_ordered_product(_expm3_batch(gens))).m
-    if F0 is not None:
-        f = f @ F0.m
-    return Isometry(_ro(f))
+    return project_to_su(_ordered_product(_expm3_batch(gens)))
 
 
 #: Relative size of the coordinates off a bending's geodesic (or circle)
@@ -434,8 +431,13 @@ def _bend_targets(
     return out
 
 
-def _spherical_root(z1: complex, z2: complex, margin: float) -> float:
-    """Smallest theta >= 0 with |cos(theta) z1 + sin(theta) z2|^2 = 1 + margin,
+#: How far make_hyperbolic carries the pairwise invariant past the
+#: hyperbolicity threshold 1.
+_MARGIN = 0.5
+
+
+def _spherical_root(z1: complex, z2: complex) -> float:
+    """Smallest theta >= 0 with |cos(theta) z1 + sin(theta) z2|^2 = 1 + _MARGIN,
     the margin capped at half the height of the peak above 1.
 
     The square is (a + b)/2 + r cos(2 theta - phi), a sinusoid whose first
@@ -448,7 +450,7 @@ def _spherical_root(z1: complex, z2: complex, margin: float) -> float:
     peak = (a + b) / 2.0 + r
     if peak - 1.0 <= 1e-10:
         raise ExceptionalCase("the spherical orbit never becomes hyperbolic")
-    level = 1.0 + min(margin, 0.5 * (peak - 1.0))
+    level = 1.0 + min(_MARGIN, 0.5 * (peak - 1.0))
     phi = math.atan2(c, (a - b) / 2.0) % (2.0 * math.pi)
     cos_level = min(1.0, max(-1.0, (level - (a + b) / 2.0) / r))
     return max(0.0, phi - math.acos(cos_level)) / 2.0
@@ -465,33 +467,27 @@ def _euclidean_root(h0: complex, h1: complex, level: float) -> float:
     return (disc - p) / q
 
 
-#: Relative error in the level ta(p2(s), p3) = 1 + margin that a hyperbolic
-#: root of make_hyperbolic must meet.
+#: Relative error in the level ta(p2(s), p3) = 1 + _MARGIN that a
+#: hyperbolic root of make_hyperbolic must meet.
 _LEVEL_TOL = 1e-10
 
 
-def make_hyperbolic(
-    p1: Point,
-    p2: Point,
-    p3: Point,
-    margin: float = 0.5,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def make_hyperbolic(p1: Point, p2: Point, p3: Point, tol: float = DEFAULT_TOL) -> float:
     """Bending parameter s of the pair (p1, p2) making (p2(s), p3) hyperbolic.
 
     Returns 0.0 when the pair (p2, p3) is already hyperbolic.  Otherwise
     moves p2 until the pairwise invariant clears the hyperbolicity threshold
-    by `margin`, raising ExceptionalCase for the configurations no bending
-    can repair: p3 on the euclidean line of (p1, p2), p3 the polar point of
-    a hyperbolic line, or a spherical bending whose orbit never clears the
-    threshold.
+    1 by _MARGIN (0.5), raising ExceptionalCase for the configurations no
+    bending can repair: p3 on the euclidean line of (p1, p2), p3 the polar
+    point of a hyperbolic line, or a spherical bending whose orbit never
+    clears the threshold.
 
     p2 lies on its own line, so the pairing h(s) = <E(s) p2, p3> has a
     closed form in the bending's normal form: e^{-theta} a + e^{theta} b
     (hyperbolic), cos(theta) z1 + sin(theta) z2 (spherical), h0 + s h1
     (euclidean).  The invariant is |h(s)|^2 and is solved for directly.
     On a hyperbolic line the root returned is the larger one when the
-    invariant there meets the level 1 + margin to _LEVEL_TOL (1e-10)
+    invariant there meets the level 1 + _MARGIN to _LEVEL_TOL (1e-10)
     relative to the level, else the other one; ExceptionalCase, carrying
     the smaller error as `value` and the bound, when neither does.  The
     larger root is the positive one when |h|^2 rises toward both ends, and
@@ -507,35 +503,32 @@ def make_hyperbolic(
     b = bending(p1, p2, tol)
     if tance(p2, p3) > 1.0:
         return 0.0
-    if b.kind is LineType.HYPERBOLIC:
-        level = 1.0 + margin
-        try:
-            roots = sorted(_bend_targets(b, p2, p3, level, tol), reverse=True)
-        except Unreachable as err:
-            raise ExceptionalCase(
-                "p3 is the polar point of the line of (p1, p2)"
-            ) from err
-        bound = _LEVEL_TOL * level
-        errs = []
-        for s in roots:
-            err = abs(tance(b.evaluate(s).m @ p2.rep, p3.rep) - level)
-            if err <= bound:
-                return float(s)
-            errs.append(err)
-        raise ExceptionalCase(
-            f"no root meets the level {level:.6g} (error {min(errs):.2e})",
-            value=min(errs),
-            bound=bound,
-        )
-    # coordinates of p2 in the adapted basis, pairings of the basis with p3
-    c = (b.cols_inv @ p2.rep).tolist()
-    w = form(b.cols.T, p3.rep).tolist()
-    if b.kind is LineType.EUCLIDEAN:
-        u = b.cols[:, 2]
-        p3norm = float(np.linalg.norm(p3.rep))
-        if abs(w[2]) <= 1e-8 * float(np.linalg.norm(u)) * p3norm:
-            raise ExceptionalCase("p3 lies on the euclidean line of (p1, p2)")
-        return _euclidean_root(c[1] * w[1] + c[2] * w[2], c[1] * w[2], 1.0 + margin)
-    z1 = c[0] * w[0] + c[1] * w[1]
-    z2 = c[0] * w[1] - c[1] * w[0]
-    return _spherical_root(z1, z2, margin) / b.rate
+    if b.kind is not LineType.HYPERBOLIC:
+        # coordinates of p2 in the adapted basis, pairings of the basis with p3
+        c = (b.cols_inv @ p2.rep).tolist()
+        w = form(b.cols.T, p3.rep).tolist()
+        if b.kind is LineType.EUCLIDEAN:
+            u = b.cols[:, 2]
+            p3norm = float(np.linalg.norm(p3.rep))
+            if abs(w[2]) <= 1e-8 * float(np.linalg.norm(u)) * p3norm:
+                raise ExceptionalCase("p3 lies on the euclidean line of (p1, p2)")
+            return _euclidean_root(
+                c[1] * w[1] + c[2] * w[2], c[1] * w[2], 1.0 + _MARGIN
+            )
+        z1 = c[0] * w[0] + c[1] * w[1]
+        z2 = c[0] * w[1] - c[1] * w[0]
+        return _spherical_root(z1, z2) / b.rate
+    level = 1.0 + _MARGIN
+    try:
+        roots = sorted(_bend_targets(b, p2, p3, level, tol), reverse=True)
+    except Unreachable as err:
+        raise ExceptionalCase("p3 is the polar point of the line of (p1, p2)") from err
+    bound = _LEVEL_TOL * level
+    errs = []
+    for s in roots:
+        err = abs(tance(b.evaluate(s).m @ p2.rep, p3.rep) - level)
+        if err <= bound:
+            return float(s)
+        errs.append(err)
+    # every root missed the level, so this raises
+    _require(min(errs), bound, ExceptionalCase, "level error of every root")

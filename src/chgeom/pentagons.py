@@ -32,6 +32,7 @@ from .errors import (
     InadmissibleModuli,
     NotAPentagon,
     NotConjugate,
+    _require,
 )
 from .isometry import (
     CubeRoot,
@@ -98,10 +99,7 @@ def verify_pentagon(points, tol: float = 1e-8) -> CubeRoot:
         (np.linalg.norm(reps, axis=1) ** 2 / np.abs(form(reps, reps).real)).max()
     )
     bound = tol * max(1.0, float(np.abs(f).max()), rep_norm2)
-    if resid > bound:
-        raise NotAPentagon(
-            f"product is off-center by {resid:.2e}", value=resid, bound=bound
-        )
+    _require(resid, bound, NotAPentagon, "off-center residual")
     return root
 
 

@@ -51,6 +51,7 @@ from .errors import (
     NotStronglyRegular,
     TraceMinusOne,
     Unreachable,
+    _require,
 )
 from .isometry import (
     Isometry,
@@ -174,13 +175,7 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
     if abs(c.alpha) <= tol and any(s > 0 for s in c.sigma):
         raise InadmissibleCoords("a real configuration with a positive point")
     scale = max(1.0, abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) ** 2))
-    resid = c.residual()
-    if abs(resid) > tol * scale:
-        raise InadmissibleCoords(
-            f"coordinates violate the surface relation (residual {resid:.2e})",
-            value=abs(resid),
-            bound=tol * scale,
-        )
+    _require(abs(c.residual()), tol * scale, InadmissibleCoords, "surface residual")
 
 
 def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
@@ -471,9 +466,10 @@ def connect_triples(
     ca, cb = s_coords(A, tol), s_coords(B, tol)
     if ca.sigma != cb.sigma:
         raise IncompatibleInvariants(f"sign patterns {ca.sigma} != {cb.sigma}")
+    # np.max, unlike the builtin, propagates a NaN difference
+    diff = float(np.max(np.abs([ca.alpha - cb.alpha, ca.beta - cb.beta])))
     inv_tol = 1e-7 * max(1.0, abs(ca.beta))
-    if abs(ca.alpha - cb.alpha) > inv_tol or abs(ca.beta - cb.beta) > inv_tol:
-        raise IncompatibleInvariants("alpha or beta differ between the triples")
+    _require(diff, inv_tol, IncompatibleInvariants, "alpha/beta mismatch")
 
     best = None
     for first in ("23", "12"):
@@ -492,13 +488,7 @@ def connect_triples(
         if est <= tol:
             break
     moves, cur, g, est = best
-    if est > CLOSURE_TOL:
-        raise NotConjugate(
-            f"estimated closure error {est:.2e} exceeds {CLOSURE_TOL:.0e} "
-            "in either move order",
-            value=est,
-            bound=CLOSURE_TOL,
-        )
+    _require(est, CLOSURE_TOL, NotConjugate, "estimated closure error")
     for pc, pt in zip(cur.points, B.points):
         if not projectively_equal(g.apply(pc), pt, 1e-6):
             raise NotConjugate("connected triple does not match the target")

@@ -15,7 +15,8 @@ from chgeom import (
     s_coords,
     tance,
 )
-from chgeom.cli import main
+from chgeom.cli import _pentagon_from_moduli_csv, main
+from chgeom.errors import InadmissibleModuli
 from chgeom.holonomy import holonomy_dimension, holonomy_samples
 from chgeom.sampling import random_negative_point, random_strongly_regular_triple
 
@@ -86,6 +87,16 @@ class TestReflect:
         got = jsonio.decode_point(json.loads(out.out))
         want = reflection(tri.p1).apply(tri.p2)
         assert np.abs(got.rep - want.rep).max() <= 1e-12
+
+    def test_nan_point_is_usage_error(self, tmp_path, capsys, tri):
+        m = write(tmp_path, "m.json", tri.p1)
+        d = jsonio.encode(tri.p2)
+        d["rep"][1][1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        code, out = run(capsys, "reflect", "--mirror", m, "--point", str(path))
+        assert code == 2
+        assert "non-finite" in out.err
 
 
 class TestBend:
@@ -164,6 +175,21 @@ class TestPentagonVerbs:
                         "--moduli=-2.0,3.0,2.0,1.8,0.0")
         assert code == 1
         assert "InadmissibleModuli" in out.err
+
+    def test_off_surface_t_carries_distance_and_bound(self):
+        with pytest.raises(InadmissibleModuli) as info:
+            _pentagon_from_moduli_csv("-2.0,3.0,2.0,1.8,0.0", CubeRoot(1), 1e-9)
+        assert info.value.value == pytest.approx(self.T_SHEET - 1.8, rel=1e-9)
+        assert info.value.bound == pytest.approx(1.8e-6, rel=1e-12)
+
+    def test_verify_nan_coordinate_is_usage_error(self, tmp_path, capsys):
+        d = jsonio.encode(pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1)))
+        d["points"][2]["rep"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        code, out = run(capsys, "pentagon", "verify", str(path))
+        assert code == 2
+        assert "non-finite" in out.err
 
     def test_new_from_points(self, tmp_path, capsys):
         rng = default_rng(81)

@@ -91,6 +91,24 @@ def test_point_rejects_isotropic():
         chg.point([0.0, 0.0, 0.0])
 
 
+def test_point_rejects_non_finite_input():
+    with pytest.raises(ValueError):
+        chg.point([np.nan, 0.0, 1.0])
+    # squaring a complex inf raises numpy's invalid-value warning
+    with np.errstate(invalid="ignore"):
+        for x in (np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                chg.point([1.0, x, 0.5])
+
+
+def test_require_passes_at_the_bound_and_fails_nan():
+    errors._require(1e-8, 1e-8, errors.NotAPentagon, "residual")
+    for value in (2e-8, np.nan):
+        with pytest.raises(errors.NotAPentagon) as info:
+            errors._require(value, 1e-8, errors.NotAPentagon, "residual")
+        assert info.value.value is value and info.value.bound == 1e-8
+
+
 def test_isotropic_error_carries_value_and_bound():
     # |s| / |v|^2 = 1e-6 / (2 + 1e-6), below the tolerance 1e-5
     with pytest.raises(errors.IsotropicVector) as info:

@@ -4,7 +4,7 @@ rectangle holonomy, holonomy dimension."""
 import numpy as np
 import pytest
 
-from chgeom import holonomy, jsonio
+from chgeom import holonomy, isometry, jsonio
 from chgeom.core import form, self_product
 from chgeom.errors import NotRegular, OnRamification, RankInconclusive
 from chgeom.holonomy import (
@@ -335,7 +335,7 @@ class TestHolonomyDimension:
     def test_non_regular_product_raises(self, monkeypatch):
         T = random_strongly_regular_triple(default_rng(5))
         basis = centralizer_basis(T.product())
-        monkeypatch.setattr(holonomy, "centralizer_basis", lambda F: basis + basis)
+        monkeypatch.setattr(isometry, "_centralizer", lambda F: basis + basis)
         with pytest.raises(NotRegular):
             holonomy_dimension(T)
 

@@ -14,11 +14,14 @@ from chgeom import errors
 from chgeom.isometry import (
     EIGEN_TOL,
     IDENTITY,
+    SEPARATION_TOL,
     CubeRoot,
+    Isometry,
     _expm3,
     _expm3_batch,
     _frame_map,
     _logm3,
+    _normalize_eigenbasis,
     center_reduce,
     centralizer_basis,
     conjugator,
@@ -116,6 +119,13 @@ class TestIsometryType:
         isometry(random_isometry(rng).m)  # accepts
         with pytest.raises(ValueError):
             isometry(np.diag([2.0, 0.5, 1.0]))
+
+    def test_validating_factory_rejects_non_finite(self):
+        for x in (np.nan, np.inf, -np.inf):
+            m = np.eye(3, dtype=complex)
+            m[0, 1] = x
+            with pytest.raises(ValueError):
+                isometry(m)
 
     def test_apply_moves_points(self):
         rng = default_rng(6)
@@ -459,6 +469,22 @@ class TestConjugator:
         with pytest.raises(errors.NotConjugate):
             conjugator(f, g)
 
+    def test_repeated_eigenvalue_carries_gap_and_bound(self):
+        # a reflection's eigenvalue -1 is double: the gap is at roundoff
+        r = reflection(random_negative_point(default_rng(26)))
+        with pytest.raises(errors.NotRegular) as info:
+            conjugator(r, r)
+        assert info.value.value <= 1e-12
+        assert info.value.bound == pytest.approx(SEPARATION_TOL, rel=1e-12)
+
+    def test_unpaired_non_unit_eigenvalues_carry_value_and_bound(self):
+        # 2 * conj(0.4) - 1 = -0.2: not the pair (lam, 1/conj(lam))
+        vals = np.array([2.0, 1.0, 0.4], dtype=complex)
+        with pytest.raises(errors.NotConjugate) as info:
+            _normalize_eigenbasis(vals, np.eye(3, dtype=complex))
+        assert info.value.value == pytest.approx(0.2, rel=1e-12)
+        assert info.value.bound == 1e-6
+
     def test_defective_raises_not_regular(self):
         g = project_to_su(_expm3(NILPOTENT))
         h = random_isometry(default_rng(23))
@@ -522,6 +548,22 @@ class TestSplitTwoReflections:
         elliptic = project_to_su(_expm3(1j * np.diag([0.5, 0.3, -0.8])))
         with pytest.raises(errors.NotTwoReflectionProduct):
             split_two_reflections(elliptic)
+
+    def test_complex_spectrum_carries_value_and_bound(self):
+        elliptic = project_to_su(_expm3(1j * np.diag([0.5, 0.3, -0.8])))
+        with pytest.raises(errors.NotTwoReflectionProduct) as info:
+            split_two_reflections(elliptic)
+        # the largest |Im| of e^{0.5i}, e^{0.3i}, e^{-0.8i}
+        assert info.value.value == pytest.approx(np.sin(0.8), rel=1e-12)
+        assert info.value.bound == pytest.approx(1e-7, rel=1e-12)
+
+    def test_non_reciprocal_extremes_carry_value_and_bound(self):
+        # a real spectrum (1/2, 1, 3) no isometry has: 1/2 * 3 - 1 = 1/2
+        g = Isometry(np.diag([0.5, 1.0, 3.0]).astype(complex))
+        with pytest.raises(errors.NotTwoReflectionProduct) as info:
+            split_two_reflections(g)
+        assert info.value.value == 0.5
+        assert info.value.bound == 1e-6
 
 
 class TestCubeRoots:

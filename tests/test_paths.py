@@ -224,19 +224,6 @@ class TestFollowPath:
         assert np.allclose(lhs, rhs, atol=5e-7)
         assert np.abs(f.m.conj().T @ chg.J @ f.m - chg.J).max() < 1e-12
 
-    def test_initial_frame_composes(self):
-        rng = default_rng(38)
-        p1, p2 = random_spherical_pair(rng)
-        b = bending(p1, p2)
-        ts = np.linspace(0.0, 0.5, 201)
-        pts = [b.evaluate(t).apply(p1) for t in ts]
-        f0 = chg.sampling.random_isometry(rng)
-        assert np.allclose(
-            follow_path(path_sample(pts, ts), f0).m,
-            (follow_path(path_sample(pts, ts)) @ f0).m,
-            atol=1e-12,
-        )
-
     def test_trivial_path(self):
         p = point([0.1, 0.0, 1.0])
         assert np.allclose(follow_path([p]).m, np.eye(3))

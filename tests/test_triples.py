@@ -180,6 +180,12 @@ class TestSurfaceCoordinates:
         with pytest.raises(InadmissibleCoords):
             validate_coords(c)
 
+    def test_nan_t_rejected(self):
+        c = SCoords(t=np.nan, t1=-2.0, t2=4.0, sigma=(1, -1, -1), alpha=0.3, beta=-0.2)
+        with pytest.raises(InadmissibleCoords) as info:
+            validate_coords(c)
+        assert np.isnan(info.value.value) and info.value.bound == 1e-8
+
     def test_relation_violation_rejected(self):
         c = SCoords(
             t=EXAMPLE.t,
@@ -514,6 +520,17 @@ class TestConnect:
         moves, g = connect_triples(A, A)
         assert moves == []
         assert np.abs(g.m - np.eye(3)).max() <= 1e-9
+
+    def test_incompatible_alpha_beta_carry_value_and_bound(self):
+        rng = default_rng(67)
+        A = random_strongly_regular_triple(rng, sigma=(-1, -1, -1))
+        B = random_strongly_regular_triple(rng, sigma=(-1, -1, -1))
+        ca, cb = s_coords(A), s_coords(B)
+        with pytest.raises(IncompatibleInvariants) as info:
+            connect_triples(A, B)
+        want = max(abs(ca.alpha - cb.alpha), abs(ca.beta - cb.beta))
+        assert info.value.value == want
+        assert info.value.bound == 1e-7 * max(1.0, abs(ca.beta))
 
     def test_incompatible_invariants(self):
         rng = default_rng(67)
