@@ -7,13 +7,14 @@ significant digits.  Exit status is 0 on success, 1 on a domain error
 (any GeometryError, reported with its class name), 2 on a usage error.
 
 The default tolerance is 1e-9, overridable per call with --tol or
-globally with the environment variable CHG_TOL.
+globally with the environment variable CHG_TOL; it must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -57,9 +58,12 @@ def _load(path: str):
 
 
 def _tol(args, fallback: float = 1e-9) -> float:
-    if args.tol is not None:
-        return args.tol
-    return float(os.environ.get("CHG_TOL", fallback))
+    """--tol, else CHG_TOL, else `fallback`; ValueError unless finite and >= 0
+    (a NaN tolerance would fail every `<= tol` test)."""
+    tol = args.tol if args.tol is not None else float(os.environ.get("CHG_TOL", fallback))
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _render(data) -> str:

@@ -63,14 +63,30 @@ def _rep(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
+def _rephase(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rotate v in place so its anchor v[k] is real positive; return (v, k).
+    The anchor is the first entry within 1e-12 (relative) of the largest
+    modulus, so a tie broken by roundoff cannot move it.  The phase is a
+    numpy scalar division; for real v it is an exact sign flip."""
+    mags = [abs(z) for z in v.tolist()]
+    floor = max(mags) * (1.0 - 1e-12)
+    k = 0
+    while mags[k] < floor:
+        k += 1
+    v *= mags[k] / v[k]
+    return v, k
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """A non-isotropic point, held as a canonical representative.
 
     The representative has self-product exactly +-1 up to roundoff (the sign
-    is stored separately), and its largest-modulus coordinate is rotated onto
-    the positive real axis, so equal points built from different input
-    vectors get bitwise-comparable representatives.
+    is stored separately), and its anchor coordinate is rotated onto the
+    positive real axis: the first coordinate whose modulus is within 1e-12
+    (relative) of the largest.  So equal points built from different input
+    vectors get bitwise-comparable representatives, and a near-tie between
+    two largest coordinates does not flip the phase by roundoff.
     """
 
     rep: np.ndarray
@@ -90,9 +106,8 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     """
     # Three entries: Python scalars beat numpy's per-call overhead here.
     # t holds the squared moduli; s = (t0 + t1) - t2 is self_product's
-    # arithmetic, so it gives the same bits.  The phase stays a numpy
-    # scalar division on rep[k], whose roundoff differs from Python's
-    # complex arithmetic in the last bit.
+    # arithmetic, so it gives the same bits.  setflags and positional
+    # fields cost less than flags.writeable and keywords.
     v = np.asarray(v, dtype=complex).reshape(3)
     t = (v * v.conj()).real.tolist()
     norm2 = t[0] + t[1] + t[2]
@@ -109,13 +124,10 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
             value=rel,
             bound=tol,
         )
-    rep = v / math.sqrt(abs(s))
-    mags = [abs(z) for z in rep.tolist()]
-    k = mags.index(max(mags))
-    rep *= mags[k] / rep[k]
+    rep, k = _rephase(v / math.sqrt(abs(s)))
     rep[k] = rep[k].real
-    rep.flags.writeable = False
-    return Point(rep=rep, sign=1 if s > 0 else -1)
+    rep.setflags(write=False)
+    return Point(rep, 1 if s > 0 else -1)
 
 
 def projectively_equal(p, q, tol: float = DEFAULT_TOL) -> bool:
@@ -281,7 +293,10 @@ def realize_gram(G, tol: float = DEFAULT_TOL) -> np.ndarray:
     in signature (2, 1): at most two positive and at most one negative
     eigenvalue, else IncompatibleInertia.  Positive eigendirections go to the
     first two coordinate slots (largest eigenvalue first), the negative one
-    to the last; eigenvector phases are fixed so the output is deterministic.
+    to the last.  Each eigenvector is rotated to make its anchor entry real
+    positive, the first entry whose modulus is within 1e-12 (relative) of the
+    largest, so tied entries (as in Grams with t1 = t2) anchor at the same
+    index whatever the roundoff.
     """
     m = _as_hermitian(G, tol)
     n = m.shape[0]
@@ -300,8 +315,5 @@ def realize_gram(G, tol: float = DEFAULT_TOL) -> np.ndarray:
     for i in neg:
         slots[i] = 2
     for i, slot in slots.items():
-        u = vecs[:, i]
-        k = int(np.argmax(np.abs(u)))
-        u = u * (abs(u[k]) / u[k])
-        out[:, slot] = np.sqrt(abs(vals[i])) * u
+        out[:, slot] = np.sqrt(abs(vals[i])) * _rephase(vecs[:, i])[0]
     return out

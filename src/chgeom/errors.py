@@ -92,6 +92,11 @@ class StepTooLarge(GeometryError):
     """
 
 
+class BendingOverflow(GeometryError):
+    """A hyperbolic bending parameter whose exponential overflows a float:
+    `value` is |rate * s|, `bound` log of the largest float (about 709.78)."""
+
+
 class NoPrincipalLog(GeometryError):
     """No principal logarithm is returned: an eigenvalue lies on the closed
     negative real axis, or a square root could not be taken accurately."""

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Gram, J, Point, _rep, form, point, self_product
+from .core import DEFAULT_TOL, Gram, J, Point, _rep, _rephase, form, point, self_product
 from .errors import (
     NoPrincipalLog,
     NotConjugate,
@@ -362,14 +362,13 @@ _SU_BASIS = su_basis()
 def _su_kernel(images, scale: float = 1.0) -> list[np.ndarray]:
     """Real basis of the kernel of a real-linear map on su, given the images
     of _SU_BASIS: the SVD nullspace (cutoff EIGEN_TOL) of the realified
-    images over `scale`, each row signed to make its largest entry positive."""
+    images over `scale`, each row signed to make its anchor entry positive."""
     cols = [np.concatenate([w.real.ravel(), w.imag.ravel()]) for w in images]
     _, s, vt = np.linalg.svd(np.array(cols).T / scale)
     rank = int(np.sum(s > EIGEN_TOL * max(s[0], 1.0)))
     out = []
     for c in vt[rank:]:
-        if c[int(np.argmax(np.abs(c)))] < 0:
-            c = -c
+        _rephase(c)
         out.append(sum(ci * bi for ci, bi in zip(c, _SU_BASIS)))
     return out
 
@@ -415,6 +414,17 @@ def _matched_eigen(F: Isometry, G: Isometry, tol: float):
     return fvals, fvecs, gvals[best_perm], gvecs[:, best_perm]
 
 
+def _null_pair(v: np.ndarray, w: np.ndarray, error: type) -> tuple[np.ndarray, np.ndarray]:
+    """An isotropic pair scaled to <v, w> = 1/2: v to unit euclidean norm and
+    its anchor phase (core._rephase), w to match.  Raises `error` when the
+    pairing vanishes."""
+    v = _rephase(v / np.linalg.norm(v))[0]
+    rho = form(v, w)
+    if abs(rho) <= 1e-10:
+        raise error("isotropic eigenvectors do not pair")
+    return v, w / (2.0 * rho.conjugate())
+
+
 def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
     """Scale eigenvectors of a regular isometry to a canonical Gram.
 
@@ -431,10 +441,7 @@ def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
         s = self_product(v)
         if abs(s) <= 1e-8:
             raise NotRegular("isotropic eigenvector for a unit eigenvalue")
-        v = v / np.sqrt(abs(s))
-        k = int(np.argmax(np.abs(v)))
-        v = v * (abs(v[k]) / v[k])
-        cols[i] = v
+        cols[i] = _rephase(v / np.sqrt(abs(s)))[0]
         signs[i] = 1 if s > 0 else -1
     if nonunit:
         if len(nonunit) != 2:
@@ -442,15 +449,7 @@ def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
         i, j = nonunit
         pair = float(abs(vals[i] * vals[j].conjugate() - 1.0))
         _require(pair, 1e-6, NotConjugate, "eigenvalue pairing |lam conj(mu) - 1|")
-        v = vecs[:, i]
-        k = int(np.argmax(np.abs(v)))
-        v = v / np.linalg.norm(v) * (abs(v[k]) / v[k])
-        w = vecs[:, j]
-        rho = form(v, w)
-        if abs(rho) <= 1e-10:
-            raise NotRegular("degenerate pairing of isotropic eigenvectors")
-        w = w / (2.0 * rho.conjugate())
-        cols[i], cols[j] = v, w
+        cols[i], cols[j] = _null_pair(vecs[:, i], vecs[:, j], NotRegular)
     return np.array(cols).T, signs
 
 
@@ -497,14 +496,7 @@ def split_two_reflections(
     u = vecs[:, order[1]]
     if self_product(u) <= 0:
         raise NotTwoReflectionProduct("unit eigenvector is not positive")
-    v1 = vecs[:, order[2]]
-    v2 = vecs[:, order[0]]
-    k = int(np.argmax(np.abs(v1)))
-    v1 = v1 / np.linalg.norm(v1) * (abs(v1[k]) / v1[k])
-    rho = form(v1, v2)
-    if abs(rho) <= 1e-10:
-        raise NotTwoReflectionProduct("isotropic eigenvectors do not pair")
-    v2 = v2 / (2.0 * rho.conjugate())
+    v1, v2 = _null_pair(vecs[:, order[2]], vecs[:, order[0]], NotTwoReflectionProduct)
     u1 = s_param
     u2 = s_param - 0.5 * np.log(lam[2])
     x1 = point(np.exp(-u1) * v1 - np.exp(u1) * v2, tol)

@@ -14,6 +14,7 @@ line.  Bendings are the elementary moves used everywhere downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .core import (
     Point,
     _cross,
     _minor_type,
+    _rephase,
     form,
     point,
     project_orthogonal,
@@ -33,6 +35,7 @@ from .core import (
     tance,
 )
 from .errors import (
+    BendingOverflow,
     EqualPoints,
     EuclideanGeodesic,
     ExceptionalCase,
@@ -203,6 +206,9 @@ def follow_path(path) -> Isometry:
 #: below which a point counts as on it.
 _GEODESIC_TOL = 1e-7
 
+#: Largest |rate * s| whose exponential a hyperbolic bending can take.
+_EXP_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class Bending:
@@ -224,6 +230,12 @@ class Bending:
         # and scaling the columns gives those of @ with a diagonal N.
         th = self.rate * s
         if self.kind is LineType.HYPERBOLIC:
+            if not abs(th) <= _EXP_MAX:
+                raise BendingOverflow(
+                    f"bending exponent {abs(th):.3e} exceeds {_EXP_MAX:.2f}",
+                    value=abs(th),
+                    bound=_EXP_MAX,
+                )
             m = (self.cols * np.exp([-th, th, 0.0])).dot(self.cols_inv)
             return Isometry(_ro(m))
         if self.kind is LineType.SPHERICAL:
@@ -257,8 +269,7 @@ class Bending:
         if self.kind is LineType.SPHERICAL:
             if abs(c[2]) > tol * scale:
                 raise NotOnGeodesic("point is off the complex line")
-            k = 0 if abs(c[0]) >= abs(c[1]) else 1
-            c = c * (abs(c[k]) / c[k])
+            _rephase(c)
             if max(abs(c[0].imag), abs(c[1].imag)) > tol * scale:
                 raise NotOnGeodesic("point is off the real circle")
             th = float(np.arctan2(c[1].real, c[0].real)) % np.pi

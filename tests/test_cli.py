@@ -99,6 +99,32 @@ class TestReflect:
         assert "non-finite" in out.err
 
 
+class TestTolerance:
+    @staticmethod
+    def reflect_in_isotropic_mirror(tmp_path, capsys, tri, *extra):
+        m = tmp_path / "iso.json"
+        m.write_text(json.dumps({"rep": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "sign": 1}))
+        q = write(tmp_path, "q.json", tri.p2)
+        return run(capsys, "reflect", "--mirror", str(m), "--point", q, *extra)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, tri, tol):
+        code, out = self.reflect_in_isotropic_mirror(tmp_path, capsys, tri, "--tol", tol)
+        assert code == 2
+        assert "tolerance must be finite and >= 0" in out.err
+
+    def test_bad_environment_is_usage_error(self, tmp_path, capsys, tri, monkeypatch):
+        monkeypatch.setenv("CHG_TOL", "nan")
+        code, out = self.reflect_in_isotropic_mirror(tmp_path, capsys, tri)
+        assert code == 2
+        assert "tolerance must be finite and >= 0" in out.err
+
+    def test_isotropic_mirror_is_domain_error(self, tmp_path, capsys, tri):
+        code, out = self.reflect_in_isotropic_mirror(tmp_path, capsys, tri)
+        assert code == 1
+        assert "IsotropicVector" in out.err
+
+
 class TestBend:
     def test_moved_pair_and_residual(self, tmp_path, capsys, tri):
         a = write(tmp_path, "a.json", tri.p1)
@@ -127,6 +153,13 @@ class TestBend:
         code, out = run(capsys, "bend", "--p1", a, "--p2", a)
         assert code == 1
         assert "EqualPoints" in out.err
+
+    def test_overflowing_parameter_domain_error(self, tmp_path, capsys, tri):
+        a = write(tmp_path, "a.json", tri.p1)
+        b = write(tmp_path, "b.json", tri.p2)
+        code, out = run(capsys, "bend", "--p1", a, "--p2", b, "--s", "1e6", "--steps", "0")
+        assert code == 1
+        assert "BendingOverflow" in out.err
 
 
 class TestDecompose:

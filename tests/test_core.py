@@ -213,6 +213,15 @@ def test_point_rep_is_normalized():
         assert p.rep[k].real > 0.0
 
 
+def test_point_anchor_is_tie_stable():
+    # |v1| exceeds |v0| by 1e-14 relative, inside the 1e-12 tie band, so
+    # the anchor stays at the first entry instead of following roundoff
+    v = np.array([0.6 * np.exp(0.3j), 0.6 * (1.0 + 1e-14) * np.exp(-1.1j), 0.2j])
+    rep = chg.point(v).rep
+    assert rep[0].imag == 0.0 and rep[0].real > 0.0
+    assert rep[1].imag != 0.0
+
+
 def test_projective_equality_is_not_tance_one():
     # A euclidean pair has tance exactly 1 yet the points differ.
     p = chg.point([0.0, 1.0, 0.0])

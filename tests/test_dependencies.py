@@ -2,7 +2,8 @@
 
 scipy stays an oracle for the tests; importing the library or the CLI in a
 fresh interpreter must not load any of it.  Every name a module imports is
-read somewhere in it, or listed in its __all__.
+read somewhere in it, or listed in its __all__.  No module calls argmax:
+phases are anchored by core._rephase, whose tie rule argmax would bypass.
 """
 
 import ast
@@ -68,3 +69,16 @@ def test_no_unused_imports():
         if (names := _unused_imports(path))
     }
     assert not unused, unused
+
+
+def test_no_argmax_in_the_library():
+    """argmax picks between near-equal moduli by roundoff; core._rephase is
+    the one anchor rule, and it is tie-stable."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "chgeom").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "argmax" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert not calls, calls

@@ -370,6 +370,17 @@ def test_step_angle_error_carries_value_and_bound():
     assert info.value.bound == _MAX_STEP_ANGLE
 
 
+def test_evaluate_overflow_carries_value_and_bound():
+    b = bending(*random_hyperbolic_pair(default_rng(45)))
+    for s in (1e6, -1e6, float("nan")):
+        with pytest.raises(errors.BendingOverflow) as info:
+            b.evaluate(s)
+        assert info.value.bound == pytest.approx(709.78, abs=1e-2)
+        if s == s:
+            assert info.value.value == abs(b.rate * s)
+    b.evaluate(700.0 / b.rate)
+
+
 @pytest.mark.parametrize("pair", [random_hyperbolic_pair, random_spherical_pair])
 def test_bending_pairs_the_points_once(pair, count_calls):
     p1, p2 = pair(default_rng(43))

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from chgeom import core
+from chgeom import triples as triples_module
 from chgeom.core import (
     alpha,
     beta,
@@ -43,6 +44,7 @@ from chgeom.triples import (
     classify_triple,
     connect_triples,
     decompose_three_reflections,
+    _sheet_gap,
     horizontal_line,
     s_coords,
     standard_gram,
@@ -578,6 +580,43 @@ class TestDecompose:
         except NotConjugate:
             return
         assert np.abs(D.product().m - F.m).max() <= 1e-8
+
+    def test_model_realization_ignores_the_last_bit_of_t(self):
+        # t1 = t2 ties |u_0| = |u_2| in an eigenvector of the model Gram; a
+        # tie broken by roundoff rotates the model by a diagonal phase
+        rng = default_rng(21)
+        n = 0
+        while n < 36:
+            tr = random_isometry(rng, 1.0).trace
+            a, b = tr.imag / 8.0, (tr.real + 1.0) / 4.0
+            gap = _sheet_gap(4.0, 4.0, a, b)
+            if b <= 1e-9 or gap < 0.25:
+                continue
+            t = 1.0 + np.sqrt(gap)
+            u, w = (
+                realize_gram(standard_gram(SCoords(x, 4.0, 4.0, (-1, -1, -1), a, b)))
+                for x in (t, np.nextafter(t, 2.0 * t))
+            )
+            assert np.abs(u - w).max() <= 1e-12
+            n += 1
+
+    def test_last_bits_of_t_do_not_move_the_triple(self, monkeypatch):
+        rng = default_rng(21)
+        n = 0
+        while n < 40:
+            F = random_isometry(rng, 1.0)
+            try:
+                D = decompose_three_reflections(F)
+            except NotConjugate:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(
+                    triples_module, "_sheet_gap", lambda *c: _sheet_gap(*c) * (1.0 + 4e-16)
+                )
+                E = decompose_three_reflections(F)
+            for p, q in zip(D.points, E.points):
+                assert np.abs(p.rep - q.rep).max() <= 1e-10
+            n += 1
 
 
 class TestTangentCondition:
