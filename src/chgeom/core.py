@@ -260,7 +260,7 @@ class Gram:
 def gram(points) -> Gram:
     reps = np.array([_rep(p) for p in points])
     m = (reps.conj() @ J @ reps.T).T
-    m.flags.writeable = False
+    m.setflags(write=False)
     return Gram(m=m)
 
 

@@ -14,7 +14,12 @@ without transport.  Every holonomy element lies in C(F), which is abelian
 when F is regular, so by the Ambrose-Singer theorem (Trans. AMS 75, 1953)
 the holonomy algebra is the span of the curvature's values over the fibre,
 with no conjugation back to the base point.  `holonomy_dimension` reads
-the rank of a few such values; the loop samples (`holonomy_samples`,
+the rank of a few such values.  It reads them at the canonical triple
+realizing the input's S-coordinates: congruent triples have conjugate
+holonomy, and there the representatives stay small however far the input
+was moved.  Each value is the closed-form curvature vector
+`omega_commutator`, the curvature applied to p1, written in the
+centralizer basis applied to p1.  The loop samples (`holonomy_samples`,
 `rectangle_holonomy`) remain as the independent check.
 """
 
@@ -46,6 +51,7 @@ from .triples import (
     _coordinate_move,
     _invariants,
     _standard_cols,
+    _standard_triple,
     apply_bend_program,
     s_coords,
 )
@@ -180,7 +186,11 @@ def vertical_part(T: Triple, vels: TripleVelocities) -> VerticalPart:
 def omega_commutator(T: Triple) -> np.ndarray:
     """The curvature vector at p1: the vertical part of [b1, b2] applied
     to the first point, in closed form."""
-    c = s_coords(T)
+    return _omega(T, s_coords(T))
+
+
+def _omega(T: Triple, c: SCoords) -> np.ndarray:
+    """omega_commutator(T) with c = s_coords(T) already read."""
     _pin_sheet(c.t, "curvature normalization degenerates at t = 1")
     G = T.gram().m
     p1, p2, p3 = (p.rep for p in T.points)
@@ -295,18 +305,31 @@ _SPAN_MOVES = (("12", 1.3), ("23", 1.45), ("12", 1.6), ("23", 1.35))
 
 
 def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
-    """sv1/sv0 of the normalised curvature values at T and four moves away,
-    in centralizer coordinates of the product."""
+    """sv1/sv0 of the normalised curvature values at the canonical triple
+    with T's coordinates and four moves away, in centralizer coordinates of
+    the product.
+
+    Triples with equal S-coordinates are congruent and hol(gT) =
+    g hol(T) g^-1, so the rank is read where the representatives are
+    smallest rather than wherever T was moved to.  A curvature value Y in
+    C(F) is written through its action Y p1 = omega on the first point: a
+    6x2 real least-squares solve against the basis applied to p1.
+    """
     c = s_coords(T)
     _pin_sheet(c.t, "the curvature's sample moves need a pinned sheet")
-    basis = centralizer_basis(T.product())
-    cur = T
-    rows = [_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie)]
+    cur = _standard_triple(c, tol)
+    basis = centralizer_basis(cur.product())
+
+    def row(P: Triple, cc: SCoords) -> np.ndarray:
+        return _basis_coords([B @ P.p1.rep for B in basis], _omega(P, cc))
+
+    cc = c
+    rows = [row(cur, c)]
     for pair, factor in _SPAN_MOVES:
-        cc = s_coords(cur)
         target = getattr(cc, _SWEPT[pair]) * factor
         cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
-        rows.append(_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie))
+        cc = s_coords(cur)
+        rows.append(row(cur, cc))
     rows = np.array(rows)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     sv = np.linalg.svd(rows, compute_uv=False)
@@ -326,9 +349,13 @@ def holonomy_dimension(
     The holonomy lies in the centralizer of the product, abelian when the
     product is regular, so by Ambrose-Singer its algebra is the span of the
     curvature vertical_part(P, b_commutator(P)).lie over the fibre.  The
-    curvature is evaluated at T and at four sheet-pinned moves from it,
-    each value written in the centralizer basis and normalised; the rank is
-    2 when sv1/sv0 >= RANK_TWO_ABOVE, 1 when sv1/sv0 <= RANK_ONE_BELOW.  A
+    rank is read at the canonical triple with T's S-coordinates
+    (realize_gram of standard_gram), which is congruent to T, so the
+    answer does not depend on where an isometry has moved T.  The
+    curvature is evaluated there and at four sheet-pinned moves from it,
+    each value taken as its closed-form action omega on p1, written in the
+    centralizer basis and normalised; the rank is 2 when sv1/sv0 >=
+    RANK_TWO_ABOVE, 1 when sv1/sv0 <= RANK_ONE_BELOW.  A
     ratio in between raises RankInconclusive carrying the ratio and the
     band; nothing is resampled.  A non-regular product raises NotRegular,
     and t = 1 raises OnRamification.  n_samples and rng are accepted for

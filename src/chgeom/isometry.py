@@ -34,7 +34,7 @@ SEPARATION_TOL = 1e-5
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

@@ -62,7 +62,7 @@ def decode_point(data, tol: float = DEFAULT_TOL) -> Point:
     # Canonicalizing an already-canonical vector only stirs the last bits;
     # keep the stored ones so a re-encode reproduces the file exactly.
     if float(np.abs(p.rep - v).max()) <= 1e-12 * float(np.abs(v).max()):
-        v.flags.writeable = False
+        v.setflags(write=False)
         return Point(rep=v, sign=p.sign)
     return p
 
@@ -73,7 +73,7 @@ def decode_gram(data) -> Gram:
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")
     m = np.array(entries, dtype=complex).reshape(n, n)
-    m.flags.writeable = False
+    m.setflags(write=False)
     return Gram(m=m)
 
 

@@ -108,12 +108,17 @@ def classify_triple(T: Triple, tol: float = DEFAULT_TOL) -> TripleClass:
     regularity; otherwise alpha separates the real locus from the generic
     one.
     """
+    return _classify(T, _triple_invariants(T.gram().m, tol), tol)
+
+
+def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
+    """classify_triple(T) from inv = _triple_invariants of T's Gram."""
     if sum(1 for p in T.points if p.sign > 0) >= 2:
         return TripleClass.NOT_REGULAR
     m = T.gram().m
     if min(abs(m[0, 1]), abs(m[1, 2])) <= tol:
         return TripleClass.NOT_REGULAR
-    *_, a, b = _triple_invariants(m, tol)
+    *_, a, b = inv
     if abs(a) <= tol and abs(b) <= tol:
         # at most one positive point and g12 != 0: p1 and p2 coincide or
         # span a hyperbolic line, and a real degenerate Gram puts p3 on
@@ -178,21 +183,28 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
     _require(abs(c.residual()), tol * scale, InadmissibleCoords, "surface residual")
 
 
-def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
-    """(t1, t2, t, alpha, beta) of T from its Gram; DegenerateTau where the
-    shape ratio, and so t, is undefined."""
-    t1, t2, tau, a, b = _triple_invariants(T.gram().m, tol)
+def _real_t(inv: tuple) -> tuple[float, ...]:
+    """(t1, t2, t, alpha, beta) from _triple_invariants' (t1, t2, tau,
+    alpha, beta); DegenerateTau where the shape ratio, and so t, is
+    undefined."""
+    t1, t2, tau, a, b = inv
     if tau is None:
         raise DegenerateTau("g12 * g23 vanishes, shape ratio undefined")
     return t1, t2, tau.real, a, b
 
 
+def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+    """(t1, t2, t, alpha, beta) of T from its Gram."""
+    return _real_t(_triple_invariants(T.gram().m, tol))
+
+
 def s_coords(T: Triple, tol: float = DEFAULT_TOL) -> SCoords:
     """Surface coordinates of a (real) strongly regular triple."""
-    cls = classify_triple(T, tol)
+    inv = _triple_invariants(T.gram().m, tol)
+    cls = _classify(T, inv, tol)
     if cls not in (TripleClass.STRONGLY_REGULAR, TripleClass.REAL_STRONGLY_REGULAR):
         raise NotStronglyRegular(f"triple is {cls.value}")
-    t1, t2, t, a, b = _invariants(T, tol)
+    t1, t2, t, a, b = _real_t(inv)
     return SCoords(
         t=t, t1=t1, t2=t2, sigma=tuple(p.sign for p in T.points), alpha=a, beta=b
     )
@@ -217,8 +229,13 @@ def standard_gram(c: SCoords) -> np.ndarray:
 def triple_from_coords(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
     """A triple with the given surface coordinates (InadmissibleCoords if none)."""
     validate_coords(c)
-    vecs = realize_gram(standard_gram(c), tol)
-    return Triple(*(point(v, tol) for v in vecs))
+    return _standard_triple(c, tol)
+
+
+def _standard_triple(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
+    """The triple realizing standard_gram(c), for coordinates already known
+    to be admissible: read off a triple by s_coords, or built to order."""
+    return Triple(*(point(v, tol) for v in realize_gram(standard_gram(c), tol)))
 
 
 def _standard_cols(T: Triple) -> np.ndarray:
@@ -270,15 +287,13 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
         t = 1.0 + np.sqrt(gap)
         # g is a power of two, so both consecutive pairings come out as g
         # exactly; validate_coords is skipped, it rejects |beta| <= tol
-        G = standard_gram(SCoords(t, t1, t2, sigma, a, b))
-        pts = [point(v, tol) for v in realize_gram(G, tol)]
-        f0 = Isometry(_reflection_product(pts))
+        T0 = _standard_triple(SCoords(t, t1, t2, sigma, a, b), tol)
         try:
-            h = conjugator(f0, F, tol)
+            h = conjugator(T0.product(), F, tol)
         except (NotConjugate, NotRegular) as err:
             failure = err
             continue
-        return Triple(*(h.apply(p, tol) for p in pts))
+        return T0.apply(h, tol)
     raise NotConjugate(
         f"no admissible sign pattern matches the input ({failure})"
     )

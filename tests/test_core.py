@@ -131,7 +131,9 @@ def reference_point(v, tol=1e-9):
     if abs(s) <= tol * norm2:
         raise errors.IsotropicVector("isotropic")
     rep = v / np.sqrt(abs(s))
-    k = int(np.argmax(np.abs(rep)))
+    # the anchor: the first entry within 1e-12 (relative) of the largest modulus
+    mags = np.abs(rep)
+    k = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-12))[0])
     rep = rep * (abs(rep[k]) / rep[k])
     rep[k] = rep[k].real
     return rep, 1 if s > 0 else -1
@@ -143,6 +145,12 @@ def test_point_is_bitwise_reference():
         v = random_vector(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
         if i % 5 == 0:
             v[1] = 1j * v[0]  # equal moduli: the first one must win
+        if i % 3 == 0:
+            # a later entry larger by a near-tie (inside 1e-12: the first
+            # one still wins) or by a clear margin (outside: it wins)
+            j = int(rng.integers(1, 3))
+            v[j] = v[0] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            v[j] *= 1.0 + rng.choice([1e-15, 1e-13, 5e-13, 1e-11, 1e-9])
         if i % 7 == 0:
             v[rng.integers(3)] = 0.0
         try:

@@ -8,8 +8,10 @@ from chgeom import holonomy, isometry, jsonio
 from chgeom.core import form, self_product
 from chgeom.errors import NotRegular, OnRamification, RankInconclusive
 from chgeom.holonomy import (
+    _SPAN_MOVES,
     RANK_ONE_BELOW,
     RANK_TWO_ABOVE,
+    _basis_coords,
     _curvature_span_ratio,
     b_commutator,
     b_fields,
@@ -23,11 +25,15 @@ from chgeom.isometry import centralizer_basis, isometry_log
 from chgeom.paths import tangent
 from chgeom.sampling import (
     default_rng,
+    random_isometry,
     random_strongly_regular_coords,
     random_strongly_regular_triple,
 )
 from chgeom.triples import (
+    _SWEPT,
     SCoords,
+    _coordinate_move,
+    _standard_triple,
     horizontal_line,
     s_coords,
     tangent_ef_residual,
@@ -410,3 +416,54 @@ class TestCurvatureSpan:
             # the loop logs' roundoff floor sits near 1e-16 of the largest
             loop_rank = int(np.sum(sv > 1e-8 * sv[0]))
             assert holonomy_dimension(T) == loop_rank
+
+    def test_moved_triples_keep_their_rank(self, monkeypatch):
+        # an isometry changes neither the rank nor, up to roundoff, the
+        # ratio; far-out representatives once pushed ratios into the band
+        ratios = []
+        span_ratio = holonomy._curvature_span_ratio
+
+        def recorded(T, tol):
+            ratios.append(span_ratio(T, tol))
+            return ratios[-1]
+
+        monkeypatch.setattr(holonomy, "_curvature_span_ratio", recorded)
+        for scale in (1.0, 1.5, 2.0):
+            rng = default_rng(99)
+            for i in range(400):
+                real = i % 4 == 3
+                T = random_strongly_regular_triple(rng, real=real)
+                T = T.apply(random_isometry(rng, scale))
+                assert holonomy_dimension(T) == (1 if real else 2)
+                if scale == 2.0:
+                    continue
+                if real:
+                    assert ratios[-1] <= 0.1 * RANK_ONE_BELOW
+                else:
+                    assert ratios[-1] >= 10 * RANK_TWO_ABOVE
+
+
+def reference_span_ratio(T):
+    """_curvature_span_ratio with each curvature value built the long way:
+    vertical_part of the bracket, written in the centralizer basis by an
+    18x2 least-squares solve."""
+    c = s_coords(T)
+    cur = _standard_triple(c)
+    basis = centralizer_basis(cur.product())
+    rows = [_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie)]
+    for pair, factor in _SPAN_MOVES:
+        target = getattr(s_coords(cur), _SWEPT[pair]) * factor
+        cur, _ = _coordinate_move(cur, pair, target, c.sheet)
+        rows.append(_basis_coords(basis, vertical_part(cur, b_commutator(cur)).lie))
+    rows = np.array(rows)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return float(sv[1] / sv[0])
+
+
+def test_span_ratio_matches_vertical_part_reference():
+    rng = default_rng(220)
+    for _ in range(20):
+        T = random_strongly_regular_triple(rng)
+        want = reference_span_ratio(T)
+        assert _curvature_span_ratio(T) == pytest.approx(want, rel=1e-8)
