@@ -313,11 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     hol = sub.add_parser("holonomy", help="holonomy probes around bending loops")
     hsub = hol.add_subparsers(dest="action", required=True, metavar="action")
 
-    p = hsub.add_parser(
-        "probe",
-        help="sample loop holonomy logs (CSV columns c1,c2: coordinates in "
-        "a centralizer basis of the triple product) and report the rank",
+    probe_doc = (
+        "sample loop holonomy logs at the canonical triple with the input's "
+        "S-coordinates (CSV columns c1,c2: coordinates in the centralizer basis "
+        "of its product, so moving the input changes them only by roundoff) and "
+        "report the rank; loops do not walk back, rectangles halve until they fit"
     )
+    p = hsub.add_parser("probe", help=probe_doc, description=probe_doc)
     p.add_argument("--triple", required=True, help="triple JSON file")
     p.add_argument("--samples", type=int, default=8, help="number of loops")
     p.add_argument("--ds", type=float, default=1e-2, help="rectangle side scale")

@@ -19,8 +19,11 @@ realizing the input's S-coordinates: congruent triples have conjugate
 holonomy, and there the representatives stay small however far the input
 was moved.  Each value is the closed-form curvature vector
 `omega_commutator`, the curvature applied to p1, written in the
-centralizer basis applied to p1.  The loop samples (`holonomy_samples`,
-`rectangle_holonomy`) remain as the independent check.
+centralizer basis applied to p1.  The loop samples (`holonomy_samples`)
+remain as the independent check.  They too are read at the canonical
+triple, in the centralizer basis of its product, so moving the input
+changes them only by roundoff; bendings are natural under isometries, so a
+loop ends at its rectangle and never walks its outbound legs back.
 """
 
 from __future__ import annotations
@@ -45,14 +48,12 @@ from .isometry import (
 )
 from .triples import (
     _SWEPT,
-    Move,
     SCoords,
     Triple,
     _coordinate_move,
     _invariants,
     _standard_cols,
     _standard_triple,
-    apply_bend_program,
     s_coords,
 )
 
@@ -207,16 +208,6 @@ def _omega(T: Triple, c: SCoords) -> np.ndarray:
     )
 
 
-def _rectangle(T: Triple, c: SCoords, ds1: float, ds2: float, tol: float) -> Triple:
-    """T carried around the coordinate rectangle from c = s_coords(T): t2
-    up by ds1, t1 up by ds2, then both back, every leg on c's sheet."""
-    cur = T
-    legs = (("12", c.t2 + ds1), ("23", c.t1 + ds2), ("12", c.t2), ("23", c.t1))
-    for pair, target in legs:
-        cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
-    return cur
-
-
 def rectangle_holonomy(
     T: Triple,
     ds1: float,
@@ -224,7 +215,7 @@ def rectangle_holonomy(
     tol: float = DEFAULT_TOL,
 ) -> tuple[Isometry, tuple[float, float]]:
     """Holonomy around the coordinate rectangle with sides ds1 (in t2) and
-    ds2 (in t1), based at T.
+    ds2 (in t1), based at T: t2 up by ds1, t1 up by ds2, then both back.
 
     All four legs stay on the sheet of T; the sides halve on Unreachable
     until the rectangle fits, and the actually used sides are returned.
@@ -234,8 +225,11 @@ def rectangle_holonomy(
     c = s_coords(T)
     _pin_sheet(c.t, "rectangle sheet is pinned only away from t = 1")
     for _ in range(8):
+        legs = (("12", c.t2 + ds1), ("23", c.t1 + ds2), ("12", c.t2), ("23", c.t1))
+        cur = T
         try:
-            cur = _rectangle(T, c, ds1, ds2, tol)
+            for pair, target in legs:
+                cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
         except Unreachable:
             ds1 *= 0.5
             ds2 *= 0.5
@@ -244,25 +238,23 @@ def rectangle_holonomy(
     raise LeavesAdmissibleRegion("rectangle does not fit in the admissible region")
 
 
-def _loop_sample(T, basis, ds, rng, tol):
-    """One holonomy log, in centralizer coordinates, around a random loop."""
-    cur = T
-    out: list[Move] = []
-    for _ in range(int(rng.integers(0, 4))):
-        pair = "12" if rng.random() < 0.5 else "23"
-        cc = s_coords(cur)
-        # scaling up the tracked coordinate stays reachable on the same sheet
-        target = getattr(cc, _SWEPT[pair]) * rng.uniform(1.2, 1.8)
-        cur, mv = _coordinate_move(cur, pair, target, cc.sheet, tol)
-        out.append(mv)
-    cc = s_coords(cur)
-    ds1 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t2))
-    ds2 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t1))
-    cur = _rectangle(cur, cc, ds1, ds2, tol)
-    # undo the outbound legs so the loop closes at the base triple
-    cur = apply_bend_program(cur, [Move(mv.pair, -mv.s) for mv in reversed(out)], tol)
-    g = _frame_map(_standard_cols(cur), _standard_cols(T))
-    return _basis_coords(basis, isometry_log(g))
+def _canonical_base(T: Triple, tol: float) -> tuple[SCoords, Triple, list]:
+    """T's S-coordinates c, the triple realizing standard_gram(c), and the
+    centralizer basis of its product.  That triple is congruent to T, so
+    holonomy is read there, where representatives stay small however far
+    an isometry has moved T."""
+    c = s_coords(T)
+    _pin_sheet(c.t, "holonomy is read on a pinned sheet, away from t = 1")
+    base = _standard_triple(c, tol)
+    return c, base, centralizer_basis(base.product())
+
+
+def _walk(cur: Triple, cc: SCoords, pair: str, factor: float, sheet: int, tol: float):
+    """cur, with cc = s_coords(cur), bent on `sheet` until the coordinate
+    `pair` tracks is `factor` times larger; returns it and its s_coords."""
+    target = getattr(cc, _SWEPT[pair]) * factor
+    cur, _ = _coordinate_move(cur, pair, target, sheet, tol)
+    return cur, s_coords(cur)
 
 
 def _basis_coords(basis, w: np.ndarray) -> np.ndarray:
@@ -282,16 +274,30 @@ def holonomy_samples(
     rng=None,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Centralizer coordinates of holonomy logs around n random loops."""
-    from .sampling import default_rng
+    """Centralizer coordinates of holonomy logs around n random loops.
 
-    if rng is None or not isinstance(rng, np.random.Generator):
-        rng = default_rng(rng)
-    basis = centralizer_basis(T.product())
-    _pin_sheet(_invariants(T)[2], "holonomy loops need a pinned sheet")
-    return np.array(
-        [_loop_sample(T, basis, ds, rng, tol) for _ in range(n_samples)]
-    )
+    Each loop leaves the canonical triple with T's S-coordinates by up to
+    three sheet-pinned legs, each scaling a tracked coordinate by a factor
+    in [1.2, 1.8], and ends with one coordinate rectangle, whose sides
+    halve until it fits.  Bendings are natural under isometries, so that
+    rectangle's holonomy is the whole lasso's and no leg is walked back.
+    Rows are in the centralizer basis of the canonical triple's product, so
+    moving T changes them only by roundoff.
+    """
+    rng = np.random.default_rng(rng)
+    c, base, basis = _canonical_base(T, tol)
+
+    def loop() -> np.ndarray:
+        cur, cc = base, c
+        for _ in range(int(rng.integers(0, 4))):
+            pair = "12" if rng.random() < 0.5 else "23"
+            cur, cc = _walk(cur, cc, pair, rng.uniform(1.2, 1.8), c.sheet, tol)
+        ds1 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t2))
+        ds2 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t1))
+        g, _ = rectangle_holonomy(cur, ds1, ds2, tol)
+        return _basis_coords(basis, isometry_log(g))
+
+    return np.array([loop() for _ in range(n_samples)])
 
 
 #: sv1/sv0 of the curvature rows at or above this is rank 2, at or below
@@ -309,16 +315,11 @@ def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
     with T's coordinates and four moves away, in centralizer coordinates of
     the product.
 
-    Triples with equal S-coordinates are congruent and hol(gT) =
-    g hol(T) g^-1, so the rank is read where the representatives are
-    smallest rather than wherever T was moved to.  A curvature value Y in
-    C(F) is written through its action Y p1 = omega on the first point: a
-    6x2 real least-squares solve against the basis applied to p1.
+    A curvature value Y in C(F) is written through its action Y p1 = omega
+    on the first point: a 6x2 real least-squares solve against the basis
+    applied to p1.
     """
-    c = s_coords(T)
-    _pin_sheet(c.t, "the curvature's sample moves need a pinned sheet")
-    cur = _standard_triple(c, tol)
-    basis = centralizer_basis(cur.product())
+    c, cur, basis = _canonical_base(T, tol)
 
     def row(P: Triple, cc: SCoords) -> np.ndarray:
         return _basis_coords([B @ P.p1.rep for B in basis], _omega(P, cc))
@@ -326,9 +327,7 @@ def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
     cc = c
     rows = [row(cur, c)]
     for pair, factor in _SPAN_MOVES:
-        target = getattr(cc, _SWEPT[pair]) * factor
-        cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
-        cc = s_coords(cur)
+        cur, cc = _walk(cur, cc, pair, factor, c.sheet, tol)
         rows.append(row(cur, cc))
     rows = np.array(rows)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -349,15 +348,13 @@ def holonomy_dimension(
     The holonomy lies in the centralizer of the product, abelian when the
     product is regular, so by Ambrose-Singer its algebra is the span of the
     curvature vertical_part(P, b_commutator(P)).lie over the fibre.  The
-    rank is read at the canonical triple with T's S-coordinates
-    (realize_gram of standard_gram), which is congruent to T, so the
-    answer does not depend on where an isometry has moved T.  The
-    curvature is evaluated there and at four sheet-pinned moves from it,
-    each value taken as its closed-form action omega on p1, written in the
-    centralizer basis and normalised; the rank is 2 when sv1/sv0 >=
-    RANK_TWO_ABOVE, 1 when sv1/sv0 <= RANK_ONE_BELOW.  A
-    ratio in between raises RankInconclusive carrying the ratio and the
-    band; nothing is resampled.  A non-regular product raises NotRegular,
+    rank is read at the canonical triple with T's S-coordinates, so it does
+    not depend on where an isometry has moved T.  The curvature is
+    evaluated there and at four sheet-pinned moves from it, each value
+    taken as its closed-form action omega on p1, written in the centralizer
+    basis and normalised; the rank is 2 when sv1/sv0 >= RANK_TWO_ABOVE, 1
+    when sv1/sv0 <= RANK_ONE_BELOW.  A ratio in between raises
+    RankInconclusive carrying the ratio and the band; nothing is resampled.  A non-regular product raises NotRegular,
     and t = 1 raises OnRamification.  n_samples and rng are accepted for
     compatibility and unused; ds matters only as ds = 0.
     """

@@ -365,14 +365,12 @@ def _coordinate_move(
         raise ValueError(f"pair {pair} does not span a hyperbolic line")
     fixed = T.p3 if pair == "12" else T.p1
     cand_s = _bend_targets(b, T.p2, fixed, target, tol)
+    t_now = _invariants(T)[2] if sheet is None else None
     best: tuple[float, Triple, float] | None = None
     for s in cand_s:
         cand = Triple(*_bend(T.points, pair, s, tol, b))
         tc = _invariants(cand)[2]
-        if sheet is None:
-            score = -abs(tc - _invariants(T)[2])
-        else:
-            score = sheet * (tc - 1.0)
+        score = -abs(tc - t_now) if sheet is None else sheet * (tc - 1.0)
         if best is None or score > best[0]:
             best = (score, cand, s)
     return best[1], Move(pair=pair, s=best[2])

@@ -18,7 +18,11 @@ from chgeom import (
 from chgeom.cli import _pentagon_from_moduli_csv, main
 from chgeom.errors import InadmissibleModuli
 from chgeom.holonomy import holonomy_dimension, holonomy_samples
-from chgeom.sampling import random_negative_point, random_strongly_regular_triple
+from chgeom.sampling import (
+    random_isometry,
+    random_negative_point,
+    random_strongly_regular_triple,
+)
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +333,27 @@ class TestHolonomyProbe:
         assert d["singular_values"] == [
             float(s) for s in np.linalg.svd(rows, compute_uv=False)
         ]
+
+    def test_probe_moved_triple(self, tmp_path, capsys):
+        # at its own position this triple's product reads as non-regular
+        # (a one-dimensional centralizer); the loops run at the canonical
+        # triple instead
+        T = random_strongly_regular_triple(default_rng(183))
+        M = T.apply(random_isometry(default_rng(183), 2.0))
+        t = write(tmp_path, "t.json", M)
+        code, out = run(capsys, "holonomy", "probe", "--triple", t, "--samples", "6",
+                        "--seed", "9", "--out", str(tmp_path / "rows.csv"))
+        assert code == 0
+        d = json.loads(out.out)
+        assert d["dimension"] == 2
+        # decoding re-canonicalises a far-out representative's last bits
+        decoded = jsonio.decode_triple(json.loads((tmp_path / "t.json").read_text()))
+        rows = holonomy_samples(decoded, 6, rng=default_rng(9), tol=1e-9)
+        sv = np.linalg.svd(rows, compute_uv=False)
+        assert d["singular_values"] == [float(s) for s in sv]
+        unmoved = holonomy_samples(T, 6, rng=default_rng(9), tol=1e-9)
+        sv_unmoved = np.linalg.svd(unmoved, compute_uv=False)
+        assert np.abs(sv - sv_unmoved).max() <= 1e-6 * sv_unmoved[0]
 
 
 class TestOutFlag:

@@ -21,7 +21,7 @@ from chgeom.holonomy import (
     rectangle_holonomy,
     vertical_part,
 )
-from chgeom.isometry import centralizer_basis, isometry_log
+from chgeom.isometry import _frame_map, centralizer_basis, isometry_log
 from chgeom.paths import tangent
 from chgeom.sampling import (
     default_rng,
@@ -31,9 +31,12 @@ from chgeom.sampling import (
 )
 from chgeom.triples import (
     _SWEPT,
+    Move,
     SCoords,
     _coordinate_move,
+    _standard_cols,
     _standard_triple,
+    apply_bend_program,
     horizontal_line,
     s_coords,
     tangent_ef_residual,
@@ -467,3 +470,62 @@ def test_span_ratio_matches_vertical_part_reference():
         T = random_strongly_regular_triple(rng)
         want = reference_span_ratio(T)
         assert _curvature_span_ratio(T) == pytest.approx(want, rel=1e-8)
+
+
+def walked_back_samples(T, n_samples, ds, rng):
+    """holonomy_samples with each lasso closed the long way, at the same
+    canonical triple and on the same draws: walk out, go round the
+    rectangle, replay the negated outbound moves in reverse and map the
+    frame reached back onto the base."""
+    base = _standard_triple(s_coords(T))
+    basis = centralizer_basis(base.product())
+    rows = []
+    for _ in range(n_samples):
+        cur, out = base, []
+        for _ in range(int(rng.integers(0, 4))):
+            pair = "12" if rng.random() < 0.5 else "23"
+            cc = s_coords(cur)
+            target = getattr(cc, _SWEPT[pair]) * rng.uniform(1.2, 1.8)
+            cur, mv = _coordinate_move(cur, pair, target, cc.sheet)
+            out.append(mv)
+        cc = s_coords(cur)
+        ds1 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t2))
+        ds2 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t1))
+        legs = (("12", cc.t2 + ds1), ("23", cc.t1 + ds2), ("12", cc.t2), ("23", cc.t1))
+        for pair, target in legs:
+            cur, _ = _coordinate_move(cur, pair, target, cc.sheet)
+        cur = apply_bend_program(cur, [Move(mv.pair, -mv.s) for mv in reversed(out)])
+        g = _frame_map(_standard_cols(cur), _standard_cols(base))
+        rows.append(_basis_coords(basis, isometry_log(g)))
+    return np.array(rows)
+
+
+class TestLoopSamples:
+    def test_lasso_needs_no_walk_back(self):
+        # bendings are natural under isometries, so the rectangle's
+        # holonomy at the far end is the whole lasso's
+        rng = default_rng(230)
+        draws = [random_strongly_regular_triple(rng) for _ in range(20)]
+        draws += [random_strongly_regular_triple(rng, real=True) for _ in range(20)]
+        for k, T in enumerate(draws):
+            rows = holonomy_samples(T, 4, rng=default_rng(k))
+            want = walked_back_samples(T, 4, 1e-2, default_rng(k))
+            scale = np.linalg.norm(want, axis=1).max()
+            assert np.abs(rows - want).max() <= 1e-8 * scale
+
+    def test_moved_triples_keep_their_samples(self):
+        # the loops run at the canonical triple, so an isometry changes the
+        # rows by roundoff only; at T's own position far-moved triples
+        # raised NotRegular
+        for scale in (1.0, 2.0):
+            rng = default_rng(99)
+            for i in range(100):
+                T = random_strongly_regular_triple(rng, real=i % 4 == 3)
+                M = T.apply(random_isometry(rng, scale))
+                sv = np.linalg.svd(
+                    holonomy_samples(T, 4, rng=default_rng(0)), compute_uv=False
+                )
+                sv_moved = np.linalg.svd(
+                    holonomy_samples(M, 4, rng=default_rng(0)), compute_uv=False
+                )
+                assert np.abs(sv_moved - sv).max() <= 1e-6 * sv[0]
