@@ -167,6 +167,20 @@ def _triple_invariants(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     )
 
 
+def _degenerate_tau(m: np.ndarray, tol: float) -> DegenerateTau:
+    """The DegenerateTau for a Gram m whose shape ratio _triple_invariants
+    left undefined: `value` is |m12 m23| / (sqrt|m11 m33| |m22|), the
+    quantity it tested, and `bound` the tolerance it fell to or below."""
+    (g11, g12, _), (_, g22, g23), (_, _, g33) = m.tolist()
+    value = abs(g12 * g23) / (math.sqrt(abs(g11.real * g33.real)) * abs(g22.real))
+    return DegenerateTau(
+        f"g12 * g23 is {value:.1e} of the form norms, shape ratio undefined "
+        f"at tolerance {tol:.1e}",
+        value=value,
+        bound=tol,
+    )
+
+
 def alpha(p1, p2, p3) -> float:
     """Normalized imaginary part of the cyclic triple product."""
     return _triple_invariants(gram((p1, p2, p3)).m)[3]
@@ -183,9 +197,10 @@ def tau_complex(p1, p2, p3, tol: float = DEFAULT_TOL):
     Raises DegenerateTau when the denominator vanishes relative to the
     points' form norms.
     """
-    t = _triple_invariants(gram((p1, p2, p3)).m, tol)[2]
+    m = gram((p1, p2, p3)).m
+    t = _triple_invariants(m, tol)[2]
     if t is None:
-        raise DegenerateTau("g12 * g23 vanishes, shape ratio undefined")
+        raise _degenerate_tau(m, tol)
     return t
 
 

@@ -45,7 +45,11 @@ class OrthogonalPoints(GeometryError):
 
 
 class DegenerateTau(GeometryError):
-    """The shape invariant is undefined because a needed product vanishes."""
+    """The shape invariant is undefined because a needed product vanishes.
+
+    `value` is |g12 g23| / (sqrt|g11 g33| |g22|) of the triple's Gram and
+    `bound` the tolerance it fell to or below.
+    """
 
 
 class EuclideanLine(GeometryError):

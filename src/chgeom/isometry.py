@@ -136,9 +136,8 @@ def project_to_su_algebra(y) -> np.ndarray:
 def _expm3_batch(a: np.ndarray) -> np.ndarray:
     """exp of a stack of 3x3 matrices by scaled Taylor series.
 
-    One scaling power is shared by the stack.  Exact (to roundoff) for the
-    small-norm generators in the path and bending hot loops, and exact for
-    nilpotent generators.
+    One scaling power is shared by the stack.  Exact (to roundoff) for
+    small-norm generators, and exact for nilpotent generators.
     """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=(-2, -1)).max(initial=0.0))

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     J,
+    SIGNATURE,
     LineType,
     Point,
     _cross,
@@ -49,7 +50,6 @@ from .errors import (
 from .isometry import (
     IDENTITY,
     Isometry,
-    _expm3_batch,
     _ro,
     project_to_su,
     rank_one_map,
@@ -167,39 +167,85 @@ def normalized_lift(path) -> np.ndarray:
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
     """steps[n-1] @ ... @ steps[0] by pairwise tree reduction.
 
-    Each level multiplies neighbouring pairs in one batched matmul and
-    carries an odd last step up unchanged, so the roundoff grows with
-    log n rather than n (Blelloch, "Prefix sums and their applications").
+    Each level multiplies all neighbouring pairs of the (n, 3, 3) stack at
+    once, as three broadcast multiply-adds over the inner index (3x3
+    products in a batched matmul cost more per pair), and carries an odd
+    last step up unchanged.  So the roundoff grows with log n rather than n
+    (Blelloch, "Prefix sums and their applications").
     """
     while len(steps) > 1:
-        paired = steps[1::2] @ steps[:-1:2]
+        left, right = steps[1::2], steps[:-1:2]
+        paired = left[:, :, :1] * right[:, None, 0]
+        paired += left[:, :, 1:2] * right[:, None, 1]
+        paired += left[:, :, 2:] * right[:, None, 2]
         steps = np.concatenate([paired, steps[2 * len(paired) :]])
     return steps[0]
+
+
+#: |lambda| below which _step_exponentials takes its coefficients from the
+#: series; their first dropped terms, lambda^4 / 9! and lambda^4 / 10!, are
+#: then below 3e-18.
+_SERIES_CUTOFF = 1e-3
+
+
+def _step_exponentials(m: np.ndarray, v: np.ndarray, sign: int) -> np.ndarray:
+    """exp(g_k) for the step generators g = sign (v (Jm)^* - m (Jv)^*).
+
+    Here m and v are (n, 3) stacks, each v form-orthogonal to its m, and
+    g maps x to sign (<x, m> v - <x, v> m).  Then g^2 = -<v, v> m (Jm)^*
+    - <m, m> v (Jv)^* and g^3 = lam g with lam = -<m, m> <v, v>, so
+    exp(g) = I + a g + b g^2 (Rodrigues) with a = sinh(x)/x and
+    b = (cosh x - 1)/x^2 for x = sqrt(lam); for lam < 0 these read
+    sin(y)/y and (1 - cos y)/y^2 with y = sqrt(-lam).  Small |lam| (about
+    1e-9 at 1e4 steps) takes a and b from their series, larger |lam| from
+    the half-angle form b = 2 (sinh(x/2)/x)^2, which does not cancel.
+    """
+    mm = form(m, m).real
+    vv = form(v, v).real
+    lam = -mm * vv
+    a = 1.0 + lam * (1.0 / 6.0 + lam * (1.0 / 120.0 + lam / 5040.0))
+    b = 0.5 + lam * (1.0 / 24.0 + lam * (1.0 / 720.0 + lam / 40320.0))
+    big = np.flatnonzero(np.abs(lam) >= _SERIES_CUTOFF)
+    if big.size:
+        x = np.sqrt(np.abs(lam[big]))
+        hyp = lam[big] > 0.0
+        a[big] = np.where(hyp, np.sinh(x), np.sin(x)) / x
+        h = np.where(hyp, np.sinh(0.5 * x), np.sin(0.5 * x)) / x
+        b[big] = 2.0 * h * h
+    jm = (m * SIGNATURE).conj()
+    jv = (v * SIGNATURE).conj()
+    # I + a g + b g^2
+    #   = I + v (a sign Jm - b <m,m> Jv)^* - m (a sign Jv + b <v,v> Jm)^*
+    sa = (sign * a)[:, None]
+    out = v[:, :, None] * (sa * jm - (b * mm)[:, None] * jv)[:, None, :]
+    out -= m[:, :, None] * (sa * jv + (b * vv)[:, None] * jm)[:, None, :]
+    out[:, 0, 0] += 1.0
+    out[:, 1, 1] += 1.0
+    out[:, 2, 2] += 1.0
+    return out
 
 
 def follow_path(path) -> Isometry:
     """Integrate the tangent flow along a path of points.
 
-    Returns the isometry F with R(c_end) = F R(c_start) F^{-1}.  A
-    midpoint rule on the normalized lift gives second-order accuracy in the
-    step size.  The step exponentials are multiplied by a pairwise tree
-    product and projected onto SU(2, 1) once, at the end.
+    Returns the isometry F with R(c_end) = F R(c_start) F^{-1}.  A midpoint
+    rule on the normalized lift gives second-order accuracy in the step
+    size: each step is exp(g) for the rank-two generator g built from the
+    normalized midpoint m of two consecutive lift vectors and their
+    difference v made form-orthogonal to m.  The step exponentials come in
+    closed form (_step_exponentials), are multiplied by a pairwise tree
+    product (_ordered_product) and projected onto SU(2, 1) once, at the end.
     """
     points = path.points if isinstance(path, PathSample) else list(path)
     lift = normalized_lift(points)
     if len(lift) < 2:
         return IDENTITY
-    sign = points[0].sign
     mids = 0.5 * (lift[:-1] + lift[1:])
     mids = mids / np.sqrt(np.abs(form(mids, mids).real))[:, None]
     vels = lift[1:] - lift[:-1]
     vels = vels - (form(vels, mids) / form(mids, mids))[:, None] * mids
-    jm = (mids @ J).conj()
-    jv = (vels @ J).conj()
-    gens = sign * (
-        np.einsum("ki,kj->kij", vels, jm) - np.einsum("ki,kj->kij", mids, jv)
-    )
-    return project_to_su(_ordered_product(_expm3_batch(gens)))
+    steps = _step_exponentials(mids, vels, points[0].sign)
+    return project_to_su(_ordered_product(steps))
 
 
 #: Relative size of the coordinates off a bending's geodesic (or circle)
@@ -227,7 +273,9 @@ class Bending:
     def evaluate(self, s: float) -> Isometry:
         # cols @ N(s) @ cols_inv for the normal form N(s); ndarray.dot
         # gives the bits of @ on 3x3 complex matrices at less call cost,
-        # and scaling the columns gives those of @ with a diagonal N.
+        # and scaling the columns gives those of @ with a diagonal N.  A
+        # flat list converts to N faster than nested ones; the diagonal's
+        # list converts faster than an array product [-1, 1, 0] * th.
         th = self.rate * s
         if self.kind is LineType.HYPERBOLIC:
             if not abs(th) <= _EXP_MAX:
@@ -240,10 +288,12 @@ class Bending:
             return Isometry(_ro(m))
         if self.kind is LineType.SPHERICAL:
             c, sn = np.cos(th), np.sin(th)
-            n = [[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]]
+            n = [c, -sn, 0.0, sn, c, 0.0, 0.0, 0.0, 1.0]
+            n = np.array(n, dtype=complex)
         else:
-            n = [[1.0, 0.0, 0.0], [-s, 1.0, 0.0], [-s * s / 2.0, s, 1.0]]
-        m = self.cols.dot(np.array(n, dtype=complex)).dot(self.cols_inv)
+            n = [1.0, 0.0, 0.0, -s, 1.0, 0.0, -s * s / 2.0, s, 1.0]
+            n = np.array(n, dtype=complex)
+        m = self.cols.dot(n.reshape(3, 3)).dot(self.cols_inv)
         return Isometry(_ro(m))
 
     def point_parameter(self, q: Point) -> tuple[float, int]:

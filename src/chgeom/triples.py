@@ -34,6 +34,7 @@ from .core import (
     LineType,
     Point,
     _chain_phases,
+    _degenerate_tau,
     _triple_invariants,
     form,  # unused here; the benchmark's tracing test reads triples.form
     gram,
@@ -42,7 +43,6 @@ from .core import (
     realize_gram,
 )
 from .errors import (
-    DegenerateTau,
     GeometryError,
     IncompatibleInvariants,
     InadmissibleCoords,
@@ -183,28 +183,30 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
     _require(abs(c.residual()), tol * scale, InadmissibleCoords, "surface residual")
 
 
-def _real_t(inv: tuple) -> tuple[float, ...]:
+def _real_t(inv: tuple, m: np.ndarray, tol: float) -> tuple[float, ...]:
     """(t1, t2, t, alpha, beta) from _triple_invariants' (t1, t2, tau,
-    alpha, beta); DegenerateTau where the shape ratio, and so t, is
-    undefined."""
+    alpha, beta) of the Gram m at tol; DegenerateTau, carrying its numbers,
+    where the shape ratio, and so t, is undefined."""
     t1, t2, tau, a, b = inv
     if tau is None:
-        raise DegenerateTau("g12 * g23 vanishes, shape ratio undefined")
+        raise _degenerate_tau(m, tol)
     return t1, t2, tau.real, a, b
 
 
 def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """(t1, t2, t, alpha, beta) of T from its Gram."""
-    return _real_t(_triple_invariants(T.gram().m, tol))
+    m = T.gram().m
+    return _real_t(_triple_invariants(m, tol), m, tol)
 
 
 def s_coords(T: Triple, tol: float = DEFAULT_TOL) -> SCoords:
     """Surface coordinates of a (real) strongly regular triple."""
-    inv = _triple_invariants(T.gram().m, tol)
+    m = T.gram().m
+    inv = _triple_invariants(m, tol)
     cls = _classify(T, inv, tol)
     if cls not in (TripleClass.STRONGLY_REGULAR, TripleClass.REAL_STRONGLY_REGULAR):
         raise NotStronglyRegular(f"triple is {cls.value}")
-    t1, t2, t, a, b = _real_t(inv)
+    t1, t2, t, a, b = _real_t(inv, m, tol)
     return SCoords(
         t=t, t1=t1, t2=t2, sigma=tuple(p.sign for p in T.points), alpha=a, beta=b
     )

@@ -347,8 +347,27 @@ def test_tau_degenerate():
     p1 = chg.point([1.0, 0.0, 0.0])
     p2 = chg.point([0.0, 1.0, 0.0])
     p3 = chg.point([0.0, 0.0, 1.0])
-    with pytest.raises(errors.DegenerateTau):
+    with pytest.raises(errors.DegenerateTau) as info:
         chg.tau(p1, p2, p3)
+    assert info.value.value == 0.0 and info.value.bound == chg.DEFAULT_TOL
+    # nearly orthogonal pairs: |g12 g23| / (sqrt|g11 g33| |g22|) is 2.5e-5
+    # here, below the tolerance 1e-4 but above the default; the triples
+    # layer raises the same numbers from the Gram it keeps
+    q1 = chg.point([1.0, 0.0, 0.0])
+    q2 = chg.point([0.005, 1.0, 0.0])
+    q3 = chg.point([0.0, 0.005, 1.0])
+    g = chg.gram((q1, q2, q3)).m
+    want = abs(g[0, 1] * g[1, 2]) / (np.sqrt(abs(g[0, 0] * g[2, 2])) * abs(g[1, 1]))
+    assert want == pytest.approx(2.5e-5, rel=1e-3)
+    assert chg.tau_complex(q1, q2, q3) == pytest.approx(0.0, abs=1e-12)
+    for call in (
+        lambda: chg.tau_complex(q1, q2, q3, tol=1e-4),
+        lambda: chg.triples._invariants(chg.triples.Triple(q1, q2, q3), tol=1e-4),
+    ):
+        with pytest.raises(errors.DegenerateTau) as info:
+            call()
+        assert info.value.value == pytest.approx(want, rel=1e-12)
+        assert info.value.bound == 1e-4
 
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
