@@ -159,10 +159,7 @@ def cmd_pentagon_verify(args) -> str:
     # The relation tolerance defaults to the pentagon type's own 1e-8, so
     # freshly built pentagons re-verify without flags.
     tol = _tol(args, fallback=1e-8)
-    data = _load(args.file)
-    points = [jsonio.decode_point(d) for d in data["points"]]
-    if len(points) != 5:
-        raise ValueError(f"a pentagon needs 5 points, got {len(points)}")
+    points = jsonio._decode_points(_load(args.file)["points"], 5)
     P = pentagon(*points, tol=tol)
     resid = float(np.abs(P.product().m - P.delta.matrix()).max())
     return _render(

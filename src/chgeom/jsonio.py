@@ -114,18 +114,20 @@ def decode_path_sample(data, tol: float = DEFAULT_TOL) -> PathSample:
     return path_sample(points, [float(x) for x in data["params"]])
 
 
+def _decode_points(data, n: int, tol: float = DEFAULT_TOL) -> list[Point]:
+    """The points of the list `data`; ValueError unless there are n."""
+    points = [decode_point(d, tol) for d in data]
+    if len(points) != n:
+        raise ValueError(f"expected {n} points, got {len(points)}")
+    return points
+
+
 def decode_triple(data, tol: float = DEFAULT_TOL) -> Triple:
-    points = [decode_point(d, tol) for d in data["points"]]
-    if len(points) != 3:
-        raise ValueError(f"a triple needs 3 points, got {len(points)}")
-    return triple(*points)
+    return triple(*_decode_points(data["points"], 3, tol))
 
 
 def decode_pentagon(data) -> Pentagon:
-    points = [decode_point(d) for d in data["points"]]
-    if len(points) != 5:
-        raise ValueError(f"a pentagon needs 5 points, got {len(points)}")
-    P = pentagon(*points)
+    P = pentagon(*_decode_points(data["points"], 5))
     if "delta" in data and P.delta != decode_cube_root(data["delta"]):
         raise ValueError("stored delta disagrees with the five points")
     return P

@@ -43,13 +43,15 @@ from .isometry import (
 )
 from .paths import _bend_targets, bending
 from .triples import (
-    _COORD_TOL,
     Move,
     SCoords,
     Triple,
     _bend,
+    _closure_gap,
+    _connect_triples,
+    _off_target,
+    _replay,
     _sheet_gap,
-    connect_triples,
     decompose_three_reflections,
     triple_from_coords,
 )
@@ -200,10 +202,7 @@ def _move_34(P: Pentagon, t4_target: float, tol: float) -> tuple[Pentagon, Move]
 
 def apply_pentagon_moves(P: Pentagon, moves, tol: float = DEFAULT_TOL) -> Pentagon:
     """Replay bending moves on the pairs 12, 23, 34 and 45."""
-    pts = P.points
-    for mv in moves:
-        pts = _bend(pts, mv.pair, mv.s, tol)
-    return Pentagon(*pts, delta=P.delta)
+    return Pentagon(*_replay(P.points, moves, tol), delta=P.delta)
 
 
 def connect_pentagons(
@@ -216,6 +215,10 @@ def connect_pentagons(
     surface, and a single 45 move aligns the split pair along the shared
     axis.  Raises DifferentDelta for distinct central values, and the
     triple stage raises IncompatibleInvariants for unmatched sign patterns.
+    The moved pentagon is checked against B by the closure gap, the largest
+    1 - |<g a, b>| / (|g a| |b|) over the five representatives: above 1e-7
+    (or NaN) it raises NotConjugate carrying the gap as `value` and 1e-7
+    as `bound`.
     """
     if A.delta.k != B.delta.k:
         raise DifferentDelta(f"central values differ: k={A.delta.k} vs k={B.delta.k}")
@@ -223,15 +226,16 @@ def connect_pentagons(
     t4 = max(t4a, t4b)
     moves: list[Move] = []
     cur = A
-    if abs(t4 - t4a) > _COORD_TOL * max(1.0, abs(t4)):
+    if _off_target(t4a, t4):
         cur, mv = _move_34(cur, t4, tol)
         moves.append(mv)
     cur_b, s_back = B, None
-    if abs(t4 - t4b) > _COORD_TOL * max(1.0, abs(t4)):
+    if _off_target(t4b, t4):
         cur_b, mv_b = _move_34(cur_b, t4, tol)
         s_back = mv_b.s
-    prog, g = connect_triples(cur.triple(), cur_b.triple(), tol)
-    cur = apply_pentagon_moves(cur, prog, tol)
+    # pairs 12 and 23 leave p4 and p5 where they are
+    prog, bent, g = _connect_triples(cur.triple(), cur_b.triple(), tol)
+    cur = Pentagon(*bent.points, cur.p4, cur.p5, delta=cur.delta)
     moves.extend(prog)
     # align the split pair: the works-before-g image of B's p4 sits on the
     # axis geodesic through (p4, p5)
@@ -245,8 +249,5 @@ def connect_pentagons(
         mv = Move(pair="34", s=-s_back)
         cur = apply_pentagon_moves(cur, [mv], tol)
         moves.append(mv)
-    closed = cur.apply(g, tol)
-    for p, q in zip(closed.points, B.points):
-        if not projectively_equal(p, q, tol=1e-7):
-            raise NotConjugate("pentagon connection failed to close")
+    _require(_closure_gap(g, cur.points, B.points), 1e-7, NotConjugate, "closure gap")
     return moves, g

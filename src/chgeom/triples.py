@@ -39,7 +39,6 @@ from .core import (
     form,  # unused here; the benchmark's tracing test reads triples.form
     gram,
     point,
-    projectively_equal,
     realize_gram,
 )
 from .errors import (
@@ -338,11 +337,15 @@ def _bend(points, pair: str, s: float, tol: float, b: Bending | None = None) -> 
     return tuple(out)
 
 
-def apply_bend_program(T: Triple, moves, tol: float = DEFAULT_TOL) -> Triple:
-    pts = T.points
+def _replay(points, moves, tol: float) -> tuple:
+    """The points with each move of the program applied in turn."""
     for mv in moves:
-        pts = _bend(pts, mv.pair, mv.s, tol)
-    return Triple(*pts)
+        points = _bend(points, mv.pair, mv.s, tol)
+    return points
+
+
+def apply_bend_program(T: Triple, moves, tol: float = DEFAULT_TOL) -> Triple:
+    return Triple(*_replay(T.points, moves, tol))
 
 
 def _coordinate_move(
@@ -401,6 +404,12 @@ CLOSURE_TOL = 1e-8
 _COORD_TOL = 1e-11
 
 
+def _off_target(x: float, target: float) -> bool:
+    """Whether x misses target by more than _COORD_TOL relative to
+    max(1, |target|), so that the move onto it is made."""
+    return abs(x - target) > _COORD_TOL * max(1.0, abs(target))
+
+
 def _bend_onto(
     A: Triple, ca: SCoords, cb: SCoords, first: str, tol: float
 ) -> tuple[BendProgram, Triple]:
@@ -417,7 +426,7 @@ def _bend_onto(
     cur = A
 
     target = getattr(cb, x1)
-    if abs(getattr(ca, x1) - target) > _COORD_TOL * max(1.0, abs(target)):
+    if _off_target(getattr(ca, x1), target):
         try:
             cur, mv = _coordinate_move(cur, first, target, None, tol)
             moves.append(mv)
@@ -443,7 +452,7 @@ def _bend_onto(
     cc = s_coords(cur, tol)
     want_sheet = None if abs(cb.t - 1.0) <= tol else cb.sheet
     target = getattr(cb, x2)
-    if abs(getattr(cc, x2) - target) > _COORD_TOL * max(1.0, abs(target)):
+    if _off_target(getattr(cc, x2), target):
         cur, mv = _coordinate_move(cur, second, target, want_sheet, tol)
         moves.append(mv)
     elif want_sheet is not None and abs(cc.t - 1.0) > tol and cc.sheet != cb.sheet:
@@ -463,12 +472,15 @@ def connect_triples(
 
     Replaying the program on A and applying the isometry reproduces B: the
     S-coordinates of the result are within CLOSURE_TOL (1e-8) of B's,
-    relative to max(1, |coordinate|), or NotConjugate is raised.  The
+    relative to max(1, |coordinate|), or NotConjugate is raised.  That
     error is estimated, not measured: the isometry's form residual times
-    the largest squared representative norm of the bent triple.  That
-    covers the isometry's roundoff only, not how far the moves landed from
-    B's coordinates (bench connect seed 2, draw 217, 12 first: estimate
-    3.7e-15, error 5.3e-10 at representative norm 3.5).
+    the largest squared representative norm of the bent triple.  It covers
+    the isometry's roundoff only, not how far the moves landed from B's
+    coordinates (bench connect seed 2, draw 217, 12 first: estimate
+    3.7e-15, error 5.3e-10 at representative norm 3.5).  What is measured
+    is the closure gap, the largest 1 - |<g a, b>| / (|g a| |b|) over the
+    bent triple's representatives a and B's b; above 1e-6 (or NaN) it
+    raises NotConjugate carrying the gap as `value` and 1e-6 as `bound`.
 
     The program bends pair 23 first and pair 12 second.  That order can
     drive the representatives far out, where the isometry's roundoff is
@@ -478,6 +490,14 @@ def connect_triples(
     IncompatibleInvariants when the sign patterns or the pair (alpha, beta)
     differ: those are constant on the surface.
     """
+    moves, bent, g = _connect_triples(A, B, tol)
+    _require(_closure_gap(g, bent.points, B.points), 1e-6, NotConjugate, "closure gap")
+    return moves, g
+
+
+def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
+    """(program, A bent by it, isometry) as connect_triples finds them,
+    before the closure check, which is left to the caller."""
     ca, cb = s_coords(A, tol), s_coords(B, tol)
     if ca.sigma != cb.sigma:
         raise IncompatibleInvariants(f"sign patterns {ca.sigma} != {cb.sigma}")
@@ -502,12 +522,20 @@ def connect_triples(
             best = (moves, cur, g, est)
         if est <= tol:
             break
-    moves, cur, g, est = best
-    _require(est, CLOSURE_TOL, NotConjugate, "estimated closure error")
-    for pc, pt in zip(cur.points, B.points):
-        if not projectively_equal(g.apply(pc), pt, 1e-6):
-            raise NotConjugate("connected triple does not match the target")
-    return moves, g
+    _require(best[3], CLOSURE_TOL, NotConjugate, "estimated closure error")
+    return best[:3]
+
+
+def _closure_gap(g: Isometry, points, targets) -> float:
+    """The largest 1 - |<g a, b>| / (|g a| |b|) over the raw representatives
+    a of `points` and b of `targets`: zero when g carries each point onto
+    its target, NaN when a representative is not finite."""
+    a = np.array([p.rep for p in points]) @ g.m.T
+    b = np.array([q.rep for q in targets])
+    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    cos = np.abs(np.sum(a.conj() * b, axis=1)) / norms
+    # np.max, unlike the builtin, propagates a NaN
+    return float(np.max(1.0 - cos))
 
 
 def tangent_ef_residual(T: Triple, tg1, tg2, tg3) -> float:

@@ -228,6 +228,15 @@ class TestPentagonVerbs:
         assert code == 2
         assert "non-finite" in out.err
 
+    def test_verify_four_points_is_usage_error(self, tmp_path, capsys):
+        d = jsonio.encode(pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1)))
+        d["points"].pop()
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(d))
+        code, out = run(capsys, "pentagon", "verify", str(path))
+        assert code == 2
+        assert "expected 5 points, got 4" in out.err
+
     def test_new_from_points(self, tmp_path, capsys):
         rng = default_rng(81)
         a = write(tmp_path, "p4.json", random_negative_point(rng))

@@ -6,7 +6,12 @@ import pytest
 
 from chgeom import holonomy, isometry, jsonio
 from chgeom.core import form, self_product
-from chgeom.errors import NotRegular, OnRamification, RankInconclusive
+from chgeom.errors import (
+    LeavesAdmissibleRegion,
+    NotRegular,
+    OnRamification,
+    RankInconclusive,
+)
 from chgeom.holonomy import (
     _SPAN_MOVES,
     RANK_ONE_BELOW,
@@ -262,6 +267,15 @@ class TestOmegaCommutator:
             omega_commutator(triple_from_coords(c))
 
 
+def near_ramification(dt: float) -> SCoords:
+    """All-negative coordinates with t = 1 + dt, beta re-solved from the
+    surface relation."""
+    c = random_strongly_regular_coords(default_rng(3), sigma=(-1, -1, -1))
+    t1t2 = c.t1 * c.t2
+    b = 1.0 - c.t1 - c.t2 + t1t2 - t1t2 * dt**2 - c.alpha**2 / t1t2
+    return SCoords(t=1.0 + dt, t1=c.t1, t2=c.t2, sigma=c.sigma, alpha=c.alpha, beta=b)
+
+
 class TestRectangleHolonomy:
     def test_holonomy_centralizes_the_product(self):
         rng = default_rng(50)
@@ -307,6 +321,22 @@ class TestRectangleHolonomy:
         c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)
         with pytest.raises(OnRamification):
             rectangle_holonomy(triple_from_coords(c), 1e-3, 1e-3)
+
+    @pytest.mark.parametrize("dt", [0.1, -0.1])
+    def test_unreachable_sides_are_halved(self, dt):
+        # shrinking both coordinates by 1% this near t = 1 passes below the
+        # profile minimum; half the sides fit
+        c = near_ramification(dt)
+        ds1, ds2 = -1e-2 * c.t2, -1e-2 * c.t1
+        g, used = rectangle_holonomy(triple_from_coords(c), ds1, ds2)
+        assert used == (ds1 / 2, ds2 / 2)
+        assert form_residual(g.m) <= 1e-10
+
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2])
+    def test_rectangle_too_close_to_ramification_raises(self, dt):
+        c = near_ramification(dt)
+        with pytest.raises(LeavesAdmissibleRegion):
+            rectangle_holonomy(triple_from_coords(c), -1e-2 * c.t2, -1e-2 * c.t1)
 
 
 class TestHolonomyDimension:

@@ -115,6 +115,8 @@ class TestCompositeObjects:
             assert np.array_equal(a.rep, b.rep)
         with pytest.raises(ValueError):
             jsonio.decode_triple({"points": [jsonio.encode(T.p1)] * 2})
+        with pytest.raises(ValueError, match="expected 3 points, got 4"):
+            jsonio.decode_triple({"points": wire(T)["points"] + [wire(T.p1)]})
 
     def test_pentagon(self):
         P = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))
@@ -122,6 +124,8 @@ class TestCompositeObjects:
         assert got.delta == P.delta
         for a, b in zip(got.points, P.points):
             assert np.array_equal(a.rep, b.rep)
+        with pytest.raises(ValueError, match="expected 5 points, got 4"):
+            jsonio.decode_pentagon({"points": wire(P)["points"][:4]})
 
     def test_pentagon_delta_mismatch(self):
         P = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))

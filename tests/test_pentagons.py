@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chgeom import paths
+from chgeom import pentagons as pentagons_module
 from chgeom.core import LineType, line_type, point, projectively_equal, tance
 from chgeom.errors import (
     DifferentDelta,
@@ -55,6 +56,13 @@ def random_moduli(rng):
         except InadmissibleModuli:
             continue
         return m
+
+
+def moved_pair():
+    """A pentagon pair joined by the moves 34, 23, 12 and 45, B moved."""
+    A = pentagon_from_moduli((-2.0, 4.0, 2.0), CubeRoot(1))
+    B = pentagon_from_moduli((-1.5, 3.0, 2.5), CubeRoot(1), s5=0.3)
+    return A, B.apply(random_isometry(default_rng(5), 0.6))
 
 
 def real_pentagon(s5=0.4, t4=2.0, t1=4.0, t2=4.0):
@@ -328,6 +336,26 @@ class TestConnect:
         moves, _ = connect_pentagons(A, B)
         assert [m.pair for m in moves].count("45") == 1
         assert counts["bending"] == 1
+
+    def test_triple_stage_bends_once_per_move(self, count_calls):
+        A, B = moved_pair()
+        counts = count_calls(paths.bending)
+        moves, _ = connect_pentagons(A, B)
+        assert [m.pair for m in moves] == ["34", "23", "12", "45"]
+        assert counts["bending"] == len(moves)
+
+    def test_closure_failure_carries_gap_and_bound(self, monkeypatch):
+        A, B = moved_pair()
+        bend = pentagons_module._bend
+
+        def misaligned(points, pair, s, tol, b=None):
+            return bend(points, pair, s + 1e-2 if pair == "45" else s, tol, b)
+
+        monkeypatch.setattr(pentagons_module, "_bend", misaligned)
+        with pytest.raises(NotConjugate) as info:
+            connect_pentagons(A, B)
+        assert info.value.bound == 1e-7
+        assert info.value.value > info.value.bound
 
     def test_different_central_values_are_rejected(self):
         A = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))

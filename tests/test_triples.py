@@ -516,6 +516,48 @@ class TestConnect:
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
         assert_triples_match(g, bent, B, 1e-8)
 
+    def test_closure_failure_carries_gap_and_bound(self, monkeypatch):
+        # an isometry off by a fixed motion passes the estimated error,
+        # which sees only its form residual, and fails the measured gap
+        rng = default_rng(53)
+        A = random_strongly_regular_triple(rng)
+        B = apply_bend_program(A, [Move(pair="12", s=0.4)]).apply(
+            random_isometry(rng, 0.6)
+        )
+        frame_map = triples_module._frame_map
+        h = random_isometry(default_rng(0), 0.5).m
+
+        def moved_frame_map(pa, pb):
+            return Isometry(frame_map(pa, pb).m @ h)
+
+        monkeypatch.setattr(triples_module, "_frame_map", moved_frame_map)
+        with pytest.raises(NotConjugate) as info:
+            connect_triples(A, B)
+        assert info.value.bound == 1e-6
+        assert info.value.value > info.value.bound
+
+    def test_second_order_failure_keeps_the_first_order(self, monkeypatch):
+        rng = default_rng(61)
+        A = random_strongly_regular_triple(rng)
+        B = apply_bend_program(
+            A, [Move(pair="12", s=0.5), Move(pair="23", s=-0.4)]
+        ).apply(random_isometry(rng, 0.6))
+        bend_onto = triples_module._bend_onto
+        orders = []
+
+        def second_order_fails(A, ca, cb, first, tol):
+            orders.append(first)
+            if first == "12":
+                raise Unreachable("the second order fails")
+            return bend_onto(A, ca, cb, first, tol)
+
+        monkeypatch.setattr(triples_module, "_bend_onto", second_order_fails)
+        # at tol 0 no estimate passes, so the second order is always tried
+        moves, g = connect_triples(A, B, tol=0.0)
+        assert orders == ["23", "12"]
+        assert moves == bend_onto(A, s_coords(A), s_coords(B), "23", 0.0)[0]
+        assert_triples_match(g, apply_bend_program(A, moves), B, 1e-8)
+
     def test_connecting_a_triple_to_itself_needs_no_moves(self):
         rng = default_rng(61)
         A = random_strongly_regular_triple(rng)
