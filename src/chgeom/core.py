@@ -130,6 +130,13 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     return Point(rep, 1 if s > 0 else -1)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D vector in plain floats: np.linalg.norm on a
+    3-vector costs several times more, and the yes/no tests that read it
+    run on every bending and surface move."""
+    return math.hypot(*map(abs, v.tolist()))
+
+
 def projectively_equal(p, q, tol: float = DEFAULT_TOL) -> bool:
     """Whether two points (or raw vectors) span the same projective point.
 
@@ -137,7 +144,7 @@ def projectively_equal(p, q, tol: float = DEFAULT_TOL) -> bool:
     equivalent: for an indefinite form, distinct points can pair to tance 1.)
     """
     a, b = _rep(p), _rep(q)
-    return abs(np.vdot(a, b)) >= (1.0 - tol) * np.linalg.norm(a) * np.linalg.norm(b)
+    return abs(np.vdot(a, b)) >= (1.0 - tol) * _norm(a) * _norm(b)
 
 
 def tance(p, q) -> float:

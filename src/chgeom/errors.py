@@ -97,8 +97,9 @@ class StepTooLarge(GeometryError):
 
 
 class BendingOverflow(GeometryError):
-    """A hyperbolic bending parameter whose exponential overflows a float:
-    `value` is |rate * s|, `bound` log of the largest float (about 709.78)."""
+    """A hyperbolic bending parameter whose isometry would overflow a float:
+    `value` is |rate * s|, `bound` the bending's th_max, log of the largest
+    float (about 709.78) less log(3 max|cols| max|cols_inv|)."""
 
 
 class NoPrincipalLog(GeometryError):

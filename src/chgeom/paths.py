@@ -27,6 +27,7 @@ from .core import (
     Point,
     _cross,
     _minor_type,
+    _norm,
     _rephase,
     form,
     point,
@@ -252,7 +253,7 @@ def follow_path(path) -> Isometry:
 #: below which a point counts as on it.
 _GEODESIC_TOL = 1e-7
 
-#: Largest |rate * s| whose exponential a hyperbolic bending can take.
+#: Log of the largest float: the most a hyperbolic bending's th_max can be.
 _EXP_MAX = math.log(sys.float_info.max)
 
 
@@ -263,12 +264,27 @@ class Bending:
     `cols` holds the adapted basis as columns; `rate` is the speed making
     evaluate(1) carry the first point of the pair onto the second (onto its
     orthogonal partner when the pair mixes signs on a hyperbolic line).
+
+    A hyperbolic evaluate(s) is cols diag(e^{-th}, e^{th}, 1) cols_inv with
+    th = rate * s, so its entries stay below 3 max|cols| max|cols_inv|
+    e^{|th|}.  `th_max`, log of the largest float less
+    log(3 max|cols| max|cols_inv|), bounds |th| so that no entry overflows;
+    beyond it evaluate raises BendingOverflow.  Other kinds do not read it.
     """
 
     kind: LineType
     cols: np.ndarray
     cols_inv: np.ndarray
     rate: float
+    th_max: float = _EXP_MAX
+
+    def _overflow(self, th: float) -> BendingOverflow:
+        """The BendingOverflow for the exponent th beyond th_max."""
+        return BendingOverflow(
+            f"bending exponent {abs(th):.3e} exceeds {self.th_max:.2f}",
+            value=abs(th),
+            bound=self.th_max,
+        )
 
     def evaluate(self, s: float) -> Isometry:
         # cols @ N(s) @ cols_inv for the normal form N(s); ndarray.dot
@@ -278,12 +294,8 @@ class Bending:
         # list converts faster than an array product [-1, 1, 0] * th.
         th = self.rate * s
         if self.kind is LineType.HYPERBOLIC:
-            if not abs(th) <= _EXP_MAX:
-                raise BendingOverflow(
-                    f"bending exponent {abs(th):.3e} exceeds {_EXP_MAX:.2f}",
-                    value=abs(th),
-                    bound=_EXP_MAX,
-                )
+            if not abs(th) <= self.th_max:
+                raise self._overflow(th)
             m = (self.cols * np.exp([-th, th, 0.0])).dot(self.cols_inv)
             return Isometry(_ro(m))
         if self.kind is LineType.SPHERICAL:
@@ -344,22 +356,22 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     g12 = form(p1.rep, p2.rep)
     g = abs(g12)
     kind = _minor_type(s1 * s2, g * g, tol)
-    if g <= tol * max(1.0, float(np.linalg.norm(p1.rep) * np.linalg.norm(p2.rep))):
+    if g <= tol * max(1.0, _norm(p1.rep) * _norm(p2.rep)):
         raise OrthogonalPoints("orthogonal points admit no bending")
     # p2's representative rotated so its pairing with p1 is real positive
     q2 = (g12 / g) * p2.rep
     if kind is not LineType.EUCLIDEAN:
         pol = point(np.conj(_cross(J @ p1.rep, J @ p2.rep)), tol)
     if kind is LineType.HYPERBOLIC:
-        d = g * g - s1 * s2
-        rp = (-g + np.sqrt(d)) / s1
-        rm = (-g - np.sqrt(d)) / s1
-        a = s1 / (2.0 * np.sqrt(d))
+        sd = np.sqrt(g * g - s1 * s2)
+        rp = (-g + sd) / s1
+        rm = (-g - sd) / s1
+        a = s1 / (2.0 * sd)
         v1 = a * (rp * p1.rep + q2)
         v2 = s1 * (-a) * (rm * p1.rep + q2)
         # p1 = v1 + s1 v2 and <v1, v2> = 1/2 hold exactly; q2 sits at
         # geodesic parameter -log|lam|, which normalizes the speed.
-        lam = abs((g + np.sqrt(d)) / s1)
+        lam = abs((g + sd) / s1)
         rate = -np.log(lam)
         cols = np.column_stack([v1, v2, pol.rep])
     elif kind is LineType.SPHERICAL:
@@ -382,12 +394,12 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         b = gam * u + eta * r
         cols = np.column_stack([b, p1.rep, u])
         rate = 1.0
-    return Bending(
-        kind=kind,
-        cols=_ro(cols),
-        cols_inv=_ro(np.linalg.inv(cols)),
-        rate=float(rate),
-    )
+    cols_inv = np.linalg.inv(cols)
+    th_max = _EXP_MAX
+    if kind is LineType.HYPERBOLIC:
+        size = 3.0 * max(map(abs, cols.ravel().tolist()))
+        th_max -= math.log(size * max(map(abs, cols_inv.ravel().tolist())))
+    return Bending(kind, _ro(cols), _ro(cols_inv), float(rate), th_max)
 
 
 def bend_pair(p1: Point, p2: Point, s: float, tol: float = DEFAULT_TOL):
@@ -442,11 +454,7 @@ def _bend_targets(
     M = target * sm * sy
     mmin = k + 2.0 * c1 * c2
     scale = max(1.0, abs(M), abs(mmin))
-    # euclidean norms in plain floats: np.linalg.norm on a 3-vector is
-    # several times slower, and this runs on every surface move
-    n1, n2, nf = (
-        math.hypot(*map(abs, v)) for v in (*b.cols.T[:2].tolist(), fixed.rep.tolist())
-    )
+    n1, n2, nf = _norm(b.cols[:, 0]), _norm(b.cols[:, 1]), _norm(fixed.rep)
     has1 = c1 > 1e-8 * n1 * nf
     has2 = c2 > 1e-8 * n2 * nf
     rate = b.rate

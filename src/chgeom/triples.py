@@ -24,6 +24,7 @@ hyperbolic pair.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
     _chain_phases,
     _degenerate_tau,
     _triple_invariants,
-    form,  # unused here; the benchmark's tracing test reads triples.form
+    form,
     gram,
     point,
     realize_gram,
@@ -360,7 +361,9 @@ def _coordinate_move(
     Pair "12" tracks t2 = ta(p2, p3) (a vertical line, t1 frozen); pair "23"
     tracks t1 = ta(p1, p2) (a horizontal line, t2 frozen).  Each reachable
     target has one preimage per sheet; `sheet` picks by the sign of t - 1,
-    None keeps the current sheet.
+    None keeps the current sheet (the preimage whose t is nearer T's).
+    Where there are two, their t are read from the pairings in the
+    bending's frame (_bent_shapes), and only the chosen triple is built.
     """
     if pair not in _SWEPT:
         raise ValueError(f"unknown pair {pair!r} for a triple")
@@ -370,15 +373,42 @@ def _coordinate_move(
         raise ValueError(f"pair {pair} does not span a hyperbolic line")
     fixed = T.p3 if pair == "12" else T.p1
     cand_s = _bend_targets(b, T.p2, fixed, target, tol)
-    t_now = _invariants(T)[2] if sheet is None else None
-    best: tuple[float, Triple, float] | None = None
-    for s in cand_s:
-        cand = Triple(*_bend(T.points, pair, s, tol, b))
-        tc = _invariants(cand)[2]
-        score = -abs(tc - t_now) if sheet is None else sheet * (tc - 1.0)
-        if best is None or score > best[0]:
-            best = (score, cand, s)
-    return best[1], Move(pair=pair, s=best[2])
+    s = cand_s[0]
+    if len(cand_s) > 1:
+        t_now, *ts = _bent_shapes(T, pair, b, fixed, [0.0, *cand_s])
+        score = [-abs(t - t_now) if sheet is None else sheet * (t - 1.0) for t in ts]
+        s = cand_s[score.index(max(score))]
+    return Triple(*_bend(T.points, pair, s, tol, b)), Move(pair=pair, s=s)
+
+
+def _bent_shapes(T: Triple, pair: str, b: Bending, fixed: Point, ss) -> list:
+    """The shape invariant t of T with `pair` bent by b at each s of ss,
+    read from the pairings in b's frame without building the triples.
+
+    For p on the pair, x = cols_inv p and w_k = <cols_k, fixed>, the bent
+    point pairs with the fixed one as <E(s) p, fixed> = e^{-th} x_0 w_0
+    + e^{th} x_1 w_1 + x_2 w_2 with th = rate s.  The bend keeps the
+    pair's own pairing and p2's self-product, so T's Gram gives them, and
+    t = Re(g13 g22 / (g12 g23)), which no rescaling of a representative
+    changes, needs only the two new pairings: g13 and g23 for pair 12,
+    and for pair 23 the conjugates of g13 and g12, with p1 fixed.  Raises
+    BendingOverflow where b.evaluate(s) would.
+    """
+    o = 0 if pair == "12" else 2
+    m = T.gram().m
+    ratio = m[1, 1] / m[o, 1]
+    x = b.cols_inv @ np.array([T.points[o].rep, T.p2.rep]).T
+    ao, am = (x.T * form(b.cols.T, fixed.rep)).tolist()
+    out = []
+    for s in ss:
+        th = b.rate * s
+        if not abs(th) <= b.th_max:
+            raise b._overflow(th)
+        lo, hi = math.exp(-th), math.exp(th)
+        h_out = lo * ao[0] + hi * ao[1] + ao[2]
+        h_mid = lo * am[0] + hi * am[1] + am[2]
+        out.append((h_out * ratio / h_mid).real)
+    return out
 
 
 def vertical_line(

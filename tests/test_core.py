@@ -239,6 +239,32 @@ def test_projective_equality_is_not_tance_one():
     assert chg.line_type(p, q) is chg.LineType.EUCLIDEAN
 
 
+def test_projective_equality_in_plain_floats_keeps_its_verdict():
+    # the norms are taken with math.hypot; the verdict must be the one the
+    # np.linalg.norm formula gives, for vectors of any length
+    def reference(a, b, tol):
+        return abs(np.vdot(a, b)) >= (1.0 - tol) * np.linalg.norm(a) * np.linalg.norm(b)
+
+    rng = default_rng(19)
+    verdicts = []
+    for i in range(2000):
+        n = (3, 3, 1, 2, 5)[i % 5]
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # relative offsets from 1e-12 to 1e-6 for half the pairs, up to
+        # 1e-2 for the other half, each rescaled by a random complex factor
+        eps = 10.0 ** rng.uniform(-12.0, -6.0 if i % 2 else -2.0)
+        c = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        b = c * (a + eps * np.linalg.norm(a) / np.linalg.norm(r) * r)
+        for tol in (chg.DEFAULT_TOL, 1e-12, 1e-13):
+            want = reference(a, b, tol)
+            assert chg.projectively_equal(a, b, tol) == want, (i, tol)
+            verdicts.append(want)
+    assert 500 <= sum(verdicts) <= len(verdicts) - 500
+    p, q = random_point(rng), random_point(rng)
+    assert chg.projectively_equal(p, p) and not chg.projectively_equal(p, q)
+
+
 def test_line_type_rejects_equal_points():
     p = chg.point([0.3, 0.1j, 1.0])
     q = chg.point([-0.6, -0.2j, -2.0])

@@ -532,13 +532,20 @@ def test_step_angle_error_carries_value_and_bound():
 
 def test_evaluate_overflow_carries_value_and_bound():
     b = bending(*random_hyperbolic_pair(default_rng(45)))
-    for s in (1e6, -1e6, float("nan")):
+    # log of the largest float less log(3 max|cols| max|cols_inv|), the
+    # most by which the basis change can scale an exponential
+    size = 3.0 * np.abs(b.cols).max() * np.abs(b.cols_inv).max()
+    bound = np.log(np.finfo(float).max) - np.log(size)
+    assert bound == pytest.approx(707.76, abs=1e-2)
+    # 709.7 is below log of the largest float, but its entries overflow
+    for s in (1e6, -1e6, float("nan"), 709.7 / b.rate, -709.7 / b.rate):
         with pytest.raises(errors.BendingOverflow) as info:
             b.evaluate(s)
-        assert info.value.bound == pytest.approx(709.78, abs=1e-2)
+        assert info.value.bound == pytest.approx(bound, rel=1e-12)
         if s == s:
             assert info.value.value == abs(b.rate * s)
-    b.evaluate(700.0 / b.rate)
+    for s in (700.0 / b.rate, 0.999 * bound / b.rate, -0.999 * bound / b.rate):
+        assert np.isfinite(b.evaluate(s).m).all()
 
 
 @pytest.mark.parametrize("pair", [random_hyperbolic_pair, random_spherical_pair])

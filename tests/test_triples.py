@@ -434,6 +434,102 @@ class TestCoordinateMoves:
         assert abs(tance(T2.p2, T2.p3) - res.fun) <= 1e-6 * max(1.0, abs(res.fun))
 
 
+def reference_coordinate_move(T, pair, target, sheet=None, tol=core.DEFAULT_TOL):
+    """_coordinate_move as it was: bend the triple at every preimage, read
+    each candidate's t from its Gram, and keep the best."""
+    i = triples_module._PAIR_START[pair]
+    b = bending(T.points[i], T.points[i + 1], tol)
+    fixed = T.p3 if pair == "12" else T.p1
+    cand_s = triples_module._bend_targets(b, T.p2, fixed, target, tol)
+    t_now = triples_module._invariants(T)[2] if sheet is None else None
+    best = None
+    for s in cand_s:
+        cand = Triple(*triples_module._bend(T.points, pair, s, tol, b))
+        tc = triples_module._invariants(cand)[2]
+        score = -abs(tc - t_now) if sheet is None else sheet * (tc - 1.0)
+        if best is None or score > best[0]:
+            best = (score, cand, s)
+    return best[1], Move(pair=pair, s=best[2])
+
+
+def move_cases():
+    """(scale, triple, pair, target) over generic and real triples, unmoved
+    (scale None) and moved by random isometries at scales 1.0 and 2.0, with
+    targets both beyond the tracked coordinate and below it."""
+    rng = default_rng(67)
+    for real in (False, True):
+        for scale in (None, 1.0, 2.0):
+            for _ in range(4):
+                T = random_strongly_regular_triple(rng, real=real)
+                if scale is not None:
+                    T = T.apply(random_isometry(rng, scale))
+                c = s_coords(T)
+                for pair, x in (("12", c.t2), ("23", c.t1)):
+                    for f in (0.7, 1.3, 2.5):
+                        yield scale, T, pair, f * x
+
+
+class TestOneCandidateMove:
+    @pytest.mark.parametrize("sheet", [1, -1, None])
+    def test_matches_the_two_candidate_move_bit_for_bit(self, sheet):
+        moved = 0
+        for _, T, pair, target in move_cases():
+            try:
+                want, want_mv = reference_coordinate_move(T, pair, target, sheet)
+            except Unreachable:
+                with pytest.raises(Unreachable):
+                    triples_module._coordinate_move(T, pair, target, sheet)
+                continue
+            got, got_mv = triples_module._coordinate_move(T, pair, target, sheet)
+            assert got_mv == want_mv
+            for a, b in zip(got.points, want.points):
+                assert a.rep.tobytes() == b.rep.tobytes() and a.sign == b.sign
+            moved += 1
+        assert moved >= 100
+
+    def test_closed_form_shape_matches_the_bent_triple(self):
+        checked = 0
+        for scale, T, pair, target in move_cases():
+            i = triples_module._PAIR_START[pair]
+            b = bending(T.points[i], T.points[i + 1])
+            fixed = T.p3 if pair == "12" else T.p1
+            try:
+                ss = triples_module._bend_targets(b, T.p2, fixed, target, 1e-9)
+            except Unreachable:
+                continue
+            t_now, *ts = triples_module._bent_shapes(T, pair, b, fixed, [0.0, *ss])
+            want = triples_module._invariants(T)[2]
+            assert abs(t_now - want) <= 1e-10 * abs(want)
+            if len(ts) == 2:
+                # one preimage per sheet: t = 1 +- the same root
+                assert abs(ts[0] + ts[1] - 2.0) <= 1e-10
+            if scale == 2.0:
+                # these bent triples hold their points only to about 3e-9
+                # relative in t (their roundoff, not the closed form's)
+                continue
+            for s, t in zip(ss, ts):
+                bent = Triple(*triples_module._bend(T.points, pair, s, 1e-9, b))
+                want = triples_module._invariants(bent)[2]
+                assert abs(t - want) <= 1e-10 * abs(want)
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("pair", ["12", "23"])
+    def test_builds_only_the_chosen_triple(self, pair, count_calls):
+        T = random_strongly_regular_triple(default_rng(71))
+        c = s_coords(T)
+        target = 2.0 * (c.t2 if pair == "12" else c.t1)
+        i = triples_module._PAIR_START[pair]
+        b = bending(T.points[i], T.points[i + 1])
+        fixed = T.p3 if pair == "12" else T.p1
+        assert len(triples_module._bend_targets(b, T.p2, fixed, target, 1e-9)) == 2
+        counts = count_calls(triples_module._bend, core.point)
+        triples_module._coordinate_move(T, pair, target, +1)
+        # one point for the bending's polar point, two for the moved pair
+        assert counts["_bend"] == 1
+        assert counts["point"] == 3
+
+
 class TestConnect:
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_connects_random_pairs(self, pattern):
