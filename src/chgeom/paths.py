@@ -278,14 +278,6 @@ class Bending:
     rate: float
     th_max: float = _EXP_MAX
 
-    def _overflow(self, th: float) -> BendingOverflow:
-        """The BendingOverflow for the exponent th beyond th_max."""
-        return BendingOverflow(
-            f"bending exponent {abs(th):.3e} exceeds {self.th_max:.2f}",
-            value=abs(th),
-            bound=self.th_max,
-        )
-
     def evaluate(self, s: float) -> Isometry:
         # cols @ N(s) @ cols_inv for the normal form N(s); ndarray.dot
         # gives the bits of @ on 3x3 complex matrices at less call cost,
@@ -295,7 +287,11 @@ class Bending:
         th = self.rate * s
         if self.kind is LineType.HYPERBOLIC:
             if not abs(th) <= self.th_max:
-                raise self._overflow(th)
+                raise BendingOverflow(
+                    f"bending exponent {abs(th):.3e} exceeds {self.th_max:.2f}",
+                    value=abs(th),
+                    bound=self.th_max,
+                )
             m = (self.cols * np.exp([-th, th, 0.0])).dot(self.cols_inv)
             return Isometry(_ro(m))
         if self.kind is LineType.SPHERICAL:
@@ -437,10 +433,14 @@ def _bend_targets(
 
     The tracked pairing sweeps e^{-2th} c1^2 + e^{2th} c2^2 + k, so targets
     below the profile minimum raise Unreachable, the minimum itself has one
-    preimage (the ramification), and anything above has two.  A side whose
-    pairing with `fixed`, relative to the norms, is at most 1e-8 is absent:
-    the profile is then one-sided with a single preimage, and with both
-    sides absent (`fixed` the polar point of the line) nothing is reachable.
+    preimage (the ramification), and anything above has two, returned with
+    the root at the larger exponent x = e^{2th} first.  The coordinate moves
+    of triples read the sheet off that order; make_hyperbolic sorts the
+    roots and pentagons._move_34 takes the one of least |s|, so neither
+    depends on it.  A side whose pairing with `fixed`, relative to the
+    norms, is at most 1e-8 is absent: the profile is then one-sided with a
+    single preimage, and with both sides absent (`fixed` the polar point of
+    the line) nothing is reachable.
     Below the minimum (the infimum k of a one-sided profile), Unreachable
     carries the target as `value` and, as `bound`, the extreme value of ta
     the bending reaches: that minimum times the sign product of the points.

@@ -14,6 +14,12 @@ points of the pair move, the third stays) preserves sigma, alpha, beta and
 one coordinate while sweeping the other: these are the vertical and
 horizontal lines used to connect triples.
 
+The coordinate moves read three facts off this surface: which preimage of
+a target lies on which sheet, from the bending's orientation (_HIGH_SHEET);
+whether a target is reachable, from the sign of the relation's (t - 1)^2
+there (_sheet_gap); and that a change of sheet at fixed (t1, t2) is one bend
+to the mirror preimage.
+
 A move bends one consecutive pair of a chain of points: "12" and "23" on a
 triple, "34" and "45" as well on a pentagon.  `_bend` is the only code that
 applies one; replaying a program bends whatever pair `bending` accepts,
@@ -24,7 +30,6 @@ hyperbolic pair.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +151,7 @@ class SCoords:
 
     @property
     def sheet(self) -> int:
-        return 1 if self.t >= 1.0 else -1
+        return _sheet_of(self.t)
 
     def residual(self) -> float:
         t1t2 = self.t1 * self.t2
@@ -159,6 +164,11 @@ class SCoords:
             - 1.0
             + self.alpha**2 / t1t2
         )
+
+
+def _sheet_of(t: float) -> int:
+    """The sheet of shape invariant t: +1 for t >= 1, else -1."""
+    return 1 if t >= 1.0 else -1
 
 
 def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
@@ -318,6 +328,13 @@ _PAIR_START = {"12": 0, "23": 1, "34": 2, "45": 3}
 #: The coordinate each bending pair sweeps: pair 12 moves t2, pair 23 moves t1.
 _SWEPT = {"12": "t2", "23": "t1"}
 
+#: The sheet of a coordinate move's preimage at the larger exponent (the
+#: first of _bend_targets' two).  `bending`'s frame scales v1 by e^{-th}
+#: and v2 by e^{th}; the moving point p2 is the second point of pair 12's
+#: line but the first of pair 23's, so the orientation, and with it the
+#: sheet, flips between the two pairs.
+_HIGH_SHEET = {"12": 1, "23": -1}
+
 
 def _bend(points, pair: str, s: float, tol: float, b: Bending | None = None) -> tuple:
     """The points with the consecutive pair `pair` moved by its bending at s.
@@ -359,11 +376,13 @@ def _coordinate_move(
     """Bend `pair` until the tracked coordinate hits `target`.
 
     Pair "12" tracks t2 = ta(p2, p3) (a vertical line, t1 frozen); pair "23"
-    tracks t1 = ta(p1, p2) (a horizontal line, t2 frozen).  Each reachable
-    target has one preimage per sheet; `sheet` picks by the sign of t - 1,
-    None keeps the current sheet (the preimage whose t is nearer T's).
-    Where there are two, their t are read from the pairings in the
-    bending's frame (_bent_shapes), and only the chosen triple is built.
+    tracks t1 = ta(p1, p2) (a horizontal line, t2 frozen).  A target above
+    the profile minimum has two preimages, one per sheet; `sheet` picks by
+    the sign of t - 1, and None keeps T's own sheet (_sheet_of T's t).
+    The bending's orientation says which preimage is on which sheet: the
+    first, at the larger exponent, is on _HIGH_SHEET[pair].  A target at
+    the minimum has the one preimage on the ramification, and one below it
+    raises Unreachable.
     """
     if pair not in _SWEPT:
         raise ValueError(f"unknown pair {pair!r} for a triple")
@@ -375,40 +394,11 @@ def _coordinate_move(
     cand_s = _bend_targets(b, T.p2, fixed, target, tol)
     s = cand_s[0]
     if len(cand_s) > 1:
-        t_now, *ts = _bent_shapes(T, pair, b, fixed, [0.0, *cand_s])
-        score = [-abs(t - t_now) if sheet is None else sheet * (t - 1.0) for t in ts]
-        s = cand_s[score.index(max(score))]
+        if sheet is None:
+            sheet = _sheet_of(_invariants(T, tol)[2])
+        if sheet != _HIGH_SHEET[pair]:
+            s = cand_s[1]
     return Triple(*_bend(T.points, pair, s, tol, b)), Move(pair=pair, s=s)
-
-
-def _bent_shapes(T: Triple, pair: str, b: Bending, fixed: Point, ss) -> list:
-    """The shape invariant t of T with `pair` bent by b at each s of ss,
-    read from the pairings in b's frame without building the triples.
-
-    For p on the pair, x = cols_inv p and w_k = <cols_k, fixed>, the bent
-    point pairs with the fixed one as <E(s) p, fixed> = e^{-th} x_0 w_0
-    + e^{th} x_1 w_1 + x_2 w_2 with th = rate s.  The bend keeps the
-    pair's own pairing and p2's self-product, so T's Gram gives them, and
-    t = Re(g13 g22 / (g12 g23)), which no rescaling of a representative
-    changes, needs only the two new pairings: g13 and g23 for pair 12,
-    and for pair 23 the conjugates of g13 and g12, with p1 fixed.  Raises
-    BendingOverflow where b.evaluate(s) would.
-    """
-    o = 0 if pair == "12" else 2
-    m = T.gram().m
-    ratio = m[1, 1] / m[o, 1]
-    x = b.cols_inv @ np.array([T.points[o].rep, T.p2.rep]).T
-    ao, am = (x.T * form(b.cols.T, fixed.rep)).tolist()
-    out = []
-    for s in ss:
-        th = b.rate * s
-        if not abs(th) <= b.th_max:
-            raise b._overflow(th)
-        lo, hi = math.exp(-th), math.exp(th)
-        h_out = lo * ao[0] + hi * ao[1] + ao[2]
-        h_mid = lo * am[0] + hi * am[1] + am[2]
-        out.append((h_out * ratio / h_mid).real)
-    return out
 
 
 def vertical_line(
@@ -445,10 +435,14 @@ def _bend_onto(
 ) -> tuple[BendProgram, Triple]:
     """Bend A onto B's coordinates: pair `first`, then the other pair.
 
-    The first leg hits the coordinate `first` sweeps; when that target is
-    below the profile minimum, the other coordinate is doubled until it
-    comes into reach.  The second leg lands on B's sheet, stepping away and
-    back when the coordinates already match but the sheet does not.
+    The first leg moves the coordinate `first` sweeps onto B's, with the
+    other coordinate y frozen.  The surface relation says whether it can:
+    the target is reachable iff _sheet_gap, (t - 1)^2 by the relation, is
+    nonnegative at (target, y).  If it is not, y is doubled, at most 60
+    times, until the relation admits the target, and a lift to that y is
+    bent first.  The second leg lands on B's sheet; when the coordinates
+    already match but the sheet does not, it is one bend to the mirror
+    preimage.
     """
     second = "12" if first == "23" else "23"
     x1, x2 = _SWEPT[first], _SWEPT[second]
@@ -457,39 +451,25 @@ def _bend_onto(
 
     target = getattr(cb, x1)
     if _off_target(getattr(ca, x1), target):
-        try:
-            cur, mv = _coordinate_move(cur, first, target, None, tol)
-            moves.append(mv)
-        except Unreachable:
-            # raise the other coordinate until the target becomes reachable,
-            # then commit that single leg followed by the first one
-            y = getattr(s_coords(cur, tol), x2)
-            done = False
-            for _ in range(60):
-                y *= 2.0
-                lifted, mv_lift = _coordinate_move(cur, second, y, None, tol)
-                try:
-                    lifted, mv = _coordinate_move(lifted, first, target, None, tol)
-                except Unreachable:
-                    continue
-                cur = lifted
-                moves.extend([mv_lift, mv])
-                done = True
-                break
-            if not done:
+        # _sheet_gap is symmetric in t1 and t2, so the order of its
+        # arguments does not matter
+        y, lifts = getattr(ca, x2), 0
+        while _sheet_gap(target, y, ca.alpha, ca.beta) < 0.0:
+            if lifts == 60:
                 raise Unreachable(f"target of pair {first} stayed out of reach")
+            y, lifts = 2.0 * y, lifts + 1
+        if lifts:
+            cur, mv = _coordinate_move(cur, second, y, None, tol)
+            moves.append(mv)
+        cur, mv = _coordinate_move(cur, first, target, None, tol)
+        moves.append(mv)
 
     cc = s_coords(cur, tol)
     want_sheet = None if abs(cb.t - 1.0) <= tol else cb.sheet
     target = getattr(cb, x2)
-    if _off_target(getattr(cc, x2), target):
-        cur, mv = _coordinate_move(cur, second, target, want_sheet, tol)
-        moves.append(mv)
-    elif want_sheet is not None and abs(cc.t - 1.0) > tol and cc.sheet != cb.sheet:
-        # coordinates already match but the sheet does not: step away
-        # and come back choosing the right preimage
-        cur, mv = _coordinate_move(cur, second, 2.0 * target, None, tol)
-        moves.append(mv)
+    if _off_target(getattr(cc, x2), target) or (
+        want_sheet is not None and abs(cc.t - 1.0) > tol and cc.sheet != cb.sheet
+    ):
         cur, mv = _coordinate_move(cur, second, target, want_sheet, tol)
         moves.append(mv)
     return moves, cur

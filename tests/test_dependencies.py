@@ -31,6 +31,13 @@ def test_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+#: Imports kept on purpose, with the reason: (module file, name).
+KEPT_IMPORTS = {
+    # bench/tests/test_bench.py checks that tracing rebinds chgeom.triples.form
+    ("triples.py", "form"),
+}
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never reads; names in __all__ count as read."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -51,7 +58,7 @@ def _unused_imports(path: Path) -> list[str]:
     return [
         f"{name} (line {line})"
         for name, line in imported.items()
-        if name not in used
+        if name not in used and (path.name, name) not in KEPT_IMPORTS
     ]
 
 

@@ -469,6 +469,34 @@ def move_cases():
                         yield scale, T, pair, f * x
 
 
+def near_ramification_triples(rng, offsets):
+    """For each d of offsets, a triple at t = 1 + d: signs, t1, t2 and
+    alpha drawn as for random coordinates, beta from the surface relation."""
+    for d in offsets:
+        while True:
+            c = random_strongly_regular_coords(rng)
+            t1t2 = c.t1 * c.t2
+            b = 1.0 - c.t1 - c.t2 + t1t2 - t1t2 * d**2 - c.alpha**2 / t1t2
+            near = SCoords(1.0 + d, c.t1, c.t2, c.sigma, c.alpha, b)
+            try:
+                yield triple_from_coords(near)
+            except InadmissibleCoords:
+                continue
+            break
+
+
+def orientation_cases():
+    """move_cases() and triples within 1e-3 to 1e-10 of the ramification,
+    on either side, with the same targets."""
+    yield from move_cases()
+    offsets = [sign * 10.0**-k for k in range(3, 11) for sign in (1, -1)]
+    for T in near_ramification_triples(default_rng(97), offsets):
+        c = s_coords(T)
+        for pair, x in (("12", c.t2), ("23", c.t1)):
+            for f in (0.7, 1.3, 2.5):
+                yield None, T, pair, f * x
+
+
 class TestOneCandidateMove:
     @pytest.mark.parametrize("sheet", [1, -1, None])
     def test_matches_the_two_candidate_move_bit_for_bit(self, sheet):
@@ -487,9 +515,10 @@ class TestOneCandidateMove:
             moved += 1
         assert moved >= 100
 
-    def test_closed_form_shape_matches_the_bent_triple(self):
+    def test_the_high_preimage_lies_on_the_pairs_sheet(self):
+        # the sheet of each preimage, read from the bent triple's own Gram
         checked = 0
-        for scale, T, pair, target in move_cases():
+        for scale, T, pair, target in orientation_cases():
             i = triples_module._PAIR_START[pair]
             b = bending(T.points[i], T.points[i + 1])
             fixed = T.p3 if pair == "12" else T.p1
@@ -497,22 +526,38 @@ class TestOneCandidateMove:
                 ss = triples_module._bend_targets(b, T.p2, fixed, target, 1e-9)
             except Unreachable:
                 continue
-            t_now, *ts = triples_module._bent_shapes(T, pair, b, fixed, [0.0, *ss])
-            want = triples_module._invariants(T)[2]
-            assert abs(t_now - want) <= 1e-10 * abs(want)
-            if len(ts) == 2:
-                # one preimage per sheet: t = 1 +- the same root
-                assert abs(ts[0] + ts[1] - 2.0) <= 1e-10
-            if scale == 2.0:
-                # these bent triples hold their points only to about 3e-9
-                # relative in t (their roundoff, not the closed form's)
+            if len(ss) < 2:
                 continue
-            for s, t in zip(ss, ts):
-                bent = Triple(*triples_module._bend(T.points, pair, s, 1e-9, b))
-                want = triples_module._invariants(bent)[2]
-                assert abs(t - want) <= 1e-10 * abs(want)
-                checked += 1
-        assert checked >= 100
+            ts = [
+                triples_module._invariants(
+                    Triple(*triples_module._bend(T.points, pair, s, 1e-9, b))
+                )[2]
+                for s in ss
+            ]
+            if scale != 2.0:
+                # one preimage per sheet: t = 1 +- the same root; the bent
+                # triples at scale 2.0 hold their points only to about 3e-9
+                # relative in t
+                assert abs(ts[0] + ts[1] - 2.0) <= 1e-10
+            high = triples_module._HIGH_SHEET[pair]
+            assert np.sign(ts[0] - 1.0) == high
+            assert np.sign(ts[1] - 1.0) == -high
+            checked += 1
+        assert checked >= 180
+
+    @pytest.mark.parametrize("sheet", [1, -1])
+    def test_explicit_sheet_near_the_ramification(self, sheet):
+        # T's own sheet is roundoff here; the requested one is not
+        offsets = [sign * 10.0**-k for k in range(11, 17) for sign in (1, -1)] * 2
+        landed = 0
+        for T in near_ramification_triples(default_rng(101), offsets):
+            c = s_coords(T)
+            for move, x in ((vertical_line, c.t2), (horizontal_line, c.t1)):
+                for f in (1.3, 2.5):
+                    U, _ = move(T, f * x, sheet)
+                    assert s_coords(U).sheet == sheet
+                    landed += 1
+        assert landed == 4 * len(offsets)
 
     @pytest.mark.parametrize("pair", ["12", "23"])
     def test_builds_only_the_chosen_triple(self, pair, count_calls):
@@ -528,6 +573,98 @@ class TestOneCandidateMove:
         # one point for the bending's polar point, two for the moved pair
         assert counts["_bend"] == 1
         assert counts["point"] == 3
+
+
+def reference_bend_onto(A, ca, cb, first, tol):
+    """_bend_onto as it was: try the first leg, and on Unreachable double
+    the other coordinate, lifting and retrying, until the first leg goes
+    through; flip a sheet by stepping out to twice the target and back."""
+    second = "12" if first == "23" else "23"
+    x1, x2 = triples_module._SWEPT[first], triples_module._SWEPT[second]
+    moves = []
+    cur = A
+
+    target = getattr(cb, x1)
+    if triples_module._off_target(getattr(ca, x1), target):
+        try:
+            cur, mv = reference_coordinate_move(cur, first, target, None, tol)
+            moves.append(mv)
+        except Unreachable:
+            y = getattr(s_coords(cur, tol), x2)
+            done = False
+            for _ in range(60):
+                y *= 2.0
+                lifted, mv_lift = reference_coordinate_move(cur, second, y, None, tol)
+                try:
+                    lifted, mv = reference_coordinate_move(
+                        lifted, first, target, None, tol
+                    )
+                except Unreachable:
+                    continue
+                cur = lifted
+                moves.extend([mv_lift, mv])
+                done = True
+                break
+            if not done:
+                raise Unreachable(f"target of pair {first} stayed out of reach")
+
+    cc = s_coords(cur, tol)
+    want_sheet = None if abs(cb.t - 1.0) <= tol else cb.sheet
+    target = getattr(cb, x2)
+    if triples_module._off_target(getattr(cc, x2), target):
+        cur, mv = reference_coordinate_move(cur, second, target, want_sheet, tol)
+        moves.append(mv)
+    elif want_sheet is not None and abs(cc.t - 1.0) > tol and cc.sheet != cb.sheet:
+        cur, mv = reference_coordinate_move(cur, second, 2.0 * target, None, tol)
+        moves.append(mv)
+        cur, mv = reference_coordinate_move(cur, second, target, want_sheet, tol)
+        moves.append(mv)
+    return moves, cur
+
+
+def three_move_coords():
+    """Coordinates of two real all-negative triples: the direct horizontal
+    leg from the first to t1 of the second is out of reach."""
+    base = SCoords(t=1.0, t1=0.0, t2=0.0, sigma=(-1, -1, -1), alpha=0.0, beta=2.0)
+    return coords_like(base, 5.0, 1.7, sheet=1), coords_like(base, 1.8, 4.5, sheet=1)
+
+
+def needs_lift(ca, cb):
+    """The orders `first` whose first leg from ca is out of reach: the
+    relation has no point at cb's swept coordinate and ca's other one."""
+    return [
+        first
+        for first, x1, x2 in (("23", "t1", "t2"), ("12", "t2", "t1"))
+        if _sheet_gap(getattr(cb, x1), getattr(ca, x2), ca.alpha, ca.beta) < 0.0
+    ]
+
+
+def lift_cases():
+    """(ca, cb, first) whose first leg is out of reach from ca, from
+    three_move_coords and from four random pairs on each sign pattern, each
+    pair taken in both orders."""
+    pairs = [three_move_coords()]
+    rng = default_rng(103)
+    for pattern in PATTERNS:
+        n = 0
+        while n < 4:
+            ca = random_strongly_regular_coords(rng, sigma=pattern)
+            t1 = ca.t1 * 10.0 ** rng.uniform(-2.0, 1.0)
+            t2 = ca.t2 * 10.0 ** rng.uniform(-2.0, 1.0)
+            if _sheet_gap(t1, t2, ca.alpha, ca.beta) <= 0.0:
+                continue
+            cb = coords_like(ca, t1, t2, sheet=1 if rng.random() < 0.5 else -1)
+            try:
+                validate_coords(cb)
+            except InadmissibleCoords:
+                continue
+            if needs_lift(ca, cb) or needs_lift(cb, ca):
+                pairs.append((ca, cb))
+                n += 1
+    for ca, cb in pairs:
+        for c, d in ((ca, cb), (cb, ca)):
+            for first in needs_lift(c, d):
+                yield c, d, first
 
 
 class TestConnect:
@@ -550,9 +687,7 @@ class TestConnect:
         # all-negative real pattern; these two points both clear it while
         # the direct horizontal leg from A to t1 of B does not
         beta = 2.0
-        base = SCoords(t=1.0, t1=0.0, t2=0.0, sigma=(-1, -1, -1), alpha=0.0, beta=beta)
-        ca = coords_like(base, 5.0, 1.7, sheet=1)
-        cb = coords_like(base, 1.8, 4.5, sheet=1)
+        ca, cb = three_move_coords()
         assert (ca.t1 - 1.0) * (ca.t2 - 1.0) >= beta
         assert (cb.t1 - 1.0) * (cb.t2 - 1.0) >= beta
         assert (cb.t1 - 1.0) * (ca.t2 - 1.0) < beta
@@ -561,21 +696,48 @@ class TestConnect:
         assert [m.pair for m in moves] == ["12", "23", "12"]
         assert_triples_match(g, apply_bend_program(A, moves), B, 1e-8)
 
-    def test_sheet_flip_at_equal_coordinates(self):
-        rng = default_rng(59)
-        ca = random_strongly_regular_coords(rng)
-        cb = SCoords(
-            t=2.0 - ca.t,
-            t1=ca.t1,
-            t2=ca.t2,
-            sigma=ca.sigma,
-            alpha=ca.alpha,
-            beta=ca.beta,
+    def test_lift_matches_the_search_bit_for_bit(self):
+        patterns = set()
+        for ca, cb, first in lift_cases():
+            A, B = triple_from_coords(ca), triple_from_coords(cb)
+            ca, cb = s_coords(A), s_coords(B)
+            tol = core.DEFAULT_TOL
+            want, want_T = reference_bend_onto(A, ca, cb, first, tol)
+            got, got_T = triples_module._bend_onto(A, ca, cb, first, tol)
+            assert got == want
+            assert len(got) == 3
+            for a, b in zip(got_T.points, want_T.points):
+                assert a.rep.tobytes() == b.rep.tobytes() and a.sign == b.sign
+            patterns.add(ca.sigma)
+        assert patterns == set(PATTERNS)
+
+    def test_one_lift_takes_three_coordinate_moves(self, count_calls):
+        A, B = (triple_from_coords(c) for c in three_move_coords())
+        counts = count_calls(triples_module._coordinate_move)
+        moves, _ = triples_module._bend_onto(
+            A, s_coords(A), s_coords(B), "23", core.DEFAULT_TOL
         )
-        A, B = triple_from_coords(ca), triple_from_coords(cb)
-        moves, g = connect_triples(A, B)
-        assert [m.pair for m in moves] == ["12", "12"]
-        assert_triples_match(g, apply_bend_program(A, moves), B, 1e-8)
+        assert [m.pair for m in moves] == ["12", "23", "12"]
+        # the lift, the first leg and the second leg; no attempt that fails
+        assert counts["_coordinate_move"] == 3
+
+    def test_sheet_flip_at_equal_coordinates(self):
+        # equal (t1, t2), mirrored t: one bend to the other preimage
+        for seed in (59, *range(1, 9)):
+            rng = default_rng(seed)
+            ca = random_strongly_regular_coords(rng)
+            cb = SCoords(
+                t=2.0 - ca.t,
+                t1=ca.t1,
+                t2=ca.t2,
+                sigma=ca.sigma,
+                alpha=ca.alpha,
+                beta=ca.beta,
+            )
+            A, B = triple_from_coords(ca), triple_from_coords(cb)
+            moves, g = connect_triples(A, B)
+            assert [m.pair for m in moves] == ["12"]
+            assert_triples_match(g, apply_bend_program(A, moves), B, 1e-8)
 
     def test_ill_conditioned_order_falls_back(self):
         # bending 23 first and 12 second pushes a representative of this
