@@ -1,12 +1,18 @@
-"""Exception hierarchy for geometric degeneracies and failed preconditions."""
+"""Exception hierarchy for geometric degeneracies and failed preconditions.
+
+A measured check raises with the measured `value` and the `bound` it was
+tested against.  A ceiling (a residual, a distance off a locus) goes
+through `_require` and passes only when value <= bound; a floor (a pairing,
+an eigenvalue gap, the distance |t - 1| from the ramification) goes through
+`_require_above` and passes only when value > bound.  A NaN fails both.
+"""
 
 
 class GeometryError(Exception):
     """Base class for all geometric errors raised by this package.
 
     A numeric test that fails can attach the measured `value` and the
-    `bound` it was tested against; both are None otherwise.  Every ceiling
-    on a measured residual goes through `_require`, which attaches both.
+    `bound` it was tested against; both are None otherwise.
     """
 
     def __init__(self, message: str, value=None, bound=None):
@@ -22,6 +28,16 @@ def _require(value, bound, error: type[GeometryError], what: str) -> None:
     """
     if not value <= bound:
         raise error(f"{what} {value:.2e} exceeds {bound:.2e}", value=value, bound=bound)
+
+
+def _require_above(value, bound, error: type[GeometryError], what: str) -> None:
+    """Raise `error` carrying `value` and `bound` unless value > bound.
+
+    The floor twin of `_require`: a NaN fails it as well.
+    """
+    if not value > bound:
+        message = f"{what} {value:.2e} is not above {bound:.2e}"
+        raise error(message, value=value, bound=bound)
 
 
 class IsotropicVector(GeometryError):

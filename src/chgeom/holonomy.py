@@ -38,6 +38,7 @@ from .errors import (
     OnRamification,
     RankInconclusive,
     Unreachable,
+    _require_above,
 )
 from .isometry import (
     Isometry,
@@ -61,9 +62,8 @@ RAMIFICATION_TOL = 1e-8
 
 
 def _pin_sheet(t: float, why: str) -> None:
-    """Raise OnRamification, saying why, when t sits on t = 1."""
-    if abs(t - 1.0) <= RAMIFICATION_TOL:
-        raise OnRamification(why)
+    """Raise OnRamification, saying why, unless |t - 1| > RAMIFICATION_TOL."""
+    _require_above(abs(t - 1.0), RAMIFICATION_TOL, OnRamification, f"{why}: |t - 1|")
 
 
 TripleVelocities = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -354,9 +354,10 @@ def holonomy_dimension(
     taken as its closed-form action omega on p1, written in the centralizer
     basis and normalised; the rank is 2 when sv1/sv0 >= RANK_TWO_ABOVE, 1
     when sv1/sv0 <= RANK_ONE_BELOW.  A ratio in between raises
-    RankInconclusive carrying the ratio and the band; nothing is resampled.  A non-regular product raises NotRegular,
-    and t = 1 raises OnRamification.  n_samples and rng are accepted for
-    compatibility and unused; ds matters only as ds = 0.
+    RankInconclusive carrying the ratio and the band; nothing is resampled.
+    A non-regular product raises NotRegular, and t = 1 raises
+    OnRamification.  n_samples and rng are accepted for compatibility and
+    unused; ds matters only as ds = 0.
     """
     if ds == 0:
         return 0

@@ -21,6 +21,7 @@ from .errors import (
     NotTwoReflectionProduct,
     ZeroDiagonal,
     _require,
+    _require_above,
 )
 
 #: |lambda| - 1 below this counts as a unit-modulus eigenvalue.
@@ -321,8 +322,7 @@ def trace_formula(G, tol: float = DEFAULT_TOL) -> complex:
     n = m.shape[0]
     diag = m.diagonal().real
     scale = max(float(np.abs(m).max()), 1e-300)
-    if np.any(np.abs(diag) <= tol * scale):
-        raise ZeroDiagonal("a diagonal Gram entry vanishes")
+    _require_above(np.abs(diag).min(), tol * scale, ZeroDiagonal, "smallest |G[j, j]|")
     total = 3.0 - 2.0 * n + 0j
     for t in range(2, n + 1):
         for idx in combinations(range(n), t):
@@ -399,10 +399,7 @@ def _matched_eigen(F: Isometry, G: Isometry, tol: float):
     for vals in (fvals, gvals):
         gap = float(np.abs(vals[[0, 0, 1]] - vals[[1, 2, 2]]).min())
         bound = SEPARATION_TOL * max(1.0, float(np.abs(vals).max()))
-        if not gap > bound:
-            raise NotRegular(
-                f"eigenvalue gap {gap:.2e} within {bound:.2e}", value=gap, bound=bound
-            )
+        _require_above(gap, bound, NotRegular, "eigenvalue gap")
     scale = max(1.0, float(np.abs(fvals).max()))
     best, best_perm = None, None
     for perm in permutations(range(3)):
@@ -415,12 +412,11 @@ def _matched_eigen(F: Isometry, G: Isometry, tol: float):
 
 def _null_pair(v: np.ndarray, w: np.ndarray, error: type) -> tuple[np.ndarray, np.ndarray]:
     """An isotropic pair scaled to <v, w> = 1/2: v to unit euclidean norm and
-    its anchor phase (core._rephase), w to match.  Raises `error` when the
-    pairing vanishes."""
+    its anchor phase (core._rephase), w to match.  Raises `error` unless
+    the pairing |<v, w>| is above 1e-10."""
     v = _rephase(v / np.linalg.norm(v))[0]
     rho = form(v, w)
-    if abs(rho) <= 1e-10:
-        raise error("isotropic eigenvectors do not pair")
+    _require_above(abs(rho), 1e-10, error, "pairing of the isotropic eigenvectors")
     return v, w / (2.0 * rho.conjugate())
 
 
@@ -438,8 +434,7 @@ def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
     for i in unit:
         v = vecs[:, i]
         s = self_product(v)
-        if abs(s) <= 1e-8:
-            raise NotRegular("isotropic eigenvector for a unit eigenvalue")
+        _require_above(abs(s), 1e-8, NotRegular, "|self-product| of a unit eigenvector")
         cols[i] = _rephase(v / np.sqrt(abs(s)))[0]
         signs[i] = 1 if s > 0 else -1
     if nonunit:
@@ -493,8 +488,7 @@ def split_two_reflections(
     recip = float(abs(lam[0] * lam[2] - 1.0))
     _require(recip, 1e-6, NotTwoReflectionProduct, "reciprocity |lam_min lam_max - 1|")
     u = vecs[:, order[1]]
-    if self_product(u) <= 0:
-        raise NotTwoReflectionProduct("unit eigenvector is not positive")
+    _require_above(self_product(u), 0.0, NotTwoReflectionProduct, "<u, u> at lam = 1")
     v1, v2 = _null_pair(vecs[:, order[2]], vecs[:, order[0]], NotTwoReflectionProduct)
     u1 = s_param
     u2 = s_param - 0.5 * np.log(lam[2])

@@ -47,6 +47,7 @@ from .errors import (
     StepTooLarge,
     Unreachable,
     _require,
+    _require_above,
 )
 from .isometry import (
     IDENTITY,
@@ -308,39 +309,35 @@ class Bending:
         """Parameter u with evaluate(u) carrying the base fiber onto q's.
 
         Returns (u, sign of q).  Raises NotOnGeodesic when q is off the real
-        geodesic (or circle) swept by the bending, to _GEODESIC_TOL.
+        geodesic (or circle) swept by the bending, carrying the measured
+        value and its bound: in the coordinates c = cols_inv q, a coordinate
+        that must vanish is at most _GEODESIC_TOL max|c| and one that must
+        not is above it; the imaginary part of a ratio r of two coordinates
+        is at most _GEODESIC_TOL max(1, |r|).
         """
-        tol = _GEODESIC_TOL
+        tol, off = _GEODESIC_TOL, NotOnGeodesic
         c = self.cols_inv @ q.rep
-        scale = float(np.abs(c).max())
+        bound = tol * float(np.abs(c).max())
+        if self.kind is not LineType.EUCLIDEAN:
+            _require(abs(c[2]), bound, off, "polar coordinate")
         if self.kind is LineType.HYPERBOLIC:
-            if abs(c[2]) > tol * scale:
-                raise NotOnGeodesic("point is off the complex line")
-            if min(abs(c[0]), abs(c[1])) <= tol * scale:
-                raise NotOnGeodesic("point is at an end of the geodesic")
+            _require_above(min(abs(c[0]), abs(c[1])), bound, off, "end coordinate")
             r = c[1] / c[0]
-            if abs(r.imag) > tol * max(1.0, abs(r)):
-                raise NotOnGeodesic("point is off the real geodesic")
+            _require(abs(r.imag), tol * max(1.0, abs(r)), off, "Im of end ratio")
             if (r.real < 0) != (q.sign < 0):
                 raise NotOnGeodesic("branch does not match the point sign")
             return 0.5 * np.log(abs(r.real)) / self.rate, q.sign
         if self.kind is LineType.SPHERICAL:
-            if abs(c[2]) > tol * scale:
-                raise NotOnGeodesic("point is off the complex line")
             _rephase(c)
-            if max(abs(c[0].imag), abs(c[1].imag)) > tol * scale:
-                raise NotOnGeodesic("point is off the real circle")
+            _require(np.abs(c[:2].imag).max(), bound, off, "Im of circle coordinates")
             th = float(np.arctan2(c[1].real, c[0].real)) % np.pi
             if th >= np.pi * (1.0 - 1e-12):
                 th = 0.0
             return th / self.rate, q.sign
-        if abs(c[0]) > tol * scale:
-            raise NotOnGeodesic("point is off the horocyclic family")
-        if abs(c[1]) <= tol * scale:
-            raise NotOnGeodesic("point is at the isotropic end")
+        _require(abs(c[0]), bound, off, "coordinate off the horocyclic family")
+        _require_above(abs(c[1]), bound, off, "coordinate toward the isotropic end")
         r = c[2] / c[1]
-        if abs(r.imag) > tol * max(1.0, abs(r)):
-            raise NotOnGeodesic("point is off the real family")
+        _require(abs(r.imag), tol * max(1.0, abs(r)), off, "Im of family ratio")
         return float(r.real), q.sign
 
 
@@ -352,8 +349,8 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     g12 = form(p1.rep, p2.rep)
     g = abs(g12)
     kind = _minor_type(s1 * s2, g * g, tol)
-    if g <= tol * max(1.0, _norm(p1.rep) * _norm(p2.rep)):
-        raise OrthogonalPoints("orthogonal points admit no bending")
+    bound = tol * max(1.0, _norm(p1.rep) * _norm(p2.rep))
+    _require_above(g, bound, OrthogonalPoints, "pairing of the points")
     # p2's representative rotated so its pairing with p1 is real positive
     q2 = (g12 / g) * p2.rep
     if kind is not LineType.EUCLIDEAN:
@@ -371,9 +368,9 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         rate = -np.log(lam)
         cols = np.column_stack([v1, v2, pol.rep])
     elif kind is LineType.SPHERICAL:
+        # _minor_type calls a pair spherical only at g^2 < (1 - tol)/(1 + tol),
+        # so ang = arccos g exceeds tol
         ang = np.arccos(min(1.0, g))
-        if ang <= tol:
-            raise EqualPoints("spherical pair at angle zero")
         p1prime = (q2 - g * p1.rep) / np.sin(ang)
         cols = np.column_stack([p1.rep, p1prime, pol.rep])
         rate = float(ang)
@@ -415,9 +412,8 @@ def orthogonal_partner(q: Point, line: Bending) -> Point:
     if line.kind is LineType.EUCLIDEAN:
         raise EuclideanGeodesic("euclidean lines have no orthogonal partners")
     c = line.cols_inv @ q.rep
-    scale = float(np.abs(c).max())
-    if abs(c[2]) > _GEODESIC_TOL * scale:
-        raise NotOnGeodesic("point is off the complex line")
+    bound = _GEODESIC_TOL * float(np.abs(c).max())
+    _require(abs(c[2]), bound, NotOnGeodesic, "polar coordinate")
     if line.kind is LineType.HYPERBOLIC:
         partner = c[0] * line.cols[:, 0] - c[1] * line.cols[:, 1]
     else:
@@ -517,8 +513,7 @@ def _spherical_root(z1: complex, z2: complex) -> float:
     c = (z1 * z2.conjugate()).real
     r = math.hypot((a - b) / 2.0, c)
     peak = (a + b) / 2.0 + r
-    if peak - 1.0 <= 1e-10:
-        raise ExceptionalCase("the spherical orbit never becomes hyperbolic")
+    _require_above(peak - 1.0, 1e-10, ExceptionalCase, "orbit peak above the threshold")
     level = 1.0 + min(_MARGIN, 0.5 * (peak - 1.0))
     phi = math.atan2(c, (a - b) / 2.0) % (2.0 * math.pi)
     cos_level = min(1.0, max(-1.0, (level - (a + b) / 2.0) / r))
@@ -577,10 +572,9 @@ def make_hyperbolic(p1: Point, p2: Point, p3: Point, tol: float = DEFAULT_TOL) -
         c = (b.cols_inv @ p2.rep).tolist()
         w = form(b.cols.T, p3.rep).tolist()
         if b.kind is LineType.EUCLIDEAN:
-            u = b.cols[:, 2]
-            p3norm = float(np.linalg.norm(p3.rep))
-            if abs(w[2]) <= 1e-8 * float(np.linalg.norm(u)) * p3norm:
-                raise ExceptionalCase("p3 lies on the euclidean line of (p1, p2)")
+            u, p3norm = b.cols[:, 2], float(np.linalg.norm(p3.rep))
+            bound = 1e-8 * float(np.linalg.norm(u)) * p3norm
+            _require_above(abs(w[2]), bound, ExceptionalCase, "pairing of p3 with u")
             return _euclidean_root(
                 c[1] * w[1] + c[2] * w[2], c[1] * w[2], 1.0 + _MARGIN
             )

@@ -28,7 +28,6 @@ from .core import (
 )
 from .errors import (
     DifferentDelta,
-    InadmissibleCoords,
     InadmissibleModuli,
     NotAPentagon,
     NotConjugate,
@@ -170,10 +169,10 @@ def pentagon_from_moduli(
         alpha=float(alpha),
         beta=float(beta),
     )
-    try:
-        T = triple_from_coords(c, tol)
-    except InadmissibleCoords as exc:
-        raise InadmissibleModuli(str(exc)) from exc
+    # the chart's tests imply validate_coords': t1 < 0 and t2 > 1 on the
+    # pattern (+1, -1, -1), beta < 0 and |alpha| > 0 from t4 > 1, and t on
+    # the surface up to roundoff
+    T = triple_from_coords(c, tol)
     g = Isometry(np.conj(delta.value) * T.product().m)
     x1, x2 = split_two_reflections(g, s5, tol)
     return Pentagon(T.p1, T.p2, T.p3, x2, x1, delta)

@@ -58,9 +58,9 @@ def random_strongly_regular_coords(rng, sigma=None, real: bool = False):
     Consecutive invariants are drawn in the range forced by the sign
     pattern, t keeps (t - 1)^2 off zero so both sheets stay separated, and
     beta follows from the surface relation; draws violating realizability
-    are rejected.  `real` forces alpha = 0 on the all-negative pattern.
+    are rejected.  `real` forces alpha = 0 on the all-negative pattern.  A
+    `sigma` that no strongly regular triple has raises InadmissibleCoords.
     """
-    from .errors import InadmissibleCoords
     from .triples import SCoords, validate_coords
 
     if real:
@@ -78,10 +78,8 @@ def random_strongly_regular_coords(rng, sigma=None, real: bool = False):
         if b * s1 * s2 * s3 >= -0.02:
             continue
         c = SCoords(t=t, t1=t1, t2=t2, sigma=sigma, alpha=a, beta=b)
-        try:
-            validate_coords(c)
-        except InadmissibleCoords:
-            continue
+        # the draw ranges give the signs, and beta the relation
+        validate_coords(c)
         return c
     raise RuntimeError("rejection sampling failed to produce coordinates")
 

@@ -57,6 +57,7 @@ from .errors import (
     TraceMinusOne,
     Unreachable,
     _require,
+    _require_above,
 )
 from .isometry import (
     Isometry,
@@ -276,8 +277,7 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
     class matches (same-trace elliptic classes differ by their sign data).
     """
     tr = F.trace
-    if abs(tr + 1.0) <= tol:
-        raise TraceMinusOne("trace -1 admits no three-reflection decomposition")
+    _require_above(abs(tr + 1.0), tol, TraceMinusOne, "|trace + 1|")
     a = tr.imag / 8.0
     b = (tr.real + 1.0) / 4.0
     if b > tol:
@@ -384,8 +384,6 @@ def _coordinate_move(
     the minimum has the one preimage on the ramification, and one below it
     raises Unreachable.
     """
-    if pair not in _SWEPT:
-        raise ValueError(f"unknown pair {pair!r} for a triple")
     i = _PAIR_START[pair]
     b = bending(T.points[i], T.points[i + 1], tol)
     if b.kind is not LineType.HYPERBOLIC:

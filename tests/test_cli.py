@@ -1,5 +1,6 @@
 """End-to-end CLI checks through main(argv)."""
 
+import io
 import json
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestInvariants:
         assert code == 0
         got = jsonio.decode_coords(json.loads(out.out))
         assert got == s_coords(tri)
+
+    def test_points_from_stdin(self, capsys, monkeypatch, tri):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(jsonio.encode(tri))))
+        code, out = run(capsys, "invariants", "--points", "-")
+        assert code == 0
+        assert jsonio.decode_coords(json.loads(out.out)) == s_coords(tri)
 
     def test_missing_file(self, capsys):
         code, out = run(capsys, "invariants", "--points", "/nonexistent.json")
@@ -182,6 +189,12 @@ class TestDecompose:
         path.write_text(json.dumps({"m": jsonio.encode_vector(2.0 * np.eye(3))}))
         code, out = run(capsys, "decompose", "--isometry", str(path))
         assert code == 2
+        # e^{i pi/9} I preserves the form, and its determinant is e^{i pi/3}
+        m = np.exp(1j * np.pi / 9.0) * np.eye(3)
+        path.write_text(json.dumps({"m": jsonio.encode_vector(m)}))
+        code, out = run(capsys, "decompose", "--isometry", str(path))
+        assert code == 2
+        assert "determinant" in out.err
 
 
 class TestPentagonVerbs:
@@ -254,6 +267,9 @@ class TestPentagonVerbs:
         assert code == 2
         code, _ = run(capsys, "pentagon", "new", "--delta", "1", "--p4", a)
         assert code == 2
+        code, out = run(capsys, "pentagon", "new", "--delta", "1", "--moduli=-2,3,2,1.9")
+        assert code == 2
+        assert "got 4 values" in out.err
 
     def test_verify_rejects_broken_relation(self, tmp_path, capsys):
         P = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))

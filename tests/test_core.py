@@ -109,6 +109,15 @@ def test_require_passes_at_the_bound_and_fails_nan():
         assert info.value.value is value and info.value.bound == 1e-8
 
 
+def test_require_above_fails_at_the_bound_and_on_nan():
+    errors._require_above(2e-8, 1e-8, errors.OrthogonalPoints, "pairing")
+    for value in (1e-8, 0.0, np.nan):
+        with pytest.raises(errors.OrthogonalPoints) as info:
+            errors._require_above(value, 1e-8, errors.OrthogonalPoints, "pairing")
+        assert info.value.value is value and info.value.bound == 1e-8
+    assert str(info.value) == "pairing nan is not above 1.00e-08"
+
+
 def test_isotropic_error_carries_value_and_bound():
     # |s| / |v|^2 = 1e-6 / (2 + 1e-6), below the tolerance 1e-5
     with pytest.raises(errors.IsotropicVector) as info:
@@ -367,6 +376,11 @@ def test_realize_gram_incompatible_inertia():
 def test_realize_gram_rejects_non_hermitian():
     with pytest.raises(ValueError):
         chg.realize_gram(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_realize_gram_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square matrix"):
+        chg.realize_gram(np.zeros((2, 3)))
 
 
 def test_tau_degenerate():

@@ -363,8 +363,11 @@ class TestHolonomyDimension:
 
     def test_ramification_raises(self):
         c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)
-        with pytest.raises(OnRamification):
+        with pytest.raises(OnRamification) as info:
             holonomy_dimension(triple_from_coords(c))
+        assert info.value.value <= 1e-12
+        assert info.value.bound == 1e-8
+        assert str(info.value).startswith("holonomy is read on a pinned sheet")
 
     def test_samples_at_ramification_raise(self):
         c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)

@@ -22,6 +22,8 @@ from chgeom.isometry import (
     _frame_map,
     _logm3,
     _normalize_eigenbasis,
+    _null_pair,
+    _sqrtm3,
     center_reduce,
     centralizer_basis,
     conjugator,
@@ -119,6 +121,13 @@ class TestIsometryType:
         isometry(random_isometry(rng).m)  # accepts
         with pytest.raises(ValueError):
             isometry(np.diag([2.0, 0.5, 1.0]))
+        # e^{i pi/9} I preserves the form; its determinant is e^{i pi/3}
+        with pytest.raises(ValueError, match="determinant"):
+            isometry(np.exp(1j * np.pi / 9.0) * np.eye(3))
+
+    def test_matmul_takes_isometries_only(self):
+        with pytest.raises(TypeError):
+            IDENTITY @ 2.0
 
     def test_validating_factory_rejects_non_finite(self):
         for x in (np.nan, np.inf, -np.inf):
@@ -278,6 +287,23 @@ class TestLogm:
         with pytest.raises(errors.NoPrincipalLog):
             _logm3(np.zeros((3, 3)))
 
+    def test_square_root_of_a_singular_matrix_raises(self):
+        with pytest.raises(errors.NoPrincipalLog, match="singular iterate"):
+            _sqrtm3(np.zeros((3, 3)))
+
+    def test_square_root_across_the_cut_does_not_converge(self):
+        # the scalar iteration on the eigenvalue -2 never settles
+        with pytest.raises(errors.NoPrincipalLog, match="did not converge"):
+            _sqrtm3(np.diag([-2.0, 1.0, 1.0]))
+
+    def test_far_unipotent_runs_out_of_square_roots(self):
+        # sqrt(I + c E13) = I + (c/2) E13 exactly, so reaching the series
+        # radius 0.3 from c = 1e25 takes 85 roots, more than the 64 allowed
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = 1e25
+        with pytest.raises(errors.NoPrincipalLog, match="64 square roots"):
+            _logm3(m)
+
     def test_straddling_the_cut_raises_rather_than_drifts(self):
         # eigenvalues e^{+-i(pi - 1e-6)}: the square roots lose ~1e-3, so
         # no log comes back
@@ -346,8 +372,10 @@ class TestTraceFormula:
 
     def test_zero_diagonal(self):
         bad = np.array([[0.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(errors.ZeroDiagonal):
+        with pytest.raises(errors.ZeroDiagonal) as info:
             trace_formula(bad)
+        assert info.value.value == 0.0
+        assert info.value.bound == pytest.approx(1e-9, rel=1e-12)
 
 
 class TestRegularity:
@@ -485,6 +513,28 @@ class TestConjugator:
         assert info.value.value == pytest.approx(0.2, rel=1e-12)
         assert info.value.bound == 1e-6
 
+    def test_isotropic_unit_eigenvector_carries_value_and_bound(self):
+        vecs = np.eye(3, dtype=complex)
+        vecs[:, 0] = [1.0, 0.0, 1.0]
+        vals = np.array([1.0, 1j, -1j])
+        with pytest.raises(errors.NotRegular) as info:
+            _normalize_eigenbasis(vals, vecs)
+        assert info.value.value == 0.0
+        assert info.value.bound == 1e-8
+
+    def test_one_non_unit_eigenvalue_is_not_conjugate(self):
+        vals = np.array([2.0, 1.0, 1j])
+        with pytest.raises(errors.NotConjugate, match="not closed"):
+            _normalize_eigenbasis(vals, np.eye(3, dtype=complex))
+
+    def test_orthogonal_null_pair_carries_value_and_bound(self):
+        # an isotropic vector pairs to zero with itself
+        v = np.array([1.0, 0.0, 1.0], dtype=complex)
+        with pytest.raises(errors.NotRegular) as info:
+            _null_pair(v, 3.0 * v, errors.NotRegular)
+        assert info.value.value == 0.0
+        assert info.value.bound == 1e-10
+
     def test_defective_raises_not_regular(self):
         g = project_to_su(_expm3(NILPOTENT))
         h = random_isometry(default_rng(23))
@@ -564,6 +614,15 @@ class TestSplitTwoReflections:
             split_two_reflections(g)
         assert info.value.value == 0.5
         assert info.value.bound == 1e-6
+
+    def test_negative_unit_eigenvector_carries_value_and_bound(self):
+        # spectrum (1/2, 1, 2), but the eigenvalue 1 sits on the negative
+        # axis e3, where a product of two reflections has a positive one
+        g = Isometry(np.diag([0.5, 2.0, 1.0]).astype(complex))
+        with pytest.raises(errors.NotTwoReflectionProduct) as info:
+            split_two_reflections(g)
+        assert info.value.value == -1.0
+        assert info.value.bound == 0.0
 
 
 class TestCubeRoots:

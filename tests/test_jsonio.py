@@ -76,6 +76,11 @@ class TestMatrices:
         got = jsonio.decode_isometry(wire(g))
         assert np.array_equal(got.m, g.m)
 
+    def test_isometry_entry_count(self):
+        d = {"m": jsonio.encode_vector(np.eye(3).ravel()[:8])}
+        with pytest.raises(ValueError, match="expected 9 entries, got 8"):
+            jsonio.decode_isometry(d)
+
     def test_isometry_must_preserve_form(self):
         d = {"m": jsonio.encode_vector(2.0 * np.eye(3))}
         with pytest.raises(ValueError):
@@ -91,6 +96,10 @@ class TestSmallRecords:
     def test_coords(self):
         c = SCoords(t=1.5, t1=-2.0, t2=3.0, sigma=(1, -1, -1), alpha=0.7, beta=-0.6)
         assert jsonio.decode_coords(wire(c)) == c
+        d = wire(c)
+        d["sigma"] = d["sigma"][:2]
+        with pytest.raises(ValueError, match="three entries"):
+            jsonio.decode_coords(d)
 
     def test_moves(self):
         prog = [Move("12", 0.5), Move("23", -1.25)]

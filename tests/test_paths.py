@@ -22,9 +22,11 @@ from chgeom.isometry import (
     star,
 )
 from chgeom.paths import (
+    _GEODESIC_TOL,
     _MAX_STEP_ANGLE,
     _SERIES_CUTOFF,
     Bending,
+    _bend_targets,
     _ordered_product,
     _step_exponentials,
     bend_pair,
@@ -126,6 +128,15 @@ class TestTangentAndHat:
             assert np.allclose(h + star(h), 0.0, atol=1e-12)
             r = reflection(t.base).m
             assert np.allclose(h @ r + r @ h, 0.0, atol=1e-11)
+
+
+def test_path_sample_spaces_params_evenly_and_checks_lengths():
+    points = [random_point(default_rng(30)) for _ in range(3)]
+    path = path_sample(points)
+    assert len(path) == 3
+    assert path.params.tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="lengths differ"):
+        path_sample(points, [0.0, 1.0])
 
 
 class TestNormalizedLift:
@@ -485,8 +496,42 @@ class TestHyperbolicBending:
             b.point_parameter(random_negative_point(rng))
         # a point on the complex line but off the real geodesic
         q = point(b.cols[:, 0] - (0.5 + 0.5j) * b.cols[:, 1])
-        with pytest.raises(errors.NotOnGeodesic):
+        with pytest.raises(errors.NotOnGeodesic) as info:
             b.point_parameter(q)
+        assert_off_geodesic(info.value, b, q, "ratio")
+
+    def test_point_near_an_end_carries_value_and_bound(self):
+        # v1 + 1e-8 v2 is a negative point 1e-8 from the isotropic end v1
+        b = bending(*random_hyperbolic_pair(default_rng(44)))
+        q = point(b.cols[:, 0] + 1e-8 * b.cols[:, 1])
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            b.point_parameter(q)
+        assert_off_geodesic(info.value, b, q, "smaller")
+
+    def test_partner_of_a_point_off_the_line_carries_value_and_bound(self):
+        rng = default_rng(44)
+        b = bending(*random_hyperbolic_pair(rng))
+        q = random_negative_point(rng)
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            orthogonal_partner(q, b)
+        assert_off_geodesic(info.value, b, q, 2)
+
+
+def assert_off_geodesic(err, b, q, which):
+    """err carries, in c = cols_inv q, the measured `which` (a coordinate
+    index, "smaller" of the first two, or the imaginary part of their
+    "ratio") and its bound _GEODESIC_TOL max|c| (max(1, |ratio|) for the
+    ratio)."""
+    c = b.cols_inv @ q.rep
+    if which == "ratio":
+        r = c[1] / c[0] if b.kind is not chg.LineType.EUCLIDEAN else c[2] / c[1]
+        assert err.value == abs(r.imag)
+        assert err.bound == _GEODESIC_TOL * max(1.0, abs(r))
+        return
+    value = min(abs(c[0]), abs(c[1])) if which == "smaller" else abs(c[which])
+    assert err.value == value
+    assert err.bound == _GEODESIC_TOL * float(np.abs(c).max())
+    assert (err.value > err.bound) == (which in (0, 2))
 
 
 def reference_evaluate(b: Bending, s: float) -> np.ndarray:
@@ -581,6 +626,30 @@ class TestSphericalBending:
             q = b.evaluate(s).apply(p1)
             assert b.point_parameter(q)[0] == pytest.approx(s % period, abs=1e-9)
 
+    def test_point_just_short_of_a_half_turn_reads_zero(self):
+        # the circle's parameter is taken mod pi; a point 1e-14 rad before
+        # the half turn is the base point to the 1e-12 rad wrap
+        p1, p2 = random_spherical_pair(default_rng(47))
+        b = bending(p1, p2)
+        q = point(np.cos(1e-14) * b.cols[:, 0] - np.sin(1e-14) * b.cols[:, 1])
+        assert b.point_parameter(q) == (0.0, 1)
+
+    def test_points_off_the_circle_carry_value_and_bound(self):
+        rng = default_rng(47)
+        b = bending(*random_spherical_pair(rng))
+        off_line = point(b.cols[:, 0] + 0.3 * b.cols[:, 2])
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            b.point_parameter(off_line)
+        assert_off_geodesic(info.value, b, off_line, 2)
+        # on the complex line, a quarter phase off the real circle
+        q = point(b.cols[:, 0] + 0.5j * b.cols[:, 1])
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            b.point_parameter(q)
+        c = b.cols_inv @ q.rep
+        c = c * (abs(c[0]) / c[0])
+        assert info.value.value == pytest.approx(abs(c[1].imag), rel=1e-12)
+        assert info.value.bound == _GEODESIC_TOL * float(np.abs(c).max())
+
     def test_partner_quarter_turn(self):
         p1, p2 = random_spherical_pair(default_rng(48))
         b = bending(p1, p2)
@@ -625,6 +694,24 @@ class TestEuclideanBending:
         with pytest.raises(errors.EuclideanGeodesic):
             orthogonal_partner(p1, b)
 
+    def test_points_off_the_family_carry_value_and_bound(self):
+        # cols = (b, p1, u): the family is p1 + r u for real r
+        p1, p2 = EUCLIDEAN_PAIR
+        b = bending(p1, p2)
+        off_family = point(p1.rep + 0.3 * b.cols[:, 0])
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            b.point_parameter(off_family)
+        assert_off_geodesic(info.value, b, off_family, 0)
+        # 1e-8 from the isotropic end u, and off the family by as little
+        near_end = point(b.cols[:, 2] + 1e-8 * (p1.rep + b.cols[:, 0]))
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            b.point_parameter(near_end)
+        assert_off_geodesic(info.value, b, near_end, 1)
+        complex_r = point(p1.rep + (0.5 + 0.5j) * b.cols[:, 2])
+        with pytest.raises(errors.NotOnGeodesic) as info:
+            b.point_parameter(complex_r)
+        assert_off_geodesic(info.value, b, complex_r, "ratio")
+
 
 class TestBendingErrors:
     def test_equal_points(self):
@@ -633,8 +720,10 @@ class TestBendingErrors:
             bending(p, point(-2.0 * p.rep))
 
     def test_orthogonal_points(self):
-        with pytest.raises(errors.OrthogonalPoints):
+        with pytest.raises(errors.OrthogonalPoints) as info:
             bending(point([0, 0, 1.0]), point([1.0, 0, 0]))
+        assert info.value.value == 0.0
+        assert info.value.bound == 1e-9
 
 
 class TestMakeHyperbolic:
@@ -676,8 +765,11 @@ class TestMakeHyperbolic:
         p1, p2 = EUCLIDEAN_PAIR
         p3 = point(p1.rep + 2.0 * (p2.rep - form(p2.rep, p1.rep) * p1.rep))
         assert chg.line_type(p1, p3) is chg.LineType.EUCLIDEAN
-        with pytest.raises(errors.ExceptionalCase):
+        with pytest.raises(errors.ExceptionalCase) as info:
             make_hyperbolic(p1, p2, p3)
+        u = bending(p1, p2).cols[:, 2]
+        assert info.value.value <= 1e-15
+        assert info.value.bound == 1e-8 * np.linalg.norm(u) * np.linalg.norm(p3.rep)
 
     def test_euclidean_off_line_solvable(self):
         p1, p2 = EUCLIDEAN_PAIR
@@ -691,8 +783,11 @@ class TestMakeHyperbolic:
         p1 = point([1.0, 0.0, 0.0])
         p2 = point([np.cos(0.7), np.sin(0.7), 0.0])
         p3 = point([1 / np.sqrt(2), 1j / np.sqrt(2), 0.0])
-        with pytest.raises(errors.ExceptionalCase):
+        with pytest.raises(errors.ExceptionalCase) as info:
             make_hyperbolic(p1, p2, p3)
+        # |<p2(theta), p3>|^2 = 1/2 all along the orbit: the peak is 1/2 short
+        assert info.value.value == pytest.approx(-0.5, rel=1e-12)
+        assert info.value.bound == 1e-10
 
     def test_spherical_orbit_reachable(self):
         p1 = point([1.0, 0.0, 0.0])
@@ -832,6 +927,23 @@ class TestMakeHyperbolicClosedForm:
             signs.add(side)
         assert signs == {-1.0, 1.0}
 
+    def test_near_polar_point_every_root_misses_the_level(self):
+        # p3 a 1e-7 step from the polar point toward both isotropic ends:
+        # both roots lie far out, where roundoff swamps the level
+        rng = default_rng(55)
+        for _ in range(5):
+            p1, p2 = random_mixed_pair(rng)
+            b = bending(p1, p2)
+            v1, v2, pol = b.cols.T
+            p3 = point(pol + 1e-7 * (v1 / np.linalg.norm(v1) + v2 / np.linalg.norm(v2)))
+            with pytest.raises(errors.ExceptionalCase) as info:
+                make_hyperbolic(p1, p2, p3)
+            roots = _bend_targets(b, p2, p3, 1.5, chg.DEFAULT_TOL)
+            assert len(roots) == 2 and min(abs(s) for s in roots) > 5.0
+            errs = [abs(chg.tance(b.evaluate(s).m @ p2.rep, p3.rep) - 1.5) for s in roots]
+            assert info.value.value == min(errs)
+            assert info.value.bound == 1.5e-10
+
     @pytest.mark.parametrize("off", [1e-7, 1e-6, 1e-5, 1e-4])
     def test_slightly_two_sided_profile_meets_the_level(self, off):
         # The construction above with the other end's coefficient above the
@@ -850,3 +962,58 @@ class TestMakeHyperbolicClosedForm:
             )
             s = make_hyperbolic(p1, p2, p3)
             assert abs(bending_gap(b, p2, p3)(s) - 0.5) <= 1e-10
+
+
+def exact_frame():
+    """A hyperbolic bending built by hand on the isotropic pair
+    v1 = (1, 0, 1), v2 = (1, 0, -1)/4 (<v1, v2> = 1/2) and polar point
+    e2, with its negative point p = v1 - v2 at parameter 0.  Every
+    pairing below is exact in floats."""
+    cols = np.array([[1.0, 0.25, 0.0], [0.0, 0.0, 1.0], [1.0, -0.25, 0.0]], dtype=complex)
+    b = Bending(chg.LineType.HYPERBOLIC, cols, np.linalg.inv(cols), 1.0)
+    p = point(cols[:, 0] - cols[:, 1])
+    assert p.sign == -1 and b.point_parameter(p) == (0.0, -1)
+    return b, p
+
+
+class TestBendTargets:
+    def test_one_sided_profile_below_its_infimum_carries_value_and_bound(self):
+        # e2 + v1 is orthogonal to the end v1, so only the v2 side of the
+        # profile is present; there |<B(s) p, fixed>|^2 sweeps (0, inf) and
+        # ta = -|<., .>|^2 sweeps (-inf, 0)
+        b, p = exact_frame()
+        fixed = point(b.cols[:, 2] + b.cols[:, 0])
+        assert fixed.sign == 1
+        (s,) = _bend_targets(b, p, fixed, -2.0, chg.DEFAULT_TOL)
+        assert chg.tance(b.evaluate(s).apply(p), fixed) == pytest.approx(-2.0, rel=1e-12)
+        with pytest.raises(errors.Unreachable) as info:
+            _bend_targets(b, p, fixed, 1.0, chg.DEFAULT_TOL)
+        assert info.value.value == 1.0
+        assert info.value.bound == 0.0
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_target_a_subnormal_above_a_zero_minimum(self, ratio):
+        # fixed = ratio v1 + v2 pairs with the ends as 1/2 and ratio/2 (over
+        # sqrt(ratio)), and their phases cancel: the profile's minimum is 0
+        # exactly, at x = e^{2 th} = 1/ratio.  At tol 0 a target one
+        # subnormal above it has two preimages that coincide in floats.
+        # There the Newton polish meets a derivative of exactly 0 (ratio 1)
+        # or a step of more than half of x (ratio 2) and keeps the closed
+        # form.
+        b, p = exact_frame()
+        fixed = point(ratio * b.cols[:, 0] + b.cols[:, 1])
+        target = -5e-324
+        roots = _bend_targets(b, p, fixed, target, 0.0)
+        assert len(roots) == 2
+        for s in roots:
+            assert s == pytest.approx(-0.5 * np.log(ratio), abs=1e-15)
+            assert abs(chg.tance(b.evaluate(s).m @ p.rep, fixed.rep) - target) <= 1e-30
+
+    def test_a_frame_of_the_wrong_orientation_mismatches_the_branch(self):
+        # with v2 negated, <v1, v2> = -1/2 and the negative point v1 - v2
+        # sits at a positive ratio, the branch of the positive points
+        b, p = exact_frame()
+        cols = b.cols * np.array([1.0, -1.0, 1.0])
+        flipped = Bending(b.kind, cols, np.linalg.inv(cols), b.rate)
+        with pytest.raises(errors.NotOnGeodesic, match="branch does not match"):
+            flipped.point_parameter(p)

@@ -152,6 +152,30 @@ class TestSurfaceCoordinates:
         assert G[1, 2].real > 0 and G[1, 2].imag == 0
         realize_gram(G)  # has signature (2, 1)
 
+    def test_signs_other_than_plus_minus_one_are_inadmissible(self):
+        c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(0, -1, -1), alpha=0.0, beta=9.0)
+        with pytest.raises(InadmissibleCoords, match="signs must be"):
+            validate_coords(c)
+
+    def test_sampler_gives_up_after_a_thousand_rejections(self):
+        class Lowest:
+            """Each draw at the bottom of its range: t1 = t2 = 1.3 and
+            t = 0.75 give beta = -0.015625, and the real all-negative
+            pattern needs beta > 0.02."""
+
+            def uniform(self, lo, hi):
+                return lo
+
+            def choice(self, options):
+                return options[0]
+
+        with pytest.raises(RuntimeError, match="rejection sampling failed"):
+            random_strongly_regular_coords(Lowest(), real=True)
+
+    def test_sampler_rejects_a_sigma_with_two_positive_points(self):
+        with pytest.raises(InadmissibleCoords, match="at most one positive point"):
+            random_strongly_regular_coords(default_rng(0), sigma=(1, 1, -1))
+
     def test_real_coords_give_real_class(self):
         rng = default_rng(17)
         for _ in range(5):
@@ -334,6 +358,14 @@ class TestClassification:
 
 
 class TestCoordinateMoves:
+    def test_a_non_hyperbolic_pair_has_no_coordinate_move(self):
+        # two positive points on a spherical line: not strongly regular
+        p1 = point([1.0, 0.0, 0.0])
+        p2 = point([np.cos(0.7), np.sin(0.7), 0.0])
+        T = Triple(p1, p2, random_negative_point(default_rng(23)))
+        with pytest.raises(ValueError, match="does not span a hyperbolic line"):
+            vertical_line(T, 2.0)
+
     def test_vertical_move_hits_target_and_freezes_the_rest(self):
         rng = default_rng(23)
         for _ in range(8):
@@ -711,6 +743,17 @@ class TestConnect:
             patterns.add(ca.sigma)
         assert patterns == set(PATTERNS)
 
+    def test_a_target_no_lift_reaches_stops_after_sixty_lifts(self, count_calls):
+        # t1 = 1/2 on the all-negative pattern: _sheet_gap(1/2, y) tends to
+        # 1 - 1/(1/2) = -1 however far y is doubled
+        A, _ = (triple_from_coords(c) for c in three_move_coords())
+        ca = s_coords(A)
+        cb = SCoords(ca.t, 0.5, ca.t2, ca.sigma, ca.alpha, ca.beta)
+        counts = count_calls(triples_module._coordinate_move)
+        with pytest.raises(Unreachable, match="target of pair 23 stayed out of reach"):
+            triples_module._bend_onto(A, ca, cb, "23", core.DEFAULT_TOL)
+        assert counts["_coordinate_move"] == 0
+
     def test_one_lift_takes_three_coordinate_moves(self, count_calls):
         A, B = (triple_from_coords(c) for c in three_move_coords())
         counts = count_calls(triples_module._coordinate_move)
@@ -794,6 +837,21 @@ class TestConnect:
         assert info.value.bound == 1e-6
         assert info.value.value > info.value.bound
 
+    def test_first_order_failure_is_the_callers(self, monkeypatch):
+        rng = default_rng(61)
+        A = random_strongly_regular_triple(rng)
+        B = apply_bend_program(A, [Move(pair="12", s=0.5)])
+        orders = []
+
+        def first_order_fails(A, ca, cb, first, tol):
+            orders.append(first)
+            raise Unreachable("the first order fails")
+
+        monkeypatch.setattr(triples_module, "_bend_onto", first_order_fails)
+        with pytest.raises(Unreachable, match="the first order fails"):
+            connect_triples(A, B)
+        assert orders == ["23"]
+
     def test_second_order_failure_keeps_the_first_order(self, monkeypatch):
         rng = default_rng(61)
         A = random_strongly_regular_triple(rng)
@@ -869,8 +927,19 @@ class TestDecompose:
 
     def test_single_reflection_raises_trace_minus_one(self):
         rng = default_rng(79)
-        with pytest.raises(TraceMinusOne):
+        with pytest.raises(TraceMinusOne) as info:
             decompose_three_reflections(reflection(random_negative_point(rng)))
+        assert info.value.value <= 1e-12
+        assert info.value.bound == 1e-9
+
+    @pytest.mark.parametrize("b, signs", [(0.3, [1, -1, -1]), (2.0, [-1, -1, -1])])
+    def test_trace_on_re_minus_one_tries_every_sign_pattern(self, b, signs):
+        # diag(-1, e^{ib}, -e^{-ib}) has trace -1 + 2i sin(b), so beta = 0:
+        # one elliptic needs a positive point and the other none
+        F = Isometry(m=np.diag([-1.0, np.exp(1j * b), -np.exp(-1j * b)]))
+        D = decompose_three_reflections(F)
+        assert [p.sign for p in D.points] == signs
+        assert np.abs(D.product().m - F.m).max() <= 1e-12
 
     def test_elliptic_either_decomposes_or_reports_honestly(self):
         th = np.array([0.4, 0.9, -1.3])
