@@ -37,7 +37,6 @@ from .errors import (
     LeavesAdmissibleRegion,
     OnRamification,
     RankInconclusive,
-    Unreachable,
     _require_above,
 )
 from .isometry import (
@@ -53,6 +52,7 @@ from .triples import (
     Triple,
     _coordinate_move,
     _invariants,
+    _sheet_gap,
     _standard_cols,
     _standard_triple,
     s_coords,
@@ -217,25 +217,28 @@ def rectangle_holonomy(
     """Holonomy around the coordinate rectangle with sides ds1 (in t2) and
     ds2 (in t1), based at T: t2 up by ds1, t1 up by ds2, then both back.
 
-    All four legs stay on the sheet of T; the sides halve on Unreachable
-    until the rectangle fits, and the actually used sides are returned.
-    The holonomy centralizes the triple product, and its logarithm divided
-    by the area converges to the normalized curvature as the sides shrink.
+    All four legs stay on the sheet of T.  The sides halve, at most seven
+    times, until the surface relation admits every new corner (_sheet_gap,
+    (t - 1)^2 by the relation, is nonnegative there), and then the four
+    legs are bent once each; the sides used are returned.  The holonomy
+    centralizes the triple product, and its logarithm divided by the area
+    converges to the normalized curvature as the sides shrink.
     """
     c = s_coords(T)
     _pin_sheet(c.t, "rectangle sheet is pinned only away from t = 1")
     for _ in range(8):
-        legs = (("12", c.t2 + ds1), ("23", c.t1 + ds2), ("12", c.t2), ("23", c.t1))
-        cur = T
-        try:
-            for pair, target in legs:
-                cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
-        except Unreachable:
-            ds1 *= 0.5
-            ds2 *= 0.5
-            continue
-        return _frame_map(_standard_cols(cur), _standard_cols(T)), (ds1, ds2)
-    raise LeavesAdmissibleRegion("rectangle does not fit in the admissible region")
+        corners = ((c.t1, c.t2 + ds1), (c.t1 + ds2, c.t2 + ds1), (c.t1 + ds2, c.t2))
+        if min(_sheet_gap(t1, t2, c.alpha, c.beta) for t1, t2 in corners) >= 0.0:
+            break
+        ds1 *= 0.5
+        ds2 *= 0.5
+    else:
+        raise LeavesAdmissibleRegion("rectangle does not fit in the admissible region")
+    cur = T
+    legs = (("12", c.t2 + ds1), ("23", c.t1 + ds2), ("12", c.t2), ("23", c.t1))
+    for pair, target in legs:
+        cur, _ = _coordinate_move(cur, pair, target, c.sheet, tol)
+    return _frame_map(_standard_cols(cur), _standard_cols(T)), (ds1, ds2)
 
 
 def _canonical_base(T: Triple, tol: float) -> tuple[SCoords, Triple, list]:

@@ -134,36 +134,30 @@ def project_to_su_algebra(y) -> np.ndarray:
     return y - (np.trace(y) / 3.0) * np.eye(3)
 
 
-def _expm3_batch(a: np.ndarray) -> np.ndarray:
-    """exp of a stack of 3x3 matrices by scaled Taylor series.
+def _expm3(a: np.ndarray) -> np.ndarray:
+    """exp of a 3x3 matrix by scaled Taylor series.
 
-    One scaling power is shared by the stack.  Exact (to roundoff) for
-    small-norm generators, and exact for nilpotent generators.
+    Exact (to roundoff) for small-norm generators, and exact for nilpotent
+    generators.
     """
     a = np.asarray(a, dtype=complex)
-    norm = float(np.abs(a).sum(axis=(-2, -1)).max(initial=0.0))
+    norm = float(np.abs(a).sum())
     s = 0
     while norm > 0.25:
         norm *= 0.5
         s += 1
     if s:
         a = a * (0.5**s)
-    eye = np.broadcast_to(np.eye(3, dtype=complex), a.shape).copy()
-    out = eye + a
+    out = np.eye(3, dtype=complex) + a
     term = a
     for k in range(2, 18):
         term = term @ a / k
         out = out + term
-        if float(np.abs(term).max(initial=0.0)) < 1e-18:
+        if float(np.abs(term).max()) < 1e-18:
             break
     for _ in range(s):
         out = out @ out
     return out
-
-
-def _expm3(a: np.ndarray) -> np.ndarray:
-    """exp of a 3x3 matrix: _expm3_batch on a stack of one."""
-    return _expm3_batch(np.asarray(a)[None])[0]
 
 
 #: The principal log series runs for entrywise sum |M - I| at most this.

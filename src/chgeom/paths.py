@@ -430,13 +430,16 @@ def _bend_targets(
     The tracked pairing sweeps e^{-2th} c1^2 + e^{2th} c2^2 + k, so targets
     below the profile minimum raise Unreachable, the minimum itself has one
     preimage (the ramification), and anything above has two, returned with
-    the root at the larger exponent x = e^{2th} first.  The coordinate moves
-    of triples read the sheet off that order; make_hyperbolic sorts the
-    roots and pentagons._move_34 takes the one of least |s|, so neither
-    depends on it.  A side whose pairing with `fixed`, relative to the
-    norms, is at most 1e-8 is absent: the profile is then one-sided with a
-    single preimage, and with both sides absent (`fixed` the polar point of
-    the line) nothing is reachable.
+    the root at the larger exponent x = e^{2th} first.  Both are the
+    quadratic's closed form in x, with no iteration: the larger root by the
+    plus branch with the discriminant factored through the distance to the
+    minimum, the smaller by Vieta.  The coordinate moves of triples read
+    the sheet off that order; make_hyperbolic sorts the roots and
+    pentagons._move_34 takes the one of least |s|, so neither depends on
+    it.  A side whose pairing with `fixed`, relative to the norms, is at
+    most 1e-8 is absent: the profile is then one-sided with a single
+    preimage, and with both sides absent (`fixed` the polar point of the
+    line) nothing is reachable.
     Below the minimum (the infimum k of a one-sided profile), Unreachable
     carries the target as `value` and, as `bound`, the extreme value of ta
     the bending reaches: that minimum times the sign product of the points.
@@ -478,22 +481,14 @@ def _bend_targets(
     if M <= mmin + tol * scale:
         th = 0.5 * np.log(c1 / c2)
         return [th / rate - um]
-    disc = np.sqrt(max((M - k) ** 2 - 4.0 * c1 * c1 * c2 * c2, 0.0))
+    # (M - k)^2 - 4 c1^2 c2^2 factored, so that M - mmin, the distance to
+    # the minimum, enters as it is rather than as a difference of squares
+    disc = np.sqrt(max((M - mmin) * (M - k + 2.0 * c1 * c2), 0.0))
     # larger root by the plus branch, smaller by Vieta: the minus branch
     # cancels catastrophically for targets just above the minimum
     x_hi = ((M - k) + disc) / (2.0 * c2 * c2)
-    out = []
-    for x in (x_hi, c1 * c1 / (c2 * c2 * x_hi)):
-        for _ in range(2):
-            fp = c2 * c2 - c1 * c1 / (x * x)
-            if abs(fp) < 1e-30:
-                break
-            step = (c2 * c2 * x + c1 * c1 / x + k - M) / fp
-            if abs(step) > 0.5 * x:
-                break
-            x -= step
-        out.append(0.5 * np.log(x) / rate - um)
-    return out
+    x_lo = c1 * c1 / (c2 * c2 * x_hi)
+    return [0.5 * np.log(x_hi) / rate - um, 0.5 * np.log(x_lo) / rate - um]
 
 
 #: How far make_hyperbolic carries the pairwise invariant past the

@@ -155,16 +155,15 @@ class SCoords:
         return _sheet_of(self.t)
 
     def residual(self) -> float:
+        """The surface relation's left side: t1 t2 ((t - 1)^2 - _sheet_gap).
+
+        sampling.random_strongly_regular_coords keeps its own solve for
+        beta: it draws the bench and test inputs, whose bits must not move
+        with the rounding of this form.
+        """
         t1t2 = self.t1 * self.t2
-        return (
-            t1t2 * (self.t - 1.0) ** 2
-            + self.t1
-            + self.t2
-            - t1t2
-            + self.beta
-            - 1.0
-            + self.alpha**2 / t1t2
-        )
+        gap = _sheet_gap(self.t1, self.t2, self.alpha, self.beta)
+        return t1t2 * ((self.t - 1.0) ** 2 - gap)
 
 
 def _sheet_of(t: float) -> int:

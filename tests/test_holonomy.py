@@ -332,6 +332,18 @@ class TestRectangleHolonomy:
         assert used == (ds1 / 2, ds2 / 2)
         assert form_residual(g.m) <= 1e-10
 
+    @pytest.mark.parametrize("dt", [0.1, -0.1])
+    def test_a_rectangle_that_must_halve_bends_four_times(self, dt, count_calls):
+        # the surface relation rejects the full sides before any bend, so
+        # the halved rectangle's four legs are the only moves
+        c = near_ramification(dt)
+        T = triple_from_coords(c)
+        ds1, ds2 = -1e-2 * c.t2, -1e-2 * c.t1
+        counts = count_calls(_coordinate_move)
+        _, used = rectangle_holonomy(T, ds1, ds2)
+        assert used == (ds1 / 2, ds2 / 2)
+        assert counts["_coordinate_move"] == 4
+
     @pytest.mark.parametrize("dt", [1e-2, -1e-2])
     def test_rectangle_too_close_to_ramification_raises(self, dt):
         c = near_ramification(dt)

@@ -126,6 +126,35 @@ class TestSurfaceCoordinates:
             assert abs(c.residual()) <= 1e-10 * scale
             n += 1
 
+    def test_residual_through_the_sheet_gap_keeps_every_verdict(self):
+        # beta moved off the relation by 10^-9.5 to 10^-6.5 of the scale,
+        # so about half the draws pass validate_coords' 1e-8 bound; the
+        # residual written out term by term gives the same verdicts, and
+        # the two forms differ by roundoff (at most 2.0e-15 of the scale
+        # over 60 000 seeded draws)
+        rng = default_rng(23)
+        flips = passed = 0
+        for k in range(4_000):
+            c = random_strongly_regular_coords(rng, real=k % 4 == 3)
+            scale = max(1.0, abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) ** 2))
+            d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.5, -6.5) * scale
+            c = SCoords(c.t, c.t1, c.t2, c.sigma, c.alpha, c.beta + d)
+            t1t2 = c.t1 * c.t2
+            written_out = (
+                t1t2 * (c.t - 1.0) ** 2 + c.t1 + c.t2 - t1t2 + c.beta - 1.0
+                + c.alpha**2 / t1t2
+            )
+            assert abs(c.residual() - written_out) <= 4e-15 * scale
+            try:
+                validate_coords(c)
+                ok = True
+            except InadmissibleCoords:
+                ok = False
+            flips += ok != (abs(written_out) <= 1e-8 * scale)
+            passed += ok
+        assert flips == 0
+        assert 1_600 <= passed <= 2_400
+
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_coords_roundtrip(self, pattern):
         rng = default_rng(11 + 7 * PATTERNS.index(pattern))
