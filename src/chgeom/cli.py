@@ -34,7 +34,7 @@ from .pentagons import (
     pentagon_from_moduli,
 )
 from .sampling import default_rng
-from .triples import decompose_three_reflections, s_coords
+from .triples import _sheet_of, decompose_three_reflections, s_coords
 
 FIXTURE_NAMES = ("spherical-flip",)
 
@@ -130,9 +130,7 @@ def _pentagon_from_moduli_csv(raw: str, delta: CubeRoot, tol: float):
     if len(parts) != 5:
         raise ValueError(f"--moduli needs t1,t2,t4,t,s5; got {len(parts)} values")
     t1, t2, t4, t, s5 = parts
-    P = pentagon_from_moduli(
-        (t1, t2, t4), delta, s5=s5, sheet=1 if t >= 1.0 else -1, tol=tol
-    )
+    P = pentagon_from_moduli((t1, t2, t4), delta, s5=s5, sheet=_sheet_of(t), tol=tol)
     got = s_coords(P.triple()).t
     bound = 1e-6 * max(1.0, abs(t))
     _require(abs(got - t), bound, InadmissibleModuli, "distance of t from the surface")
@@ -236,6 +234,19 @@ def cmd_fixture(args) -> str:
     return _render(out)
 
 
+def _count(least: int):
+    """An argparse type: an integer of at least `least`.  argparse names
+    the flag in the error and exits with status 2."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol",
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0, help="bending parameter")
     p.add_argument(
         "--steps",
-        type=int,
+        type=_count(0),
         default=10000,
         help="integrator steps for the follow-up check (0 skips it)",
     )
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = hsub.add_parser("probe", help=probe_doc, description=probe_doc)
     p.add_argument("--triple", required=True, help="triple JSON file")
-    p.add_argument("--samples", type=int, default=8, help="number of loops")
+    p.add_argument("--samples", type=_count(1), default=8, help="number of loops")
     p.add_argument("--ds", type=float, default=1e-2, help="rectangle side scale")
     p.add_argument("--seed", type=int, default=0, help="loop generator seed")
     _add_common(p)

@@ -154,48 +154,48 @@ def tance(p, q) -> float:
     return float(abs(g) ** 2 / (self_product(a) * self_product(b)))
 
 
-def _triple_invariants(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """(t1, t2, tau, alpha, beta) of a triple from its Gram m[j, k] = <p_j, p_k>.
-
-    tau is None where m12 m23 vanishes relative to the form norms
-    sqrt|m11 m33| |m22| (1 for points), a test isometries leave unchanged.
-    """
-    (g11, g12, g13), (_, g22, g23), (g31, _, g33) = m.tolist()
+def _triple_invariants(m: np.ndarray) -> tuple:
+    """(t1, t2, alpha, beta) of a triple from its Gram m[j, k] = <p_j, p_k>."""
+    (g11, g12, _), (_, g22, g23), (g31, _, g33) = m.tolist()
     d1, d2, d3 = g11.real, g22.real, g33.real
     n = d1 * d2 * d3
-    denom = g12 * g23
-    degenerate = abs(denom) <= tol * math.sqrt(abs(d1 * d3)) * abs(d2)
     return (
         abs(g12) ** 2 / (d1 * d2),
         abs(g23) ** 2 / (d2 * d3),
-        None if degenerate else g13 * g22 / denom,
         (g12 * g23 * g31).imag / n,
         float(np.linalg.det(m).real / n),
     )
 
 
-def _degenerate_tau(m: np.ndarray, tol: float) -> DegenerateTau:
-    """The DegenerateTau for a Gram m whose shape ratio _triple_invariants
-    left undefined: `value` is |m12 m23| / (sqrt|m11 m33| |m22|), the
-    quantity it tested, and `bound` the tolerance it fell to or below."""
-    (g11, g12, _), (_, g22, g23), (_, _, g33) = m.tolist()
-    value = abs(g12 * g23) / (math.sqrt(abs(g11.real * g33.real)) * abs(g22.real))
-    return DegenerateTau(
-        f"g12 * g23 is {value:.1e} of the form norms, shape ratio undefined "
-        f"at tolerance {tol:.1e}",
-        value=value,
-        bound=tol,
-    )
+def _shape_ratio(m: np.ndarray, tol: float) -> complex:
+    """The shape ratio g13 g22 / (g12 g23) of a triple from its Gram m.
+
+    Raises DegenerateTau where |g12 g23| is at most tol times the form
+    norms sqrt|g11 g33| |g22| (1 for points), a test isometries leave
+    unchanged; `value` is the quotient of the two, `bound` the tolerance.
+    """
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = m.tolist()
+    denom = g12 * g23
+    norms = math.sqrt(abs(g11.real * g33.real)) * abs(g22.real)
+    if abs(denom) <= tol * norms:
+        value = abs(denom) / norms
+        raise DegenerateTau(
+            f"g12 * g23 is {value:.1e} of the form norms, shape ratio undefined "
+            f"at tolerance {tol:.1e}",
+            value=value,
+            bound=tol,
+        )
+    return g13 * g22 / denom
 
 
 def alpha(p1, p2, p3) -> float:
     """Normalized imaginary part of the cyclic triple product."""
-    return _triple_invariants(gram((p1, p2, p3)).m)[3]
+    return _triple_invariants(gram((p1, p2, p3)).m)[2]
 
 
 def beta(p1, p2, p3) -> float:
     """Normalized Gram determinant of a triple."""
-    return _triple_invariants(gram((p1, p2, p3)).m)[4]
+    return _triple_invariants(gram((p1, p2, p3)).m)[3]
 
 
 def tau_complex(p1, p2, p3, tol: float = DEFAULT_TOL):
@@ -204,11 +204,7 @@ def tau_complex(p1, p2, p3, tol: float = DEFAULT_TOL):
     Raises DegenerateTau when the denominator vanishes relative to the
     points' form norms.
     """
-    m = gram((p1, p2, p3)).m
-    t = _triple_invariants(m, tol)[2]
-    if t is None:
-        raise _degenerate_tau(m, tol)
-    return t
+    return _shape_ratio(gram((p1, p2, p3)).m, tol)
 
 
 def tau(p1, p2, p3, tol: float = DEFAULT_TOL) -> float:

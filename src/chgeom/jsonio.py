@@ -16,8 +16,9 @@ formats:
     Pentagon    {"delta": {"k":}, "points": [5 Points]}
 
 Decoders go through the validating factories, so malformed data raises the
-same errors as malformed arguments; shape and key problems and non-finite
-numbers raise ValueError.
+same errors as malformed arguments; shape and key problems, non-finite
+numbers, and a sign, cube root index or move pair outside its list raise
+ValueError.
 Encoding a decoded object reproduces the input bit for bit (floats are
 written with shortest round-trip precision by the json module).
 """
@@ -25,6 +26,7 @@ written with shortest round-trip precision by the json module).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -32,7 +34,23 @@ from .core import DEFAULT_TOL, Gram, Point, point
 from .isometry import CubeRoot, Isometry, isometry
 from .paths import PathSample, path_sample
 from .pentagons import Pentagon, pentagon
-from .triples import Move, SCoords, Triple, triple
+from .triples import _PAIR_START, Move, SCoords, Triple, triple
+
+
+def _finite(x) -> float:
+    """x as a float; ValueError unless it is finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x}")
+    return x
+
+
+def _one_of(x, allowed: tuple):
+    """x when it equals an entry of `allowed` of the same type (so neither
+    1.0 nor True stands for 1); else ValueError."""
+    if not any(type(x) is type(a) and x == a for a in allowed):
+        raise ValueError(f"expected one of {allowed}, got {x!r}")
+    return x
 
 
 def encode_complex(z) -> list[float]:
@@ -42,7 +60,7 @@ def encode_complex(z) -> list[float]:
 
 def decode_complex(v) -> complex:
     re, im = v
-    return complex(float(re), float(im))
+    return complex(_finite(re), _finite(im))
 
 
 def encode_vector(v) -> list[list[float]]:
@@ -56,7 +74,7 @@ def decode_vector(data) -> np.ndarray:
 def decode_point(data, tol: float = DEFAULT_TOL) -> Point:
     v = decode_vector(data["rep"])
     p = point(v, tol)
-    want = int(data["sign"])
+    want = _one_of(data["sign"], (1, -1))
     if p.sign != want:
         raise ValueError(f"stored sign {want} disagrees with the representative")
     # Canonicalizing an already-canonical vector only stirs the last bits;
@@ -85,33 +103,25 @@ def decode_isometry(data, tol: float = DEFAULT_TOL) -> Isometry:
 
 
 def decode_cube_root(data) -> CubeRoot:
-    k = int(data["k"])
-    if k not in (0, 1, 2):
-        raise ValueError(f"cube root index must be 0, 1 or 2, got {k}")
-    return CubeRoot(k)
+    return CubeRoot(_one_of(data["k"], (0, 1, 2)))
 
 
 def decode_coords(data) -> SCoords:
-    sigma = tuple(int(s) for s in data["sigma"])
+    sigma = tuple(_one_of(s, (1, -1)) for s in data["sigma"])
     if len(sigma) != 3:
         raise ValueError("sigma must have three entries")
-    return SCoords(
-        t=float(data["t"]),
-        t1=float(data["t1"]),
-        t2=float(data["t2"]),
-        sigma=sigma,
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-    )
+    reals = {k: _finite(data[k]) for k in ("t", "t1", "t2", "alpha", "beta")}
+    return SCoords(sigma=sigma, **reals)
 
 
 def decode_moves(data) -> list[Move]:
-    return [Move(pair=str(d["pair"]), s=float(d["s"])) for d in data]
+    pairs = tuple(_PAIR_START)
+    return [Move(pair=_one_of(d["pair"], pairs), s=_finite(d["s"])) for d in data]
 
 
 def decode_path_sample(data, tol: float = DEFAULT_TOL) -> PathSample:
     points = [decode_point(d, tol) for d in data["points"]]
-    return path_sample(points, [float(x) for x in data["params"]])
+    return path_sample(points, [_finite(x) for x in data["params"]])
 
 
 def _decode_points(data, n: int, tol: float = DEFAULT_TOL) -> list[Point]:

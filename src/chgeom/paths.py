@@ -342,7 +342,18 @@ class Bending:
 
 
 def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
-    """The bending group of an ordered pair of distinct non-orthogonal points."""
+    """The bending group of an ordered pair of distinct non-orthogonal points.
+
+    The frame `cols` is adapted to the line.  Hyperbolic: its isotropic
+    ends v1, v2 and the polar point.  Spherical: p1, the unit point of the
+    line orthogonal to it, and the polar point.  Euclidean (two positive
+    points pairing to modulus 1): a negative unit b, p1 and the isotropic
+    u = q2 - p1 orthogonal to p1, with q2 the representative of p2 pairing
+    real positive with p1.  There b is a combination of u and r, the part
+    of J u orthogonal to p1, which pairs with u to <J u, u> = |u|^2 since
+    <p1, u> = 0; b is orthogonal to p1 and pairs with u to 1.  Raises EqualPoints for equal points and
+    OrthogonalPoints for a pairing at most tol relative to the norms.
+    """
     if projectively_equal(p1, p2, tol):
         raise EqualPoints("equal points admit no bending")
     s1, s2 = p1.sign, p2.sign
@@ -376,12 +387,7 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         rate = float(ang)
     else:
         u = q2 - g * p1.rep
-        best, r = None, None
-        for k in range(3):
-            cand = project_orthogonal(p1, np.eye(3)[k])
-            w = abs(form(cand, u))
-            if best is None or w > best:
-                best, r = w, cand
+        r = project_orthogonal(p1, J @ u)
         eta = 1.0 / form(r, u)
         gam = -(1.0 + abs(eta) ** 2 * self_product(r)) / 2.0
         b = gam * u + eta * r
@@ -433,13 +439,13 @@ def _bend_targets(
     the root at the larger exponent x = e^{2th} first.  Both are the
     quadratic's closed form in x, with no iteration: the larger root by the
     plus branch with the discriminant factored through the distance to the
-    minimum, the smaller by Vieta.  The coordinate moves of triples read
-    the sheet off that order; make_hyperbolic sorts the roots and
-    pentagons._move_34 takes the one of least |s|, so neither depends on
-    it.  A side whose pairing with `fixed`, relative to the norms, is at
-    most 1e-8 is absent: the profile is then one-sided with a single
-    preimage, and with both sides absent (`fixed` the polar point of the
-    line) nothing is reachable.
+    minimum, the smaller by Vieta.  The coordinate moves of triples, and
+    through them the pentagon's 34 move, read the sheet off that order;
+    make_hyperbolic sorts the roots, so it does not depend on it.  A side
+    whose pairing with `fixed`, relative to the norms, is at most 1e-8 is
+    absent: the profile is then one-sided with a single preimage, and with
+    both sides absent (`fixed` the polar point of the line) nothing is
+    reachable.
     Below the minimum (the infimum k of a one-sided profile), Unreachable
     carries the target as `value` and, as `bound`, the extreme value of ta
     the bending reaches: that minimum times the sign product of the points.

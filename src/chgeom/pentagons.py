@@ -40,7 +40,7 @@ from .isometry import (
     nearest_cube_root,
     split_two_reflections,
 )
-from .paths import _bend_targets, bending
+from .paths import bending
 from .triples import (
     Move,
     SCoords,
@@ -48,6 +48,7 @@ from .triples import (
     _bend,
     _closure_gap,
     _connect_triples,
+    _coordinate_move,
     _off_target,
     _replay,
     _sheet_gap,
@@ -192,11 +193,16 @@ def is_real_pentagon(P: Pentagon, tol: float = 1e-8) -> bool:
 
 
 def _move_34(P: Pentagon, t4_target: float, tol: float) -> tuple[Pentagon, Move]:
-    """Bend the pair (p3, p4) until ta(p4, p5) = t4_target (smallest slide)."""
-    b = bending(P.p3, P.p4, tol)
-    s = min(_bend_targets(b, P.p4, P.p5, t4_target, tol), key=abs)
-    moved = Pentagon(*_bend(P.points, "34", s, tol, b), delta=P.delta)
-    return moved, Move(pair="34", s=float(s))
+    """Bend the pair (p3, p4) until ta(p4, p5) = t4_target.
+
+    This is the vertical line of the sub-triple (p3, p4, p5): its pair 12
+    move, kept on that triple's own sheet.  Along it the tracked pairing
+    is 2 c1 c2 cosh(2 (th - th_min)) + k, symmetric about its minimum, so
+    the preimage on the current side of the minimum, which _HIGH_SHEET
+    puts on the own sheet, is also the one of least |s|.
+    """
+    U, mv = _coordinate_move(Triple(P.p3, P.p4, P.p5), "12", t4_target, None, tol)
+    return Pentagon(P.p1, P.p2, *U.points, delta=P.delta), Move("34", mv.s)
 
 
 def apply_pentagon_moves(P: Pentagon, moves, tol: float = DEFAULT_TOL) -> Pentagon:

@@ -24,7 +24,13 @@ A move bends one consecutive pair of a chain of points: "12" and "23" on a
 triple, "34" and "45" as well on a pentagon.  `_bend` is the only code that
 applies one; replaying a program bends whatever pair `bending` accepts,
 while the coordinate moves, which solve a hyperbolic profile, require a
-hyperbolic pair.
+hyperbolic pair.  `_coordinate_move` is the only code that solves for a
+level: the pentagon's 34 move is the vertical line of its sub-triple
+(p3, p4, p5).
+
+A triple's invariants come from its Gram by two readers of core:
+_triple_invariants gives (t1, t2, alpha, beta), and _shape_ratio gives the
+complex shape ratio, whose real part is t, or raises DegenerateTau.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .core import (
     LineType,
     Point,
     _chain_phases,
-    _degenerate_tau,
+    _shape_ratio,
     _triple_invariants,
     form,
     gram,
@@ -114,7 +120,7 @@ def classify_triple(T: Triple, tol: float = DEFAULT_TOL) -> TripleClass:
     regularity; otherwise alpha separates the real locus from the generic
     one.
     """
-    return _classify(T, _triple_invariants(T.gram().m, tol), tol)
+    return _classify(T, _triple_invariants(T.gram().m), tol)
 
 
 def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
@@ -193,30 +199,23 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
     _require(abs(c.residual()), tol * scale, InadmissibleCoords, "surface residual")
 
 
-def _real_t(inv: tuple, m: np.ndarray, tol: float) -> tuple[float, ...]:
-    """(t1, t2, t, alpha, beta) from _triple_invariants' (t1, t2, tau,
-    alpha, beta) of the Gram m at tol; DegenerateTau, carrying its numbers,
-    where the shape ratio, and so t, is undefined."""
-    t1, t2, tau, a, b = inv
-    if tau is None:
-        raise _degenerate_tau(m, tol)
-    return t1, t2, tau.real, a, b
-
-
 def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
-    """(t1, t2, t, alpha, beta) of T from its Gram."""
+    """(t1, t2, t, alpha, beta) of T from its Gram; DegenerateTau where the
+    shape ratio, and so t, is undefined."""
     m = T.gram().m
-    return _real_t(_triple_invariants(m, tol), m, tol)
+    t1, t2, a, b = _triple_invariants(m)
+    return t1, t2, _shape_ratio(m, tol).real, a, b
 
 
 def s_coords(T: Triple, tol: float = DEFAULT_TOL) -> SCoords:
     """Surface coordinates of a (real) strongly regular triple."""
     m = T.gram().m
-    inv = _triple_invariants(m, tol)
+    inv = _triple_invariants(m)
     cls = _classify(T, inv, tol)
     if cls not in (TripleClass.STRONGLY_REGULAR, TripleClass.REAL_STRONGLY_REGULAR):
         raise NotStronglyRegular(f"triple is {cls.value}")
-    t1, t2, t, a, b = _real_t(inv, m, tol)
+    t1, t2, a, b = inv
+    t = _shape_ratio(m, tol).real
     return SCoords(
         t=t, t1=t1, t2=t2, sigma=tuple(p.sign for p in T.points), alpha=a, beta=b
     )
@@ -392,7 +391,7 @@ def _coordinate_move(
     s = cand_s[0]
     if len(cand_s) > 1:
         if sheet is None:
-            sheet = _sheet_of(_invariants(T, tol)[2])
+            sheet = _sheet_of(_shape_ratio(T.gram().m, tol).real)
         if sheet != _HIGH_SHEET[pair]:
             s = cand_s[1]
     return Triple(*_bend(T.points, pair, s, tol, b)), Move(pair=pair, s=s)

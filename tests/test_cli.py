@@ -159,6 +159,14 @@ class TestBend:
         assert code == 0
         assert "follow_residual" not in json.loads(out.out)
 
+    def test_negative_steps_is_a_usage_error(self, tmp_path, capsys, tri):
+        a = write(tmp_path, "a.json", tri.p1)
+        b = write(tmp_path, "b.json", tri.p2)
+        with pytest.raises(SystemExit) as ex:
+            main(["bend", "--p1", a, "--p2", b, "--steps", "-5"])
+        assert ex.value.code == 2
+        assert "--steps: must be at least 0, got -5" in capsys.readouterr().err
+
     def test_equal_points_domain_error(self, tmp_path, capsys, tri):
         a = write(tmp_path, "a.json", tri.p1)
         code, out = run(capsys, "bend", "--p1", a, "--p2", a)
@@ -333,6 +341,15 @@ class TestHolonomyProbe:
         assert lines[0] == "c1,c2"
         assert len(lines) == 7
         assert all(len(line.split(",")) == 2 for line in lines[1:])
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_a_usage_error(self, tmp_path, capsys, tri, samples):
+        t = write(tmp_path, "t.json", tri)
+        with pytest.raises(SystemExit) as ex:
+            main(["holonomy", "probe", "--triple", t, "--samples", samples])
+        assert ex.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--samples: must be at least 1, got {samples}" in err
 
     def test_probe_deterministic(self, tmp_path, capsys, tri):
         t = write(tmp_path, "t.json", tri)

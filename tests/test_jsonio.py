@@ -66,6 +66,13 @@ class TestMatrices:
         assert got.n == 3
         assert np.array_equal(got.m, G.m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gram_rejects_non_finite_entries(self, bad):
+        d = wire(gram(random_strongly_regular_triple(default_rng(71)).points))
+        d["entries"][4][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.decode_gram(d)
+
     def test_gram_entry_count(self):
         d = {"n": 3, "entries": [[1.0, 0.0]] * 8}
         with pytest.raises(ValueError):
@@ -93,6 +100,10 @@ class TestSmallRecords:
         with pytest.raises(ValueError):
             jsonio.decode_cube_root({"k": 3})
 
+    def test_cube_root_index_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="1.5"):
+            jsonio.decode_cube_root({"k": 1.5})
+
     def test_coords(self):
         c = SCoords(t=1.5, t1=-2.0, t2=3.0, sigma=(1, -1, -1), alpha=0.7, beta=-0.6)
         assert jsonio.decode_coords(wire(c)) == c
@@ -101,10 +112,34 @@ class TestSmallRecords:
         with pytest.raises(ValueError, match="three entries"):
             jsonio.decode_coords(d)
 
+    @pytest.mark.parametrize("key, bad", [("t", np.nan), ("alpha", np.inf)])
+    def test_coords_reject_non_finite_numbers(self, key, bad):
+        c = SCoords(t=1.5, t1=-2.0, t2=3.0, sigma=(1, -1, -1), alpha=0.7, beta=-0.6)
+        d = wire(c)
+        d[key] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.decode_coords(d)
+
+    def test_coords_reject_a_sign_other_than_plus_minus_one(self):
+        c = SCoords(t=1.5, t1=-2.0, t2=3.0, sigma=(1, -1, -1), alpha=0.7, beta=-0.6)
+        d = wire(c)
+        d["sigma"] = [5, -1, -1]
+        with pytest.raises(ValueError, match="got 5"):
+            jsonio.decode_coords(d)
+
     def test_moves(self):
         prog = [Move("12", 0.5), Move("23", -1.25)]
         assert jsonio.decode_moves(wire(prog)) == prog
         assert jsonio.decode_moves([]) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_moves_reject_a_non_finite_parameter(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.decode_moves([{"pair": "12", "s": bad}])
+
+    def test_moves_reject_an_unknown_pair(self):
+        with pytest.raises(ValueError, match="'99'"):
+            jsonio.decode_moves([{"pair": "99", "s": 0.5}])
 
 
 class TestCompositeObjects:
@@ -116,6 +151,13 @@ class TestCompositeObjects:
         assert np.array_equal(got.params, sample.params)
         for a, b in zip(got.points, sample.points):
             assert np.array_equal(a.rep, b.rep)
+
+    def test_path_sample_rejects_non_finite_params(self):
+        rng = default_rng(73)
+        d = wire(path_sample([random_point(rng) for _ in range(3)]))
+        d["params"][1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.decode_path_sample(d)
 
     def test_triple(self):
         T = random_strongly_regular_triple(default_rng(74))

@@ -12,7 +12,7 @@ import scipy.optimize
 
 import chgeom as chg
 from chgeom import errors
-from chgeom.core import form, point, project_orthogonal, self_product
+from chgeom.core import J, form, point, project_orthogonal, self_product
 from chgeom.isometry import (
     IDENTITY,
     _expm3,
@@ -733,6 +733,86 @@ class TestEuclideanBending:
         with pytest.raises(errors.NotOnGeodesic) as info:
             b.point_parameter(complex_r)
         assert_off_geodesic(info.value, b, complex_r, "ratio")
+
+
+def search_frame_bending(b):
+    """The euclidean bending b with its frame built as it once was: r the
+    best of the three coordinate axes made orthogonal to p1, by |<r, u>|."""
+    p1, u = b.cols[:, 1], b.cols[:, 2]
+    best, r = None, None
+    for k in range(3):
+        cand = project_orthogonal(p1, np.eye(3)[k])
+        w = abs(form(cand, u))
+        if best is None or w > best:
+            best, r = w, cand
+    eta = 1.0 / form(r, u)
+    gam = -(1.0 + abs(eta) ** 2 * self_product(r)) / 2.0
+    cols = np.column_stack([gam * u + eta * r, p1, u])
+    return Bending(b.kind, cols, np.linalg.inv(cols), b.rate)
+
+
+def moved_euclidean_bendings(rng, scale, n):
+    """n triples (p1, p2, bending) for EUCLIDEAN_PAIR moved by random
+    isometries at `scale`.  A moved pair whose bending is not euclidean is
+    passed over: at scale 3 the roundoff in the pairing makes `bending`
+    call about 3% of them spherical or hyperbolic, and their polar point
+    then raises IsotropicVector, so they carry no euclidean frame."""
+    out = []
+    while len(out) < n:
+        g = random_isometry(rng, scale)
+        try:
+            p1, p2 = (g.apply(p) for p in EUCLIDEAN_PAIR)
+            b = bending(p1, p2)
+        except errors.IsotropicVector:
+            continue
+        if b.kind is chg.LineType.EUCLIDEAN:
+            out.append((p1, p2, b))
+    return out
+
+
+def frame_residuals(b, p1, p2):
+    """b's form residual over E(s) and group-law residual over E(s) E(t),
+    each relative to the squared size of the matrices, and the E(1) p1 = p2
+    gap 1 - |<E(1) p1, p2>| / (|E(1) p1| |p2|) in euclidean products."""
+    form_res = group_res = 0.0
+    for s, t in ((0.3, 0.9), (-1.2, 2.0), (1.5, 1.5)):
+        a, c = b.evaluate(s).m, b.evaluate(t).m
+        size = np.abs(a).max()
+        form_res = max(form_res, np.abs(star(a) @ a - np.eye(3)).max() / size**2)
+        err = np.abs(a @ c - b.evaluate(s + t).m).max()
+        group_res = max(group_res, err / (size * np.abs(c).max()))
+    q = b.evaluate(1.0).m @ p1.rep
+    gap = 1.0 - abs(np.vdot(q, p2.rep)) / (np.linalg.norm(q) * np.linalg.norm(p2.rep))
+    return form_res, group_res, gap
+
+
+EUCLIDEAN_SCALES = (0.6, 1.0, 2.0, 3.0)
+
+
+class TestEuclideanFrame:
+    @pytest.mark.parametrize("scale", EUCLIDEAN_SCALES)
+    def test_r_pairs_with_u_to_its_squared_norm(self, scale):
+        # r, the part of J u orthogonal to p1, pairs with u to <J u, u>
+        # = |u|^2 because <p1, u> = 0; the frame's first column is built
+        # from it
+        for _, _, b in moved_euclidean_bendings(default_rng(83), scale, 40):
+            rep, u = b.cols[:, 1], b.cols[:, 2]
+            r = project_orthogonal(rep, J @ u)
+            uu, pp = np.vdot(u, u).real, np.vdot(rep, rep).real
+            assert abs(form(r, u) - uu) <= 1e-14 * uu * pp
+            eta = 1.0 / form(r, u)
+            gam = -(1.0 + abs(eta) ** 2 * self_product(r)) / 2.0
+            assert (gam * u + eta * r).tobytes() == b.cols[:, 0].tobytes()
+
+    @pytest.mark.parametrize("scale", EUCLIDEAN_SCALES)
+    def test_meets_the_bounds_of_the_search_frame(self, scale):
+        # the worst of either frame over these draws: form 3.6e-14, group
+        # law 3.0e-15, gap 4.4e-16 (both at scale 3)
+        bounds = (1e-12, 1e-13, 2e-15)
+        for p1, p2, b in moved_euclidean_bendings(default_rng(84), scale, 40):
+            for frame in (b, search_frame_bending(b)):
+                for got, bound in zip(frame_residuals(frame, p1, p2), bounds):
+                    assert got <= bound
 
 
 class TestBendingErrors:

@@ -6,9 +6,11 @@ import pytest
 
 from chgeom import paths
 from chgeom import pentagons as pentagons_module
+from chgeom import triples as triples_module
 from chgeom.core import LineType, line_type, point, projectively_equal, tance
 from chgeom.errors import (
     DifferentDelta,
+    GeometryError,
     InadmissibleModuli,
     NotAPentagon,
     NotConjugate,
@@ -268,6 +270,58 @@ class TestMoves:
             P, [Move(pair="45", s=0.7), Move(pair="34", s=-0.4)]
         )
         assert relation_residual(moved) <= 1e-9
+
+
+def reference_move_34(P, t4_target, tol=1e-9):
+    """_move_34 as it was: bend (p3, p4) to the preimage of least |s|."""
+    b = paths.bending(P.p3, P.p4, tol)
+    s = min(paths._bend_targets(b, P.p4, P.p5, t4_target, tol), key=abs)
+    moved = Pentagon(*triples_module._bend(P.points, "34", s, tol, b), delta=P.delta)
+    return moved, Move(pair="34", s=float(s))
+
+
+def move_34_cases():
+    """(pentagon, t4 target): chart pentagons unmoved and moved by random
+    isometries at scales 1 and 2, and build_pentagon pentagons with two
+    positive points p4, p5, with targets below and above their t4."""
+    rng = default_rng(81)
+    for scale in (None, 1.0, 2.0):
+        for _ in range(8):
+            m, delta = random_moduli(rng), CubeRoot(int(rng.integers(1, 3)))
+            P = pentagon_from_moduli(m, delta, s5=rng.uniform(-1, 1))
+            if scale is not None:
+                P = P.apply(random_isometry(rng, scale))
+            yield P
+    built = 0
+    while built < 16:
+        p4, p5 = random_point(rng, 1), random_point(rng, 1)
+        try:
+            P = build_pentagon(CubeRoot(int(rng.integers(0, 3))), p4, p5)
+        except GeometryError:
+            continue
+        built += 1
+        yield P
+
+
+class TestMove34:
+    def test_matches_the_least_slide_bit_for_bit(self):
+        moved = 0
+        for P in move_34_cases():
+            t4 = tance(P.p4, P.p5)
+            for f in (0.7, 1.3, 2.5):
+                try:
+                    want, want_mv = reference_move_34(P, f * t4)
+                except GeometryError as err:
+                    with pytest.raises(type(err)):
+                        pentagons_module._move_34(P, f * t4, 1e-9)
+                    continue
+                got, got_mv = pentagons_module._move_34(P, f * t4, 1e-9)
+                assert got_mv == want_mv
+                assert got.delta == want.delta
+                for a, b in zip(got.points, want.points):
+                    assert a.rep.tobytes() == b.rep.tobytes() and a.sign == b.sign
+                moved += 1
+        assert moved >= 90
 
 
 class TestConnect:
