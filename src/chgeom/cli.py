@@ -30,7 +30,6 @@ from .pentagons import (
     build_pentagon,
     connect_pentagons,
     is_real_pentagon,
-    pentagon,
     pentagon_from_moduli,
 )
 from .sampling import default_rng
@@ -156,9 +155,7 @@ def cmd_pentagon_new(args) -> str:
 def cmd_pentagon_verify(args) -> str:
     # The relation tolerance defaults to the pentagon type's own 1e-8, so
     # freshly built pentagons re-verify without flags.
-    tol = _tol(args, fallback=1e-8)
-    points = jsonio._decode_points(_load(args.file)["points"], 5)
-    P = pentagon(*points, tol=tol)
+    P = jsonio.decode_pentagon(_load(args.file), _tol(args, fallback=1e-8))
     resid = float(np.abs(P.product().m - P.delta.matrix()).max())
     return _render(
         {
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bend", help="bend a pair of points by a parameter")
     p.add_argument("--p1", required=True, help="first point JSON file")
     p.add_argument("--p2", required=True, help="second point JSON file")
-    p.add_argument("--s", type=float, default=1.0, help="bending parameter")
+    p.add_argument("--s", type=jsonio._finite, default=1.0, help="bending parameter")
     p.add_argument(
         "--steps",
         type=_count(0),
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("probe", help=probe_doc, description=probe_doc)
     p.add_argument("--triple", required=True, help="triple JSON file")
     p.add_argument("--samples", type=_count(1), default=8, help="number of loops")
-    p.add_argument("--ds", type=float, default=1e-2, help="rectangle side scale")
+    p.add_argument("--ds", type=jsonio._finite, default=1e-2, help="rectangle side scale")
     p.add_argument("--seed", type=int, default=0, help="loop generator seed")
     _add_common(p)
     p.set_defaults(func=cmd_holonomy_probe)

@@ -136,8 +136,10 @@ def decode_triple(data, tol: float = DEFAULT_TOL) -> Triple:
     return triple(*_decode_points(data["points"], 3, tol))
 
 
-def decode_pentagon(data) -> Pentagon:
-    P = pentagon(*_decode_points(data["points"], 5))
+def decode_pentagon(data, tol: float = 1e-8) -> Pentagon:
+    """The pentagon of `data`, its relation checked at `tol` (pentagon's
+    default); ValueError when a stored delta disagrees with the points."""
+    P = pentagon(*_decode_points(data["points"], 5), tol=tol)
     if "delta" in data and P.delta != decode_cube_root(data["delta"]):
         raise ValueError("stored delta disagrees with the five points")
     return P

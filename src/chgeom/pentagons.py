@@ -23,7 +23,6 @@ from .core import (
     _rep,
     form,
     gram,
-    projectively_equal,
     tance,
 )
 from .errors import (
@@ -218,12 +217,15 @@ def connect_pentagons(
     Both pentagons first slide to a common ta(p4, p5) (one 34 move each,
     the one on B undone at the end), the triples are then connected on the
     surface, and a single 45 move aligns the split pair along the shared
-    axis.  Raises DifferentDelta for distinct central values, and the
-    triple stage raises IncompatibleInvariants for unmatched sign patterns.
-    The moved pentagon is checked against B by the closure gap, the largest
-    1 - |<g a, b>| / (|g a| |b|) over the five representatives: above 1e-7
-    (or NaN) it raises NotConjugate carrying the gap as `value` and 1e-7
-    as `bound`.
+    axis.  Every leg is skipped by one rule, `_off_target` on what the leg
+    moves: the 34 legs on ta(p4, p5), the 45 leg on its own parameter,
+    read from the bending of (p4, p5), against 0.  Raises DifferentDelta
+    for distinct central values, and the triple stage raises
+    IncompatibleInvariants for unmatched sign patterns.  The moved
+    pentagon is checked against B by the closure gap of connect_triples,
+    the largest phase-aligned distance between unit representatives, over
+    the five points: above 1e-7 (or NaN) it raises NotConjugate carrying
+    the gap as `value` and 1e-7 as `bound`.
     """
     if A.delta.k != B.delta.k:
         raise DifferentDelta(f"central values differ: k={A.delta.k} vs k={B.delta.k}")
@@ -245,9 +247,9 @@ def connect_pentagons(
     # align the split pair: the works-before-g image of B's p4 sits on the
     # axis geodesic through (p4, p5)
     target = g.inv().apply(cur_b.p4, tol)
-    if not projectively_equal(cur.p4, target, tol=1e-9):
-        b45 = bending(cur.p4, cur.p5, tol)
-        s_align = float(b45.point_parameter(target)[0])
+    b45 = bending(cur.p4, cur.p5, tol)
+    s_align = float(b45.point_parameter(target)[0])
+    if _off_target(s_align, 0.0):
         cur = Pentagon(*_bend(cur.points, "45", s_align, tol, b45), delta=cur.delta)
         moves.append(Move(pair="45", s=s_align))
     if s_back is not None:

@@ -484,9 +484,12 @@ def connect_triples(
     the isometry's roundoff only, not how far the moves landed from B's
     coordinates (bench connect seed 2, draw 217, 12 first: estimate
     3.7e-15, error 5.3e-10 at representative norm 3.5).  What is measured
-    is the closure gap, the largest 1 - |<g a, b>| / (|g a| |b|) over the
-    bent triple's representatives a and B's b; above 1e-6 (or NaN) it
-    raises NotConjugate carrying the gap as `value` and 1e-6 as `bound`.
+    is the closure gap: the largest distance |a u - b| between the unit
+    representatives a of the bent triple moved by g and b of B, with a
+    turned onto b by the phase u of their euclidean pairing.  It reads
+    2 sin(theta / 2) at an angle theta between the two, so a point off by
+    1e-6 reads about 1e-6; above 1e-6 (or NaN) it raises NotConjugate
+    carrying the gap as `value` and 1e-6 as `bound`.
 
     The program bends pair 23 first and pair 12 second.  That order can
     drive the representatives far out, where the isometry's roundoff is
@@ -533,15 +536,21 @@ def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
 
 
 def _closure_gap(g: Isometry, points, targets) -> float:
-    """The largest 1 - |<g a, b>| / (|g a| |b|) over the raw representatives
-    a of `points` and b of `targets`: zero when g carries each point onto
-    its target, NaN when a representative is not finite."""
+    """The largest |a u - b| over the unit representatives a of g applied
+    to `points` and b of `targets`, where the phase u of c = <a, b>_E turns
+    a onto b.  That is 2 sin(theta / 2) for the angle theta between the two
+    lines: linear in the error, where 1 - cos theta is quadratic and
+    cancels to zero below theta ~ 1e-8.  Zero when g carries each point
+    onto its target, NaN when a representative is not finite."""
     a = np.array([p.rep for p in points]) @ g.m.T
-    b = np.array([q.rep for q in targets])
-    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    cos = np.abs(np.sum(a.conj() * b, axis=1)) / norms
-    # np.max, unlike the builtin, propagates a NaN
-    return float(np.max(1.0 - cos))
+    ab = np.concatenate((a, [q.rep for q in targets]))
+    # a product, not a quotient: a NaN row then raises no FP warning
+    ab *= 1.0 / np.linalg.norm(ab, axis=1, keepdims=True)
+    a, b = ab[: len(a)], ab[len(a) :]
+    # np.angle(0) is 0, and at c = 0 every phase gives the distance sqrt 2
+    u = np.exp(1j * np.angle((a.conj() * b).sum(axis=1, keepdims=True)))
+    # ndarray.max, unlike the builtin max, propagates a NaN
+    return float(np.linalg.norm(a * u - b, axis=1).max())
 
 
 def tangent_ef_residual(T: Triple, tg1, tg2, tg3) -> float:

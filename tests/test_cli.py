@@ -167,6 +167,15 @@ class TestBend:
         assert ex.value.code == 2
         assert "--steps: must be at least 0, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_parameter_is_a_usage_error(self, tmp_path, capsys, tri, s):
+        a = write(tmp_path, "a.json", tri.p1)
+        b = write(tmp_path, "b.json", tri.p2)
+        with pytest.raises(SystemExit) as ex:
+            main(["bend", "--p1", a, "--p2", b, "--s", s, "--steps", "0"])
+        assert ex.value.code == 2
+        assert f"argument --s: invalid _finite value: '{s}'" in capsys.readouterr().err
+
     def test_equal_points_domain_error(self, tmp_path, capsys, tri):
         a = write(tmp_path, "a.json", tri.p1)
         code, out = run(capsys, "bend", "--p1", a, "--p2", a)
@@ -257,6 +266,18 @@ class TestPentagonVerbs:
         code, out = run(capsys, "pentagon", "verify", str(path))
         assert code == 2
         assert "expected 5 points, got 4" in out.err
+
+    def test_verify_wrong_stored_delta_is_usage_error(self, tmp_path, capsys):
+        # verify decodes as connect does, so both reject the file
+        P = pentagon_from_moduli((-1.5, 3.0, 2.5), CubeRoot(1), s5=0.3)
+        d = jsonio.encode(P)
+        d["delta"] = {"k": 2}
+        path = tmp_path / "delta.json"
+        path.write_text(json.dumps(d))
+        for argv in (["verify", str(path)], ["connect", str(path), str(path)]):
+            code, out = run(capsys, "pentagon", *argv)
+            assert code == 2
+            assert "stored delta disagrees with the five points" in out.err
 
     def test_new_from_points(self, tmp_path, capsys):
         rng = default_rng(81)
@@ -350,6 +371,14 @@ class TestHolonomyProbe:
         assert ex.value.code == 2
         err = capsys.readouterr().err
         assert f"--samples: must be at least 1, got {samples}" in err
+
+    @pytest.mark.parametrize("ds", ["nan", "inf"])
+    def test_non_finite_side_is_a_usage_error(self, tmp_path, capsys, tri, ds):
+        t = write(tmp_path, "t.json", tri)
+        with pytest.raises(SystemExit) as ex:
+            main(["holonomy", "probe", "--triple", t, "--ds", ds])
+        assert ex.value.code == 2
+        assert f"argument --ds: invalid _finite value: '{ds}'" in capsys.readouterr().err
 
     def test_probe_deterministic(self, tmp_path, capsys, tri):
         t = write(tmp_path, "t.json", tri)

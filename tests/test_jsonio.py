@@ -17,6 +17,7 @@ from chgeom import (
     triple,
 )
 from chgeom import jsonio
+from chgeom.errors import NotAPentagon
 from chgeom.sampling import (
     random_isometry,
     random_point,
@@ -184,6 +185,14 @@ class TestCompositeObjects:
         d["delta"]["k"] = 2
         with pytest.raises(ValueError):
             jsonio.decode_pentagon(d)
+
+    def test_pentagon_relation_tolerance(self):
+        P = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))
+        d = wire(P)
+        d["points"][2]["rep"][0][0] += 1e-5
+        with pytest.raises(NotAPentagon):
+            jsonio.decode_pentagon(d)
+        assert jsonio.decode_pentagon(d, tol=1e-2).delta == P.delta
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):

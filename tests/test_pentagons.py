@@ -33,7 +33,7 @@ from chgeom.sampling import (
     random_negative_point,
     random_point,
 )
-from chgeom.triples import Move, SCoords, s_coords, triple_from_coords
+from chgeom.triples import Move, SCoords, _closure_gap, s_coords, triple_from_coords
 
 J = np.diag([1.0, 1.0, -1.0])
 
@@ -411,8 +411,89 @@ class TestConnect:
         assert info.value.bound == 1e-7
         assert info.value.value > info.value.bound
 
+    def test_small_closure_failure_is_caught(self, monkeypatch):
+        # a 45 move off by 1e-5 misses B by about 4e-6: 1 - cos of that
+        # angle is about 1e-11, far below the bound, the distance is not
+        A, B = moved_pair()
+        bend = pentagons_module._bend
+
+        def misaligned(points, pair, s, tol, b=None):
+            return bend(points, pair, s + 1e-5 if pair == "45" else s, tol, b)
+
+        monkeypatch.setattr(pentagons_module, "_bend", misaligned)
+        with pytest.raises(NotConjugate) as info:
+            connect_pentagons(A, B)
+        assert info.value.bound == 1e-7
+        assert 1e-6 < info.value.value < 1e-5
+
     def test_different_central_values_are_rejected(self):
         A = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))
         B = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(2))
         with pytest.raises(DifferentDelta):
             connect_pentagons(A, B)
+
+
+def frozen_far_pair():
+    """A pentagon pair (k = 2) whose representatives have euclidean norms 5
+    to 14.  The 45 move that aligns A with B is s = -1.96e-3, yet 1 - cos
+    of the angle between A's p4 and its target is only 7.5e-10."""
+    A = Pentagon(
+        point([1.5613239632148974 + 0j,
+               0.04263903217359869 - 0.004095628240357262j,
+               1.196919793665843 - 0.0833689802946781j]),
+        point([0.051540987337309184 + 0.0371483048869216j,
+               -0.12745215815934943 - 0.003019046997763997j,
+               1.0100938754372917 + 0j]),
+        point([-1.216446455870021 - 0.10619568748838334j,
+               0.048992274331030414 + 0.002784497984671589j,
+               1.5790590553912223 + 0j]),
+        point([-2.231469565109595 - 1.2868355223164654j,
+               1.0291757946188762 - 1.7609662070234033j,
+               3.43447330460053 + 0j]),
+        point([-0.9928301063423237 - 0.6765478685886882j,
+               0.46921008259013103 - 1.0114781515725801j,
+               1.9200715588916282 + 0j]),
+        delta=CubeRoot(2),
+    )
+    B = Pentagon(
+        point([1.2785159888183355 + 1.114350577013128j,
+               3.696004676846921 - 1.6809094430739562j,
+               4.285123973614197 + 0j]),
+        point([0.34372993197322915 + 0.46240873440480373j,
+               0.9857629174188298 - 0.6333982743384224j,
+               1.6446561972282072 + 0j]),
+        point([-0.3175079729512243 + 0.15968341182629325j,
+               1.1221350146120048 - 2.241512278023605j,
+               2.7221084453873137 + 0j]),
+        point([-1.9571222165168534 + 1.9017013618284226j,
+               4.831187950910384 - 8.474969262551769j,
+               10.179011565873322 + 0j]),
+        point([-0.4634165196403627 + 0.7625735295911872j,
+               1.4414877836272626 - 2.368516737411157j,
+               3.0796155319215055 + 0j]),
+        delta=CubeRoot(2),
+    )
+    return A, B
+
+
+class TestAlignment:
+    """The 45 leg is decided by its own parameter, as every other leg is."""
+
+    @pytest.mark.parametrize("scale", [None, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_a_small_45_slide_is_one_move(self, s, scale):
+        A = pentagon_from_moduli((-1.5, 3.0, 2.5), CubeRoot(1), s5=0.3)
+        if scale is not None:
+            A = A.apply(random_isometry(default_rng(5), scale))
+        B = apply_pentagon_moves(A, [Move(pair="45", s=s)])
+        moves, g = connect_pentagons(A, B)
+        assert [m.pair for m in moves] == ["45"]
+        assert _closure_gap(g, apply_pentagon_moves(A, moves).points, B.points) <= 1e-12
+
+    def test_far_pair_ends_with_its_45_move(self):
+        A, B = frozen_far_pair()
+        verify_pentagon(A.points)
+        verify_pentagon(B.points)
+        moves, g = connect_pentagons(A, B)
+        assert moves[-1].pair == "45"
+        assert _closure_gap(g, apply_pentagon_moves(A, moves).points, B.points) <= 1e-12

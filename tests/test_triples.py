@@ -44,6 +44,7 @@ from chgeom.triples import (
     classify_triple,
     connect_triples,
     decompose_three_reflections,
+    _closure_gap,
     _sheet_gap,
     horizontal_line,
     s_coords,
@@ -930,6 +931,35 @@ class TestConnect:
         C = random_strongly_regular_triple(rng, sigma=(1, -1, -1))
         with pytest.raises(IncompatibleInvariants):
             connect_triples(A, C)
+
+
+class TestClosureGap:
+    @pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4])
+    def test_reads_the_chord_of_the_angle(self, theta):
+        # b is at euclidean angle theta from a; 1 - cos theta reads 0, 0
+        # and 5e-9 here, the chord 2 sin(theta / 2) is linear in theta
+        a = point([0.0, 0.0, 1.0])
+        b = point([0.6 * np.sin(theta), 0.8j * np.sin(theta), np.cos(theta)])
+        gap = _closure_gap(Isometry(np.eye(3, dtype=complex)), [a, a], [a, b])
+        chord = 2.0 * np.sin(theta / 2.0)
+        assert abs(gap - chord) <= 1e-6 * chord
+
+    def test_phase_of_the_representatives_is_aligned(self):
+        # a central isometry moves no point, only the phases of the
+        # representatives
+        T = random_strongly_regular_triple(default_rng(54))
+        g = Isometry(np.exp(2j * np.pi / 3) * np.eye(3))
+        assert _closure_gap(g, T.points, T.points) <= 1e-15
+
+    def test_orthogonal_representatives_are_sqrt_two_apart(self):
+        a, b = point([0.0, 0.0, 1.0]), point([1.0, 0.0, 0.0])
+        gap = _closure_gap(Isometry(np.eye(3, dtype=complex)), [a], [b])
+        assert gap == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+    def test_nan_propagates(self):
+        T = random_strongly_regular_triple(default_rng(54))
+        g = Isometry(np.full((3, 3), np.nan, dtype=complex))
+        assert np.isnan(_closure_gap(g, T.points, T.points))
 
 
 class TestDecompose:
