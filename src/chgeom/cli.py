@@ -124,11 +124,9 @@ def cmd_decompose(args) -> str:
     return _render({"triple": jsonio.encode(T), "residual": resid / scale})
 
 
-def _pentagon_from_moduli_csv(raw: str, delta: CubeRoot, tol: float):
-    parts = [float(x) for x in raw.split(",")]
-    if len(parts) != 5:
-        raise ValueError(f"--moduli needs t1,t2,t4,t,s5; got {len(parts)} values")
-    t1, t2, t4, t, s5 = parts
+def _pentagon_from_moduli_flag(moduli, delta: CubeRoot, tol: float):
+    """The pentagon at --moduli's five numbers t1, t2, t4, t, s5."""
+    t1, t2, t4, t, s5 = moduli
     P = pentagon_from_moduli((t1, t2, t4), delta, s5=s5, sheet=_sheet_of(t), tol=tol)
     got = s_coords(P.triple()).t
     bound = 1e-6 * max(1.0, abs(t))
@@ -142,7 +140,7 @@ def cmd_pentagon_new(args) -> str:
     if args.moduli is not None:
         if args.p4 is not None or args.p5 is not None:
             raise ValueError("give either --moduli or --p4/--p5, not both")
-        P = _pentagon_from_moduli_csv(args.moduli, delta, tol)
+        P = _pentagon_from_moduli_flag(args.moduli, delta, tol)
     else:
         if args.p4 is None or args.p5 is None:
             raise ValueError("need both --p4 and --p5 (or --moduli)")
@@ -244,6 +242,15 @@ def _count(least: int):
     return parse
 
 
+def _moduli(text: str) -> list[float]:
+    """An argparse type: five finite numbers t1,t2,t4,t,s5.  argparse names
+    the flag in the error and exits with status 2."""
+    parts = [jsonio._finite(x) for x in text.split(",")]
+    if len(parts) != 5:
+        raise argparse.ArgumentTypeError(f"needs t1,t2,t4,t,s5; got {len(parts)} values")
+    return parts
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol",
@@ -298,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p5", default=None, help="fifth point JSON file")
     p.add_argument(
         "--moduli",
+        type=_moduli,
         default=None,
         help="t1,t2,t4,t,s5 (moduli chart; delta must be 1 or 2)",
     )

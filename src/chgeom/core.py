@@ -223,12 +223,29 @@ def line_type(p, q, tol: float = DEFAULT_TOL) -> LineType:
 
     The sign of the determinant of the restricted form decides: negative is
     hyperbolic (the line meets the ball), positive is spherical, zero is
-    euclidean (tangent line).
+    euclidean (tangent line); zero means within the band tol (|d| + gg),
+    for d the product of the self-products and gg = |<p, q>|^2.
+
+    The same Gram minor decides whether the points are one, which raises
+    SamePoint.  Points of opposite sign never are.  Two negative points are
+    exactly when the minor reads euclidean, that is when tance - 1 is
+    within tol (1 + tance): a distance below about 9e-5 at tol 1e-9.  Two
+    positive points with a euclidean minor may be one point or two on a
+    tangent line, which the Gram cannot tell apart; there, and only there,
+    `projectively_equal` decides.
     """
-    if projectively_equal(p, q, tol):
-        raise SamePoint("equal points span no line")
     a, b = _rep(p), _rep(q)
-    return _minor_type(self_product(a) * self_product(b), abs(form(a, b)) ** 2, tol)
+    return _pair_minor(a, b, abs(form(a, b)) ** 2, tol)
+
+
+def _pair_minor(a, b, gg: float, tol: float, equal=SamePoint) -> LineType:
+    """line_type of vectors a, b from gg = |<a, b>|^2 and their
+    self-products, raising `equal` when they span one point."""
+    da = self_product(a)
+    kind = _minor_type(da * self_product(b), gg, tol)
+    if kind is LineType.EUCLIDEAN and (da < 0 or projectively_equal(a, b, tol)):
+        raise equal("equal points span no line")
+    return kind
 
 
 def _minor_type(d: float, gg: float, tol: float) -> LineType:

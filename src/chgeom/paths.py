@@ -28,11 +28,11 @@ from .core import (
     _cross,
     _minor_type,
     _norm,
+    _pair_minor,
     _rephase,
     form,
     point,
     project_orthogonal,
-    projectively_equal,
     self_product,
     tance,
 )
@@ -351,14 +351,22 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     u = q2 - p1 orthogonal to p1, with q2 the representative of p2 pairing
     real positive with p1.  There b is a combination of u and r, the part
     of J u orthogonal to p1, which pairs with u to <J u, u> = |u|^2 since
-    <p1, u> = 0; b is orthogonal to p1 and pairs with u to 1.  Raises EqualPoints for equal points and
+    <p1, u> = 0; b is orthogonal to p1 and pairs with u to 1.
+
+    Raises EqualPoints for equal points, decided from the pair's Gram minor
+    by `core.line_type`'s rule: points of opposite sign are never equal,
+    two negative points are when tance - 1 is within tol (1 + tance), and
+    two positive points are when their minor reads euclidean (within
+    tol (1 + tance) as well) and `projectively_equal` says so.  Raises
     OrthogonalPoints for a pairing at most tol relative to the norms.
     """
-    if projectively_equal(p1, p2, tol):
-        raise EqualPoints("equal points admit no bending")
     s1, s2 = p1.sign, p2.sign
     g12 = form(p1.rep, p2.rep)
     g = abs(g12)
+    # whether the points are one is read from their own Gram minor, as
+    # line_type reads it; the frame's type from the minor of unit
+    # representatives, s1 s2 and g^2, whose margins the formulas below use
+    _pair_minor(p1.rep, p2.rep, g * g, tol, EqualPoints)
     kind = _minor_type(s1 * s2, g * g, tol)
     bound = tol * max(1.0, _norm(p1.rep) * _norm(p2.rep))
     _require_above(g, bound, OrthogonalPoints, "pairing of the points")

@@ -117,11 +117,13 @@ def build_pentagon(
 
     The first three points are a three-reflection decomposition of
     delta R(p4) R(p5); errors from the decomposition (non-regular or
-    undecomposable products) propagate.
+    undecomposable products) propagate.  The result is checked at
+    `pentagon`'s default relation tolerance, the one `jsonio` and
+    `chg pentagon verify` read pentagons at.
     """
     f = Isometry(delta.value * _reflection_product((p5, p4)))
     T = decompose_three_reflections(f, tol)
-    return pentagon(T.p1, T.p2, T.p3, p4, p5, tol=1e-7)
+    return pentagon(T.p1, T.p2, T.p3, p4, p5)
 
 
 def pentagon_moduli(P: Pentagon) -> tuple[float, float, float]:

@@ -6,6 +6,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Point, point, self_product
 from .isometry import _SU_BASIS, Isometry, _expm3, project_to_su
+from .triples import _SIGN_PATTERNS, SCoords, triple_from_coords, validate_coords
 
 
 def default_rng(seed=None) -> np.random.Generator:
@@ -49,9 +50,6 @@ def random_isometry(rng, scale: float = 1.0) -> Isometry:
     return project_to_su(_expm3(random_su_element(rng, scale)))
 
 
-_SIGN_PATTERNS = ((-1, -1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-
 def random_strongly_regular_coords(rng, sigma=None, real: bool = False):
     """Admissible surface coordinates, bounded away from the ramification.
 
@@ -61,8 +59,6 @@ def random_strongly_regular_coords(rng, sigma=None, real: bool = False):
     are rejected.  `real` forces alpha = 0 on the all-negative pattern.  A
     `sigma` that no strongly regular triple has raises InadmissibleCoords.
     """
-    from .triples import SCoords, validate_coords
-
     if real:
         sigma = (-1, -1, -1)
     elif sigma is None:
@@ -85,6 +81,4 @@ def random_strongly_regular_coords(rng, sigma=None, real: bool = False):
 
 
 def random_strongly_regular_triple(rng, sigma=None, real: bool = False):
-    from .triples import triple_from_coords
-
     return triple_from_coords(random_strongly_regular_coords(rng, sigma, real))

@@ -172,6 +172,11 @@ class SCoords:
         return t1t2 * ((self.t - 1.0) ** 2 - gap)
 
 
+#: The sign patterns of strongly regular triples: all negative first, then
+#: the positive point at p1, p2, p3.
+_SIGN_PATTERNS = ((-1, -1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
 def _sheet_of(t: float) -> int:
     """The sheet of shape invariant t: +1 for t >= 1, else -1."""
     return 1 if t >= 1.0 else -1
@@ -278,14 +283,10 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
     _require_above(abs(tr + 1.0), tol, TraceMinusOne, "|trace + 1|")
     a = tr.imag / 8.0
     b = (tr.real + 1.0) / 4.0
-    if b > tol:
-        patterns = [(-1, -1, -1)]
-    elif b < -tol:
-        patterns = [(1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    else:
-        patterns = [(-1, -1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    # beta > tol admits only the all-negative pattern, the first, and
+    # beta < -tol only the others
     failure: Exception | None = None
-    for sigma in patterns:
+    for sigma in _SIGN_PATTERNS[b < -tol : 1 if b > tol else None]:
         s1, s2, s3 = sigma
         g = 2.0
         for _ in range(20):

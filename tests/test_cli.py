@@ -16,7 +16,7 @@ from chgeom import (
     s_coords,
     tance,
 )
-from chgeom.cli import _pentagon_from_moduli_csv, main
+from chgeom.cli import _pentagon_from_moduli_flag, main
 from chgeom.errors import InadmissibleModuli
 from chgeom.holonomy import holonomy_dimension, holonomy_samples
 from chgeom.sampling import (
@@ -245,7 +245,7 @@ class TestPentagonVerbs:
 
     def test_off_surface_t_carries_distance_and_bound(self):
         with pytest.raises(InadmissibleModuli) as info:
-            _pentagon_from_moduli_csv("-2.0,3.0,2.0,1.8,0.0", CubeRoot(1), 1e-9)
+            _pentagon_from_moduli_flag((-2.0, 3.0, 2.0, 1.8, 0.0), CubeRoot(1), 1e-9)
         assert info.value.value == pytest.approx(self.T_SHEET - 1.8, rel=1e-9)
         assert info.value.bound == pytest.approx(1.8e-6, rel=1e-12)
 
@@ -296,9 +296,27 @@ class TestPentagonVerbs:
         assert code == 2
         code, _ = run(capsys, "pentagon", "new", "--delta", "1", "--p4", a)
         assert code == 2
-        code, out = run(capsys, "pentagon", "new", "--delta", "1", "--moduli=-2,3,2,1.9")
-        assert code == 2
-        assert "got 4 values" in out.err
+        with pytest.raises(SystemExit) as ex:
+            main(["pentagon", "new", "--delta", "1", "--moduli=-2,3,2,1.9"])
+        assert ex.value.code == 2
+        assert "argument --moduli: needs t1,t2,t4,t,s5; got 4 values" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("place", range(5))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_moduli_is_a_usage_error(self, capsys, place, bad):
+        # moduli that build a pentagon (see the CI round trip) with one
+        # entry made non-finite
+        moduli = ["-2.0", "4.0", "2.0", "2.0187752", "0.0"]
+        moduli[place] = bad
+        arg = "--moduli=" + ",".join(moduli)
+        with pytest.raises(SystemExit) as ex:
+            main(["pentagon", "new", "--delta", "1", arg])
+        assert ex.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --moduli: invalid _moduli value: '{arg[9:]}'" in err
+        assert "Warning" not in err
 
     def test_verify_rejects_broken_relation(self, tmp_path, capsys):
         P = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1))

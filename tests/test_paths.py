@@ -828,6 +828,110 @@ class TestBendingErrors:
         assert info.value.bound == 1e-9
 
 
+class TestEqualPointRule:
+    """`bending` and `line_type` call a pair one point only when its Gram
+    minor reads euclidean and both points are negative, or both are
+    positive and `projectively_equal` agrees."""
+
+    @staticmethod
+    def equal_verdicts(p, q):
+        """(bending raised EqualPoints, line_type raised SamePoint)."""
+        verdicts = []
+        for fn, error in ((bending, errors.EqualPoints), (chg.line_type, errors.SamePoint)):
+            try:
+                fn(p, q)
+                verdicts.append(False)
+            except error:
+                verdicts.append(True)
+        return tuple(verdicts)
+
+    @pytest.mark.parametrize("scale", [2.0, 3.0, 4.0])
+    def test_moved_triples_raise_only_on_equal_points(self, scale):
+        # far out, distinct points have nearly parallel representatives:
+        # their euclidean angle alone calls the pairs of draws 106, 118 and
+        # 240 at scale 3 (240 of opposite sign), 19, 204 and 340 at scale 4
+        # equal
+        rng = default_rng(67)
+        pairs = 0
+        for _ in range(400):
+            T, g = random_strongly_regular_triple(rng), random_isometry(rng, scale)
+            try:
+                T = T.apply(g)
+            except errors.IsotropicVector:
+                # point's test, relative to |v|^2, reads a far image as
+                # isotropic
+                continue
+            for p, q in ((T.p1, T.p2), (T.p2, T.p3)):
+                verdicts = self.equal_verdicts(p, q)
+                assert verdicts[0] == verdicts[1]
+                if verdicts[0]:
+                    assert p.sign == q.sign
+                    assert abs(chg.tance(p, q) - 1.0) <= 1e-6
+                pairs += 1
+        assert pairs >= 700
+
+    @pytest.mark.parametrize("t", [5.0, 5.9, 7.0])
+    def test_distinct_points_far_along_their_geodesic(self, t):
+        # tance 1.026 (0.32 apart) boosted along their own geodesic to
+        # |rep| of 105-910: the representatives' euclidean angle falls
+        # below tol, and projectively_equal keeps its verdict on it
+        boost = np.array(
+            [[1.0, 0.0, 0.0], [0.0, np.cosh(t), np.sinh(t)], [0.0, np.sinh(t), np.cosh(t)]]
+        )
+        p = point(boost @ [0.0, 0.0, 1.0])
+        q = point(boost @ [0.0, np.sinh(0.16), np.cosh(0.16)])
+        assert chg.projectively_equal(p, q)
+        assert chg.line_type(p, q) is chg.LineType.HYPERBOLIC
+        b = bending(p, q)
+        assert b.kind is chg.LineType.HYPERBOLIC
+        assert abs(chg.tance(b.evaluate(1.0).apply(p), q) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_equal_points_raise(self, sign):
+        rng = default_rng(68)
+        for scale in (None, 1.0, 2.0, 4.0):
+            for _ in range(100):
+                p = random_point(rng, sign=sign)
+                if scale is not None:
+                    try:
+                        p = random_isometry(rng, scale).apply(p)
+                    except errors.IsotropicVector:
+                        continue
+                assert self.equal_verdicts(p, p) == (True, True)
+                if scale is not None and scale > 1.0:
+                    # rounding a copy moves the Gram minor by about
+                    # 1e-16 |rep|^2 of its size: the 1e-9 band at |rep| of
+                    # a few thousand, which scale 2 reaches
+                    continue
+                assert self.equal_verdicts(p, point(2.0j * p.rep)) == (True, True)
+                with pytest.raises(errors.SamePoint):
+                    chg.line_type(p.rep, -3.0 * p.rep)
+
+    @pytest.mark.parametrize("scale", [0.6, 1.0])
+    def test_moved_tangent_pair_stays_euclidean(self, scale):
+        rng = default_rng(69)
+        for _ in range(40):
+            g = random_isometry(rng, scale)
+            p1, p2 = (g.apply(p) for p in EUCLIDEAN_PAIR)
+            assert chg.line_type(p1, p2) is chg.LineType.EUCLIDEAN
+            assert bending(p1, p2).kind is chg.LineType.EUCLIDEAN
+
+    def test_only_positive_pairs_read_the_euclidean_angle(self, count_calls):
+        rng = default_rng(70)
+        counts = count_calls(chg.core.projectively_equal)
+        for _ in range(20):
+            p, q = random_hyperbolic_pair(rng)
+            bending(p, q)
+            p, q = random_mixed_pair(rng)
+            bending(p, q)
+            bending(q, p)
+            with pytest.raises(errors.EqualPoints):
+                bending(p, p)
+        assert counts["projectively_equal"] == 0
+        bending(*EUCLIDEAN_PAIR)
+        assert counts["projectively_equal"] == 1
+
+
 class TestMakeHyperbolic:
     def test_already_hyperbolic(self):
         rng = default_rng(50)

@@ -4,7 +4,7 @@ and connection."""
 import numpy as np
 import pytest
 
-from chgeom import paths
+from chgeom import jsonio, paths
 from chgeom import pentagons as pentagons_module
 from chgeom import triples as triples_module
 from chgeom.core import LineType, line_type, point, projectively_equal, tance
@@ -145,6 +145,23 @@ class TestVerifyAndBuild:
                 assert P.delta.k == k
                 assert relation_residual(P) <= 1e-8
                 assert P.p4 is base.p4 and P.p5 is base.p5
+
+    def test_built_pentagons_decode_at_the_default_tolerance(self):
+        # build_pentagon checks its result at the relation tolerance the
+        # decoder defaults to, so what it builds reads back without flags
+        rng = default_rng(63)
+        built = 0
+        for i in range(90):
+            s4, s5 = ((1, 1), (-1, -1), (1, -1))[i % 3]
+            p4, p5 = random_point(rng, s4), random_point(rng, s5)
+            try:
+                P = build_pentagon(CubeRoot((i // 3) % 3), p4, p5)
+            except NotConjugate:
+                continue
+            got = jsonio.decode_pentagon(jsonio.encode(P))
+            assert got.delta == P.delta
+            built += 1
+        assert built >= 80
 
     def test_build_of_central_value_one_in_all_negative_chart(self):
         rng = default_rng(62)
