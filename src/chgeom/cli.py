@@ -6,8 +6,10 @@ output round-trips exactly (shortest-repr floats); CSV cells carry 17
 significant digits.  Exit status is 0 on success, 1 on a domain error
 (any GeometryError, reported with its class name), 2 on a usage error.
 
-The default tolerance is 1e-9, overridable per call with --tol or
-globally with the environment variable CHG_TOL; it must be finite and >= 0.
+The default tolerance is the library's, core.DEFAULT_TOL, overridable per
+call with --tol or globally with the environment variable CHG_TOL; it must
+be finite and >= 0.  `pentagon verify` defaults to the pentagon relation
+tolerance, pentagons.RELATION_TOL, instead; `fixture` takes no tolerance.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .core import Gram, line_type, point, realize_gram, tance
+from .core import DEFAULT_TOL, Gram, line_type, point, realize_gram, tance
 from .errors import GeometryError, InadmissibleModuli, _require
 from .holonomy import holonomy_dimension, holonomy_samples
 from .isometry import CubeRoot, reflection
 from .paths import bending, follow_path, path_sample
 from .pentagons import (
+    RELATION_TOL,
     build_pentagon,
     connect_pentagons,
     is_real_pentagon,
@@ -56,7 +59,7 @@ def _load(path: str):
         return json.load(fh)
 
 
-def _tol(args, fallback: float = 1e-9) -> float:
+def _tol(args, fallback: float = DEFAULT_TOL) -> float:
     """--tol, else CHG_TOL, else `fallback`; ValueError unless finite and >= 0
     (a NaN tolerance would fail every `<= tol` test)."""
     tol = args.tol if args.tol is not None else float(os.environ.get("CHG_TOL", fallback))
@@ -151,9 +154,9 @@ def cmd_pentagon_new(args) -> str:
 
 
 def cmd_pentagon_verify(args) -> str:
-    # The relation tolerance defaults to the pentagon type's own 1e-8, so
-    # freshly built pentagons re-verify without flags.
-    P = jsonio.decode_pentagon(_load(args.file), _tol(args, fallback=1e-8))
+    # The relation tolerance defaults to the one pentagons are built and
+    # decoded at, so freshly built pentagons re-verify without flags.
+    P = jsonio.decode_pentagon(_load(args.file), _tol(args, fallback=RELATION_TOL))
     resid = float(np.abs(P.product().m - P.delta.matrix()).max())
     return _render(
         {
@@ -256,7 +259,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=None,
-        help="tolerance (default: CHG_TOL or 1e-9)",
+        help=f"tolerance (default: CHG_TOL or {DEFAULT_TOL})",
     )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture", help="emit a frozen example configuration")
     p.add_argument("name", metavar="NAME", help="fixture name (spherical-flip)")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_fixture)
 
     return top

@@ -140,7 +140,9 @@ class TraceMinusOne(GeometryError):
 
 
 class Unreachable(GeometryError):
-    """The target value lies below the minimum of the bending profile."""
+    """The target lies past the extreme ta of the bending profile: below
+    its least value for points of equal sign, above its greatest for points
+    of opposite sign."""
 
 
 class OnRamification(GeometryError):

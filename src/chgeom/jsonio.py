@@ -33,7 +33,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Gram, Point, point
 from .isometry import CubeRoot, Isometry, isometry
 from .paths import PathSample, path_sample
-from .pentagons import Pentagon, pentagon
+from .pentagons import RELATION_TOL, Pentagon, pentagon
 from .triples import _PAIR_START, Move, SCoords, Triple, triple
 
 
@@ -136,9 +136,9 @@ def decode_triple(data, tol: float = DEFAULT_TOL) -> Triple:
     return triple(*_decode_points(data["points"], 3, tol))
 
 
-def decode_pentagon(data, tol: float = 1e-8) -> Pentagon:
-    """The pentagon of `data`, its relation checked at `tol` (pentagon's
-    default); ValueError when a stored delta disagrees with the points."""
+def decode_pentagon(data, tol: float = RELATION_TOL) -> Pentagon:
+    """The pentagon of `data`, its relation checked at `tol`; ValueError
+    when a stored delta disagrees with the points."""
     P = pentagon(*_decode_points(data["points"], 5), tol=tol)
     if "delta" in data and P.delta != decode_cube_root(data["delta"]):
         raise ValueError("stored delta disagrees with the five points")

@@ -465,6 +465,9 @@ def _bend_targets(
     c1, c2 = abs(z1), abs(z2)
     k = 2.0 * sm * (z1 * z2.conjugate()).real
     M = target * sm * sy
+    # ta = sm sy M: a bound on M is a floor on ta for equal signs, a ceiling
+    # for opposite ones
+    side = "below the least" if sm * sy > 0 else "above the greatest"
     mmin = k + 2.0 * c1 * c2
     scale = max(1.0, abs(M), abs(mmin))
     n1, n2, nf = _norm(b.cols[:, 0]), _norm(b.cols[:, 1]), _norm(fixed.rep)
@@ -477,7 +480,7 @@ def _bend_targets(
             raise Unreachable("the fixed point is the polar point of the line")
         if M <= k + tol * scale:
             raise Unreachable(
-                "target is below the degenerate profile",
+                f"target {target:.6g} lies {side} ta of the degenerate profile",
                 value=target,
                 bound=sm * sy * k,
             )
@@ -488,7 +491,7 @@ def _bend_targets(
         return [th / rate - um]
     if M < mmin - tol * scale:
         raise Unreachable(
-            f"target {target:.6g} lies below the profile minimum",
+            f"target {target:.6g} lies {side} ta the bending reaches",
             value=target,
             bound=sm * sy * mmin,
         )

@@ -55,6 +55,11 @@ from .triples import (
     triple_from_coords,
 )
 
+#: The relation tolerance: verify_pentagon bounds the off-center residual of
+#: R5 R4 R3 R2 R1 by it (relative), and pentagon, jsonio.decode_pentagon
+#: and `chg pentagon verify` read pentagons at it by default.
+RELATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Pentagon:
@@ -83,7 +88,7 @@ class Pentagon:
         return Pentagon(*(g.apply(p, tol) for p in self.points), delta=self.delta)
 
 
-def verify_pentagon(points, tol: float = 1e-8) -> CubeRoot:
+def verify_pentagon(points, tol: float = RELATION_TOL) -> CubeRoot:
     """The central value of R5 R4 R3 R2 R1, or NotAPentagon.
 
     The off-center residual is bounded by tol times the largest of 1, |f|
@@ -104,7 +109,7 @@ def verify_pentagon(points, tol: float = 1e-8) -> CubeRoot:
     return root
 
 
-def pentagon(p1, p2, p3, p4, p5, tol: float = 1e-8) -> Pentagon:
+def pentagon(p1, p2, p3, p4, p5, tol: float = RELATION_TOL) -> Pentagon:
     """Validated pentagon from five points."""
     delta = verify_pentagon((p1, p2, p3, p4, p5), tol)
     return Pentagon(p1, p2, p3, p4, p5, delta)
@@ -118,8 +123,8 @@ def build_pentagon(
     The first three points are a three-reflection decomposition of
     delta R(p4) R(p5); errors from the decomposition (non-regular or
     undecomposable products) propagate.  The result is checked at
-    `pentagon`'s default relation tolerance, the one `jsonio` and
-    `chg pentagon verify` read pentagons at.
+    RELATION_TOL, the tolerance `jsonio` and `chg pentagon verify` read
+    pentagons at.
     """
     f = Isometry(delta.value * _reflection_product((p5, p4)))
     T = decompose_three_reflections(f, tol)
@@ -180,17 +185,18 @@ def pentagon_from_moduli(
     return Pentagon(T.p1, T.p2, T.p3, x2, x1, delta)
 
 
-def is_real_pentagon(P: Pentagon, tol: float = 1e-8) -> bool:
+def is_real_pentagon(P: Pentagon) -> bool:
     """Whether the five points sit on a common real plane.
 
     Tested gauge-invariantly: in the chain gauge c of _chain_phases, where
     consecutive pairings are real positive, the Gram matrix
-    c_j conj(c_k) G[j, k] must be real.
+    c_j conj(c_k) G[j, k] must be real, its imaginary parts at most 1e-8
+    times max(1, max|G|).
     """
     G = P.gram().m
     c = _chain_phases(G)
     G = c[:, None] * G * c.conj()
-    return float(np.abs(G.imag).max()) <= tol * max(1.0, float(np.abs(G).max()))
+    return float(np.abs(G.imag).max()) <= 1e-8 * max(1.0, float(np.abs(G).max()))
 
 
 def _move_34(P: Pentagon, t4_target: float, tol: float) -> tuple[Pentagon, Move]:
@@ -216,12 +222,13 @@ def connect_pentagons(
 ) -> tuple[list[Move], Isometry]:
     """A move program (at most six) and isometry carrying A onto B.
 
-    Both pentagons first slide to a common ta(p4, p5) (one 34 move each,
-    the one on B undone at the end), the triples are then connected on the
-    surface, and a single 45 move aligns the split pair along the shared
-    axis.  Every leg is skipped by one rule, `_off_target` on what the leg
-    moves: the 34 legs on ta(p4, p5), the 45 leg on its own parameter,
-    read from the bending of (p4, p5), against 0.  Raises DifferentDelta
+    Both pentagons first slide to the ta(p4, p5) of larger modulus (one
+    34 move each, the one on B undone at the end), the triples are then
+    connected on the surface, and a single 45 move aligns the split pair
+    along the shared axis.  Every leg is skipped by one rule,
+    `_off_target` on what the leg moves: the 34 legs on ta(p4, p5), the
+    45 leg on its own parameter, read from the bending of (p4, p5),
+    against 0.  Raises DifferentDelta
     for distinct central values, and the triple stage raises
     IncompatibleInvariants for unmatched sign patterns.  The moved
     pentagon is checked against B by the closure gap of connect_triples,
@@ -232,7 +239,11 @@ def connect_pentagons(
     if A.delta.k != B.delta.k:
         raise DifferentDelta(f"central values differ: k={A.delta.k} vs k={B.delta.k}")
     t4a, t4b = tance(A.p4, A.p5), tance(B.p4, B.p5)
-    t4 = max(t4a, t4b)
+    # the 34 bend reaches every ta(p4, p5) above a least one when p4 and p5
+    # share a sign (ta >= 0) and every one below a greatest one when they do
+    # not (ta <= 0): either way both pentagons reach the level of larger
+    # modulus
+    t4 = max(t4a, t4b, key=abs)
     moves: list[Move] = []
     cur = A
     if _off_target(t4a, t4):

@@ -17,26 +17,26 @@ def random_vector(rng) -> np.ndarray:
     return rng.standard_normal(3) + 1j * rng.standard_normal(3)
 
 
-def random_point(rng, sign: int | None = None, tol: float = 1e-2) -> Point:
+def random_point(rng, sign: int | None = None) -> Point:
     """A random point, rejection-sampled away from the isotropic cone.
 
-    `tol` bounds the admitted |self-product| relative to the euclidean norm,
-    so downstream constructions stay well conditioned.
+    A draw whose |self-product| is at most 1e-2 times its squared euclidean
+    norm is rejected, so downstream constructions stay well conditioned.
     """
     while True:
         v = random_vector(rng)
         s = self_product(v)
-        if abs(s) <= tol * float(np.vdot(v, v).real):
+        if abs(s) <= 1e-2 * float(np.vdot(v, v).real):
             continue
         if sign is not None and (s > 0) != (sign > 0):
             continue
         return point(v, DEFAULT_TOL)
 
 
-def random_negative_point(rng, radius: float = 0.95) -> Point:
-    """A point inside the ball: (u1, u2, 1) with |u| < radius."""
+def random_negative_point(rng) -> Point:
+    """A point inside the ball: (u1, u2, 1) with |u| < 0.95."""
     u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    r = radius * np.sqrt(rng.random())
+    r = 0.95 * np.sqrt(rng.random())
     u *= r / np.linalg.norm(u)
     return point(np.array([u[0], u[1], 1.0]), DEFAULT_TOL)
 

@@ -182,8 +182,19 @@ def _sheet_of(t: float) -> int:
     return 1 if t >= 1.0 else -1
 
 
-def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
-    """Raise InadmissibleCoords unless c describes a strongly regular triple."""
+#: Relative accuracy of the S-coordinates that connect_triples promises for
+#: the replayed program followed by its isometry, and that validate_coords
+#: and triple_from_coords hold coordinates to.
+CLOSURE_TOL = 1e-8
+
+
+def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
+    """Raise InadmissibleCoords unless c describes a strongly regular triple.
+
+    alpha reads as zero at |alpha| <= tol, the test classify_triple makes,
+    so a positive point needs |alpha| > tol.  The surface relation's
+    residual is bounded by CLOSURE_TOL times max(1, |t1 t2| (1 + (t - 1)^2)).
+    """
     s1, s2, s3 = c.sigma
     if any(s not in (-1, 1) for s in c.sigma):
         raise InadmissibleCoords("signs must be +-1")
@@ -200,8 +211,8 @@ def validate_coords(c: SCoords, tol: float = 1e-8) -> None:
         raise InadmissibleCoords("beta has the wrong sign for signature (2, 1)")
     if abs(c.alpha) <= tol and any(s > 0 for s in c.sigma):
         raise InadmissibleCoords("a real configuration with a positive point")
-    scale = max(1.0, abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) ** 2))
-    _require(abs(c.residual()), tol * scale, InadmissibleCoords, "surface residual")
+    bound = CLOSURE_TOL * max(1.0, abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) ** 2))
+    _require(abs(c.residual()), bound, InadmissibleCoords, "surface residual")
 
 
 def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
@@ -243,9 +254,25 @@ def standard_gram(c: SCoords) -> np.ndarray:
 
 
 def triple_from_coords(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
-    """A triple with the given surface coordinates (InadmissibleCoords if none)."""
-    validate_coords(c)
-    return _standard_triple(c, tol)
+    """A triple with the given surface coordinates (InadmissibleCoords if none).
+
+    The coordinates are validated at `tol`, and the triple built is read
+    back by s_coords.  InadmissibleCoords is raised when it is not strongly
+    regular: realize_gram drops a Gram eigenvalue of at most tol relative,
+    so a |beta| near tol can read back as zero.  It is raised as well, with
+    the miss as `value` and CLOSURE_TOL as `bound`, when a coordinate
+    misses c's by more than CLOSURE_TOL relative to max(1, |coordinate|).
+    """
+    validate_coords(c, tol)
+    T = _standard_triple(c, tol)
+    try:
+        r = s_coords(T, tol)
+    except NotStronglyRegular as err:
+        raise InadmissibleCoords(f"read back, the {err}") from err
+    want = np.array([c.t, c.t1, c.t2, c.alpha, c.beta])
+    miss = np.abs([r.t, r.t1, r.t2, r.alpha, r.beta] - want) / np.maximum(1.0, abs(want))
+    _require(float(miss.max()), CLOSURE_TOL, InadmissibleCoords, "read-back miss")
+    return T
 
 
 def _standard_triple(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
@@ -412,10 +439,6 @@ def horizontal_line(
     return _coordinate_move(T, "23", t1_target, sheet, tol)
 
 
-#: Relative accuracy of the S-coordinates that connect_triples promises for
-#: the replayed program followed by its isometry.
-CLOSURE_TOL = 1e-8
-
 #: Relative difference below which a coordinate already sits on its target
 #: and its move is skipped.
 _COORD_TOL = 1e-11
@@ -495,10 +518,11 @@ def connect_triples(
     The program bends pair 23 first and pair 12 second.  That order can
     drive the representatives far out, where the isometry's roundoff is
     amplified by their squared norm; when its estimated error exceeds
-    `tol`, the other order (12 first, then 23 onto B's sheet) is built as
-    well and the one with the smaller estimate is kept.  Raises
-    IncompatibleInvariants when the sign patterns or the pair (alpha, beta)
-    differ: those are constant on the surface.
+    `tol` or CLOSURE_TOL, the other order (12 first, then 23 onto B's
+    sheet) is built as well and the one with the smaller estimate is kept,
+    so a looser `tol` never skips an order the closure check needs.
+    Raises IncompatibleInvariants when the sign patterns or the pair
+    (alpha, beta) differ: those are constant on the surface.
     """
     moves, bent, g = _connect_triples(A, B, tol)
     _require(_closure_gap(g, bent.points, B.points), 1e-6, NotConjugate, "closure gap")
@@ -530,7 +554,7 @@ def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
         est = residual * float(np.max(np.sum(np.abs(pa) ** 2, axis=0)))
         if best is None or est < best[3]:
             best = (moves, cur, g, est)
-        if est <= tol:
+        if est <= min(tol, CLOSURE_TOL):
             break
     _require(best[3], CLOSURE_TOL, NotConjugate, "estimated closure error")
     return best[:3]

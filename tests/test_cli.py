@@ -65,6 +65,13 @@ class TestFixture:
         _, second = run(capsys, "fixture", "spherical-flip")
         assert first.out == second.out
 
+    def test_takes_no_tolerance(self, capsys):
+        # the fixture is a frozen Gram, read at no tolerance
+        with pytest.raises(SystemExit) as ex:
+            main(["fixture", "spherical-flip", "--tol", "1e-9"])
+        assert ex.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestInvariants:
     def test_matches_library(self, tmp_path, capsys, tri):

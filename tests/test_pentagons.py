@@ -377,6 +377,28 @@ class TestConnect:
         for p, q in zip(replay.points, B.points):
             assert projectively_equal(p, q, tol=1e-7)
 
+    def test_mixed_sign_pairs_connect(self):
+        # p4 and p5 of opposite signs have ta(p4, p5) <= 0, and the 34
+        # profile opens downward: both pentagons reach the level of larger
+        # modulus, where the larger value can be out of reach of one of them
+        rng = default_rng(71)
+        for i in range(8):
+            s4, s5 = ((1, -1), (-1, 1))[i % 2]
+            k = 1 + (i // 2) % 2
+            pair = []
+            while len(pair) < 2:
+                try:
+                    p4, p5 = random_point(rng, s4), random_point(rng, s5)
+                    pair.append(build_pentagon(CubeRoot(k), p4, p5))
+                except GeometryError:
+                    continue
+            A, B = pair
+            moves, g = connect_pentagons(A, B)
+            assert len(moves) <= 6
+            replay = apply_pentagon_moves(A, moves).apply(g)
+            for p, q in zip(replay.points, B.points):
+                assert projectively_equal(p, q, tol=1e-7)
+
     def test_slide_only_difference_needs_one_move(self):
         A = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1), s5=0.3)
         B = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1), s5=0.9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from chgeom import core
+from chgeom import core, jsonio
 from chgeom import triples as triples_module
 from chgeom.core import (
     alpha,
@@ -261,6 +261,47 @@ class TestSurfaceCoordinates:
         assert abs(c.residual()) < 1e-14
         with pytest.raises(InadmissibleCoords):
             validate_coords(c)
+
+    @pytest.mark.parametrize("a", [2e-9, 5e-9])
+    def test_alpha_just_above_tol_round_trips(self, a):
+        # classify_triple reads alpha as zero at |alpha| <= tol, and so does
+        # validate_coords: a triple that reads as strongly regular has
+        # coordinates that build it again
+        t1, t2, b = -2.0, 3.0, -0.5
+        c = SCoords(1.0 + np.sqrt(_sheet_gap(t1, t2, a, b)), t1, t2, (1, -1, -1), a, b)
+        T = triples_module._standard_triple(c)
+        assert classify_triple(T) is TripleClass.STRONGLY_REGULAR
+        c1 = s_coords(T)
+        c2 = s_coords(triple_from_coords(c1))
+        assert c2.sigma == (1, -1, -1)
+        assert abs(c2.alpha - a) <= 1e-12 and abs(c2.beta - b) <= 1e-12
+
+    @pytest.mark.parametrize("b", [1e-8, 1e-7])
+    def test_built_triple_that_reads_back_regular_is_inadmissible(self, b):
+        # the coordinates are admissible, but realize_gram drops the Gram's
+        # small eigenvalue and the triple built reads beta ~ 1e-15 or less
+        t1, t2, a = 3.0, 2.5, 0.3
+        c = SCoords(1.0 + np.sqrt(_sheet_gap(t1, t2, a, b)), t1, t2, (-1, -1, -1), a, b)
+        validate_coords(c)
+        with pytest.raises(InadmissibleCoords, match="triple is regular"):
+            triple_from_coords(c)
+
+    def test_read_back_miss_carries_value_and_bound(self, monkeypatch):
+        # a triple built from t1 off by 1e-6 (relative) misses t1 by that
+        # much, and beta, which moves with t1, by more
+        c = random_strongly_regular_coords(default_rng(29), sigma=(-1, -1, -1))
+        standard_triple = triples_module._standard_triple
+
+        def off_by(c, tol):
+            return standard_triple(
+                SCoords(c.t, c.t1 * (1.0 + 1e-6), c.t2, c.sigma, c.alpha, c.beta), tol
+            )
+
+        monkeypatch.setattr(triples_module, "_standard_triple", off_by)
+        with pytest.raises(InadmissibleCoords) as info:
+            triple_from_coords(c)
+        assert info.value.bound == triples_module.CLOSURE_TOL
+        assert info.value.value >= 0.999e-6
 
 
 def reference_coords(T: Triple) -> list[float]:
@@ -903,6 +944,37 @@ class TestConnect:
         assert orders == ["23", "12"]
         assert moves == bend_onto(A, s_coords(A), s_coords(B), "23", 0.0)[0]
         assert_triples_match(g, apply_bend_program(A, moves), B, 1e-8)
+
+    def test_a_looser_tol_keeps_searching_below_the_closure_bound(self):
+        # bench connect seed 1, item 1062: bending 23 first estimates a
+        # closure error of 3.95e-8, above CLOSURE_TOL, so the other order
+        # is needed whether or not `tol` admits 3.95e-8
+        A = jsonio.decode_triple({"points": [
+            {"rep": [[-1.6009079423870956, 0.007681956808551548],
+                     [0.24267884289845015, -0.0009742613655758376],
+                     [1.9031182891334504, 0.0]], "sign": -1},
+            {"rep": [[-0.29252522002696135, -0.0013162467722794792],
+                     [-0.5563628425304471, 0.0011918759783468922],
+                     [1.1811493427904427, 0.0]], "sign": -1},
+            {"rep": [[1.9802697257150412, 0.0],
+                     [0.11400738708688506, 0.0006996573203639386],
+                     [1.7130157128143153, 0.006597580278586651]], "sign": 1},
+        ]})
+        B = jsonio.decode_triple({"points": [
+            {"rep": [[-0.5914349444321509, 1.2134146447045782],
+                     [-0.37556159305387055, -1.2345985251799745],
+                     [2.118360314496268, 0.0]], "sign": -1},
+            {"rep": [[-3.707370250537371, 11.721216078350784],
+                     [-3.428023424522878, -11.324872952514223],
+                     [17.091974506171727, 0.0]], "sign": -1},
+            {"rep": [[-0.09712680595054068, -0.4732945217734445],
+                     [1.406762902037623, 0.0],
+                     [-0.44462538379920985, 1.0073387967340621]], "sign": 1},
+        ]})
+        for tol in (1e-7, 1e-6):
+            moves, g = connect_triples(A, B, tol)
+            assert [m.pair for m in moves] == ["12", "23"]
+            assert_triples_match(g, apply_bend_program(A, moves), B, 1e-8)
 
     def test_connecting_a_triple_to_itself_needs_no_moves(self):
         rng = default_rng(61)
