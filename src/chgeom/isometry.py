@@ -280,18 +280,17 @@ class CubeRoot:
 
 
 def nearest_cube_root(z: complex) -> CubeRoot:
-    ks = [0, 1, 2]
-    return CubeRoot(k=min(ks, key=lambda k: abs(z - _OMEGA**k)))
+    return CubeRoot(k=min((0, 1, 2), key=lambda k: abs(z - _OMEGA**k)))
 
 
 def center_reduce(g: Isometry) -> Isometry:
     """Multiply by the central cube root that pulls g closest to the identity.
 
-    Closest in the sense of largest Re(trace); for g a central element this
-    returns the identity exactly.
+    That is omega^k with omega^-k the cube root nearest trace / 3
+    (`nearest_cube_root`), which maximizes Re(omega^k trace); for g a
+    central element this returns the identity exactly.
     """
-    tr = g.trace
-    k = max((0, 1, 2), key=lambda k: (_OMEGA**k * tr).real)
+    k = -nearest_cube_root(g.trace / 3.0).k % 3
     if k == 0:
         return g
     return Isometry(_ro(_OMEGA**k * g.m))

@@ -357,8 +357,10 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     by `core.line_type`'s rule: points of opposite sign are never equal,
     two negative points are when tance - 1 is within tol (1 + tance), and
     two positive points are when their minor reads euclidean (within
-    tol (1 + tance) as well) and `projectively_equal` says so.  Raises
-    OrthogonalPoints for a pairing at most tol relative to the norms.
+    tol (1 + tance) as well) and `projectively_equal` says so, and when
+    the adapted frame is singular, which means the points coincide
+    numerically.  Raises OrthogonalPoints for a pairing at most tol
+    relative to the norms.
     """
     s1, s2 = p1.sign, p2.sign
     g12 = form(p1.rep, p2.rep)
@@ -401,7 +403,10 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         b = gam * u + eta * r
         cols = np.column_stack([b, p1.rep, u])
         rate = 1.0
-    cols_inv = np.linalg.inv(cols)
+    try:
+        cols_inv = np.linalg.inv(cols)
+    except np.linalg.LinAlgError as exc:
+        raise EqualPoints("the adapted frame of the pair is singular") from exc
     th_max = _EXP_MAX
     if kind is LineType.HYPERBOLIC:
         size = 3.0 * max(map(abs, cols.ravel().tolist()))

@@ -41,6 +41,7 @@ from .isometry import (
 )
 from .paths import bending
 from .triples import (
+    GAP_TOL,
     Move,
     SCoords,
     Triple,
@@ -50,6 +51,7 @@ from .triples import (
     _coordinate_move,
     _off_target,
     _replay,
+    _require_same_signs,
     _sheet_gap,
     decompose_three_reflections,
     triple_from_coords,
@@ -228,16 +230,18 @@ def connect_pentagons(
     along the shared axis.  Every leg is skipped by one rule,
     `_off_target` on what the leg moves: the 34 legs on ta(p4, p5), the
     45 leg on its own parameter, read from the bending of (p4, p5),
-    against 0.  Raises DifferentDelta
-    for distinct central values, and the triple stage raises
-    IncompatibleInvariants for unmatched sign patterns.  The moved
-    pentagon is checked against B by the closure gap of connect_triples,
-    the largest phase-aligned distance between unit representatives, over
-    the five points: above 1e-7 (or NaN) it raises NotConjugate carrying
-    the gap as `value` and 1e-7 as `bound`.
+    against 0.  Raises DifferentDelta for distinct central values, then
+    IncompatibleInvariants, before any move, when the five sign patterns
+    differ (`triples._require_same_signs`), and the triple stage raises it
+    for unmatched (alpha, beta).  The moved pentagon is checked against B
+    by the closure gap of connect_triples, the largest phase-aligned
+    distance between unit representatives, over the five points: above
+    GAP_TOL (1e-7, or NaN) it raises NotConjugate carrying the gap as
+    `value` and GAP_TOL as `bound`.
     """
     if A.delta.k != B.delta.k:
         raise DifferentDelta(f"central values differ: k={A.delta.k} vs k={B.delta.k}")
+    _require_same_signs(A.points, B.points)
     t4a, t4b = tance(A.p4, A.p5), tance(B.p4, B.p5)
     # the 34 bend reaches every ta(p4, p5) above a least one when p4 and p5
     # share a sign (ta >= 0) and every one below a greatest one when they do
@@ -269,5 +273,5 @@ def connect_pentagons(
         mv = Move(pair="34", s=-s_back)
         cur = apply_pentagon_moves(cur, [mv], tol)
         moves.append(mv)
-    _require(_closure_gap(g, cur.points, B.points), 1e-7, NotConjugate, "closure gap")
+    _require(_closure_gap(g, cur.points, B.points), GAP_TOL, NotConjugate, "closure gap")
     return moves, g

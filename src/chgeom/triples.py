@@ -182,9 +182,9 @@ def _sheet_of(t: float) -> int:
     return 1 if t >= 1.0 else -1
 
 
-#: Relative accuracy of the S-coordinates that connect_triples promises for
-#: the replayed program followed by its isometry, and that validate_coords
-#: and triple_from_coords hold coordinates to.
+#: Relative accuracy of S-coordinates: the bound on connect_triples'
+#: estimated error, and what validate_coords and triple_from_coords hold
+#: coordinates to.
 CLOSURE_TOL = 1e-8
 
 
@@ -495,25 +495,43 @@ def _bend_onto(
     return moves, cur
 
 
+#: The bound on the closure gap (see _closure_gap) of both connectors: a
+#: program and isometry whose replay lands farther from the target raise
+#: NotConjugate.
+GAP_TOL = 1e-7
+
+
+def _require_same_signs(points, targets) -> None:
+    """Raise IncompatibleInvariants, naming both sign patterns, unless each
+    point has its target's sign.  No bend and no isometry changes a point's
+    sign, so configurations whose signs differ are joined by no program."""
+    sa, sb = (tuple(p.sign for p in ps) for ps in (points, targets))
+    if sa != sb:
+        raise IncompatibleInvariants(f"sign patterns {sa} != {sb}")
+
+
 def connect_triples(
     A: Triple, B: Triple, tol: float = DEFAULT_TOL
 ) -> tuple[BendProgram, Isometry]:
     """A bend program (at most three moves) and isometry carrying A onto B.
 
-    Replaying the program on A and applying the isometry reproduces B: the
-    S-coordinates of the result are within CLOSURE_TOL (1e-8) of B's,
-    relative to max(1, |coordinate|), or NotConjugate is raised.  That
-    error is estimated, not measured: the isometry's form residual times
-    the largest squared representative norm of the bent triple.  It covers
-    the isometry's roundoff only, not how far the moves landed from B's
-    coordinates (bench connect seed 2, draw 217, 12 first: estimate
-    3.7e-15, error 5.3e-10 at representative norm 3.5).  What is measured
-    is the closure gap: the largest distance |a u - b| between the unit
-    representatives a of the bent triple moved by g and b of B, with a
-    turned onto b by the phase u of their euclidean pairing.  It reads
-    2 sin(theta / 2) at an angle theta between the two, so a point off by
-    1e-6 reads about 1e-6; above 1e-6 (or NaN) it raises NotConjugate
-    carrying the gap as `value` and 1e-6 as `bound`.
+    Raises IncompatibleInvariants, before any move, when the sign patterns
+    differ, and when the pairs (alpha, beta) differ by more than 1e-7
+    max(1, |beta|): signs, alpha and beta are constant on the surface.
+    Moves and isometries keep them, so the replayed program followed by
+    the isometry carries A's (alpha, beta), which may miss B's by up to
+    that band, and B's t1, t2 and sheet, with the t the surface relation
+    gives there.
+
+    Its error against those coordinates is estimated, not measured: the
+    isometry's form residual times the largest squared representative
+    norm of the bent triple, and an estimate above CLOSURE_TOL (1e-8)
+    raises NotConjugate.  It covers the isometry's roundoff only, not how
+    far the moves landed (bench connect seed 2, draw 217, 12 first:
+    estimate 3.7e-15, error 5.3e-10 at representative norm 3.5).  What is
+    measured is the closure gap of `_closure_gap` between the moved triple
+    and B: above GAP_TOL (1e-7, or NaN) it raises NotConjugate carrying
+    the gap as `value` and GAP_TOL as `bound`.
 
     The program bends pair 23 first and pair 12 second.  That order can
     drive the representatives far out, where the isometry's roundoff is
@@ -521,20 +539,18 @@ def connect_triples(
     `tol` or CLOSURE_TOL, the other order (12 first, then 23 onto B's
     sheet) is built as well and the one with the smaller estimate is kept,
     so a looser `tol` never skips an order the closure check needs.
-    Raises IncompatibleInvariants when the sign patterns or the pair
-    (alpha, beta) differ: those are constant on the surface.
     """
+    _require_same_signs(A.points, B.points)
     moves, bent, g = _connect_triples(A, B, tol)
-    _require(_closure_gap(g, bent.points, B.points), 1e-6, NotConjugate, "closure gap")
+    _require(_closure_gap(g, bent.points, B.points), GAP_TOL, NotConjugate, "closure gap")
     return moves, g
 
 
 def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
-    """(program, A bent by it, isometry) as connect_triples finds them,
-    before the closure check, which is left to the caller."""
+    """(program, A bent by it, isometry) as connect_triples finds them, for
+    triples of equal signs, before the closure check; both are the
+    caller's."""
     ca, cb = s_coords(A, tol), s_coords(B, tol)
-    if ca.sigma != cb.sigma:
-        raise IncompatibleInvariants(f"sign patterns {ca.sigma} != {cb.sigma}")
     # np.max, unlike the builtin, propagates a NaN difference
     diff = float(np.max(np.abs([ca.alpha - cb.alpha, ca.beta - cb.beta])))
     inv_tol = 1e-7 * max(1.0, abs(ca.beta))

@@ -641,3 +641,21 @@ class TestCubeRoots:
         twisted = chg.isometry.Isometry((w * g.m))
         reduced = center_reduce(twisted)
         assert np.allclose(reduced.m, g.m, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_center_reduce_keeps_the_largest_real_trace_rule(self, scale):
+        # the cube root nearest trace / 3 is the one whose conjugate
+        # maximizes Re(omega^k trace), the rule written out here
+        rng = default_rng(27)
+        w = np.exp(2j * np.pi / 3)
+        for _ in range(50):
+            g = random_isometry(rng, scale)
+            for j in range(3):
+                twisted = Isometry(w**j * g.m)
+                tr = twisted.trace
+                k = max((0, 1, 2), key=lambda k: (w**k * tr).real)
+                reduced = center_reduce(twisted)
+                if k == 0:
+                    assert reduced is twisted
+                else:
+                    assert reduced.m.tobytes() == (w**k * twisted.m).tobytes()

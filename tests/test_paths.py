@@ -825,6 +825,19 @@ class TestBendingErrors:
         with pytest.raises(errors.EqualPoints):
             bending(p, point(-2.0 * p.rep))
 
+    def test_singular_frame_means_equal_points(self):
+        # a far-out point (draw 1199 of a `default_rng(5)` scale-3 sweep of
+        # moved points) and a rounded copy: the Gram minor reads them apart,
+        # but the frame adapted to their line is singular
+        rep = np.array([
+            1204.3668562993425 - 2859.7957947142017j,
+            2063.399369230937 - 1982.6512373638502j,
+            4221.072778095685 + 0j,
+        ])
+        p = chg.Point(rep, -1)
+        with pytest.raises(errors.EqualPoints, match="frame of the pair is singular"):
+            bending(p, point(2j * p.rep))
+
     def test_orthogonal_points(self):
         with pytest.raises(errors.OrthogonalPoints) as info:
             bending(point([0, 0, 1.0]), point([1.0, 0, 0]))

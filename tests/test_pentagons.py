@@ -1,6 +1,8 @@
 """Pentagons: verification, building, the moduli chart, reality, moves,
 and connection."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from chgeom.core import LineType, line_type, point, projectively_equal, tance
 from chgeom.errors import (
     DifferentDelta,
     GeometryError,
+    IncompatibleInvariants,
     InadmissibleModuli,
     NotAPentagon,
     NotConjugate,
@@ -65,6 +68,17 @@ def moved_pair():
     A = pentagon_from_moduli((-2.0, 4.0, 2.0), CubeRoot(1))
     B = pentagon_from_moduli((-1.5, 3.0, 2.5), CubeRoot(1), s5=0.3)
     return A, B.apply(random_isometry(default_rng(5), 0.6))
+
+
+def built_pentagon(rng, k, s4, s5):
+    """build_pentagon with central value omega^k on random points of signs
+    s4 and s5, drawn again on any GeometryError."""
+    while True:
+        try:
+            p4, p5 = random_point(rng, s4), random_point(rng, s5)
+            return build_pentagon(CubeRoot(k), p4, p5)
+        except GeometryError:
+            continue
 
 
 def real_pentagon(s5=0.4, t4=2.0, t1=4.0, t2=4.0):
@@ -385,19 +399,38 @@ class TestConnect:
         for i in range(8):
             s4, s5 = ((1, -1), (-1, 1))[i % 2]
             k = 1 + (i // 2) % 2
-            pair = []
-            while len(pair) < 2:
-                try:
-                    p4, p5 = random_point(rng, s4), random_point(rng, s5)
-                    pair.append(build_pentagon(CubeRoot(k), p4, p5))
-                except GeometryError:
-                    continue
-            A, B = pair
+            A, B = (built_pentagon(rng, k, s4, s5) for _ in range(2))
             moves, g = connect_pentagons(A, B)
             assert len(moves) <= 6
             replay = apply_pentagon_moves(A, moves).apply(g)
             for p, q in zip(replay.points, B.points):
                 assert projectively_equal(p, q, tol=1e-7)
+
+    def test_pairs_of_different_signs_raise_before_any_bend(self, count_calls):
+        # no bend and no isometry changes a point's sign: of the 16 sign
+        # patterns of A's and B's (p4, p5), the 12 that differ raise at
+        # entry, and the 4 that agree connect
+        rng = default_rng(7)
+        pairs = [
+            (built_pentagon(rng, k, sa4, sa5), built_pentagon(rng, k, sb4, sb5))
+            for k in (1, 2)
+            for sa4, sa5, sb4, sb5 in product((1, -1), repeat=4)
+        ]
+        counts = count_calls(paths.bending)
+        raised = 0
+        for A, B in pairs:
+            if [p.sign for p in A.points] == [p.sign for p in B.points]:
+                moves, g = connect_pentagons(A, B)
+                replay = apply_pentagon_moves(A, moves).apply(g)
+                for p, q in zip(replay.points, B.points):
+                    assert projectively_equal(p, q, tol=1e-7)
+                continue
+            bends = counts["bending"]
+            with pytest.raises(IncompatibleInvariants, match="sign patterns"):
+                connect_pentagons(A, B)
+            assert counts["bending"] == bends
+            raised += 1
+        assert raised == 24
 
     def test_slide_only_difference_needs_one_move(self):
         A = pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1), s5=0.3)
@@ -447,7 +480,7 @@ class TestConnect:
         monkeypatch.setattr(pentagons_module, "_bend", misaligned)
         with pytest.raises(NotConjugate) as info:
             connect_pentagons(A, B)
-        assert info.value.bound == 1e-7
+        assert info.value.bound == triples_module.GAP_TOL
         assert info.value.value > info.value.bound
 
     def test_small_closure_failure_is_caught(self, monkeypatch):
@@ -462,7 +495,7 @@ class TestConnect:
         monkeypatch.setattr(pentagons_module, "_bend", misaligned)
         with pytest.raises(NotConjugate) as info:
             connect_pentagons(A, B)
-        assert info.value.bound == 1e-7
+        assert info.value.bound == triples_module.GAP_TOL
         assert 1e-6 < info.value.value < 1e-5
 
     def test_different_central_values_are_rejected(self):

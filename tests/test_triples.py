@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from chgeom import core, jsonio
+from chgeom import core, jsonio, paths
 from chgeom import triples as triples_module
 from chgeom.core import (
     alpha,
@@ -905,7 +905,7 @@ class TestConnect:
         monkeypatch.setattr(triples_module, "_frame_map", moved_frame_map)
         with pytest.raises(NotConjugate) as info:
             connect_triples(A, B)
-        assert info.value.bound == 1e-6
+        assert info.value.bound == triples_module.GAP_TOL
         assert info.value.value > info.value.bound
 
     def test_first_order_failure_is_the_callers(self, monkeypatch):
@@ -1003,6 +1003,20 @@ class TestConnect:
         C = random_strongly_regular_triple(rng, sigma=(1, -1, -1))
         with pytest.raises(IncompatibleInvariants):
             connect_triples(A, C)
+
+
+    def test_sign_patterns_are_compared_before_anything_is_read(self, count_calls):
+        rng = default_rng(68)
+        triples = [random_strongly_regular_triple(rng, sigma=sa) for sa in PATTERNS]
+        counts = count_calls(triples_module.s_coords, paths.bending)
+        for A, sa in zip(triples, PATTERNS):
+            for B, sb in zip(triples, PATTERNS):
+                if sb == sa:
+                    continue
+                with pytest.raises(IncompatibleInvariants, match="sign patterns") as info:
+                    connect_triples(A, B)
+                assert str(sa) in str(info.value) and str(sb) in str(info.value)
+        assert not counts
 
 
 class TestClosureGap:
