@@ -359,7 +359,8 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"usage error: {what}", file=sys.stderr)
         return 2
     if args.out is not None:
         with open(args.out, "w") as fh:

@@ -50,9 +50,9 @@ from .triples import (
     _SWEPT,
     SCoords,
     Triple,
+    _admits,
     _coordinate_move,
     _invariants,
-    _sheet_gap,
     _standard_cols,
     _standard_triple,
     s_coords,
@@ -218,17 +218,20 @@ def rectangle_holonomy(
     ds2 (in t1), based at T: t2 up by ds1, t1 up by ds2, then both back.
 
     All four legs stay on the sheet of T.  The sides halve, at most seven
-    times, until the surface relation admits every new corner (_sheet_gap,
-    (t - 1)^2 by the relation, is nonnegative there), and then the four
-    legs are bent once each; the sides used are returned.  The holonomy
-    centralizes the triple product, and its logarithm divided by the area
-    converges to the normalized curvature as the sides shrink.
+    times, until every new corner lies in the admissible region
+    (triples._admits): each coordinate has its pair's sign and exceeds 1
+    when the pair's signs agree, and the relation's (t - 1)^2, _sheet_gap,
+    is nonnegative there.  Then the four legs are bent once each, and the
+    sides used are returned; a rectangle that still does not fit raises
+    LeavesAdmissibleRegion.  The holonomy centralizes the triple product,
+    and its logarithm divided by the area converges to the normalized
+    curvature as the sides shrink.
     """
     c = s_coords(T)
     _pin_sheet(c.t, "rectangle sheet is pinned only away from t = 1")
     for _ in range(8):
         corners = ((c.t1, c.t2 + ds1), (c.t1 + ds2, c.t2 + ds1), (c.t1 + ds2, c.t2))
-        if min(_sheet_gap(t1, t2, c.alpha, c.beta) for t1, t2 in corners) >= 0.0:
+        if all(_admits(t1, t2, c.sigma, c.alpha, c.beta) for t1, t2 in corners):
             break
         ds1 *= 0.5
         ds2 *= 0.5

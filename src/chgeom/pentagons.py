@@ -45,6 +45,7 @@ from .triples import (
     Move,
     SCoords,
     Triple,
+    _admits,
     _bend,
     _closure_gap,
     _connect_triples,
@@ -151,25 +152,24 @@ def pentagon_from_moduli(
     8 i alpha + 4 beta - 1 = delta (4 t4 - 1) on the sign pattern
     (+1, -1, -1), and t sits on the chosen sheet of the surface (positive
     by default); s5 slides the split pair along the axis of
-    conj(delta) R3 R2 R1.  Raises InadmissibleModuli when the chart misses
-    the surface (including the central value 1, whose products have no
-    (+1, -1, -1) triples).
+    conj(delta) R3 R2 R1.  Raises InadmissibleModuli when t4 <= 1, when
+    (t1, t2) is outside that surface's admissible region (triples._admits:
+    t1 < 0 < 1 < t2 and the relation's (t - 1)^2 nonnegative), and for the
+    central value 1, whose products have no (+1, -1, -1) triples.
     """
     t1, t2, t4 = (float(v) for v in m)
     if delta.k not in (1, 2):
         raise InadmissibleModuli("the chart covers the nontrivial central values")
     if sheet not in (1, -1):
         raise ValueError(f"sheet must be +-1, got {sheet!r}")
-    if not (t1 < 0.0 and t2 > 1.0 and t4 > 1.0):
-        raise InadmissibleModuli(
-            f"moduli need t1 < 0 < 1 < t2, t4; got ({t1:.6g}, {t2:.6g}, {t4:.6g})"
-        )
+    if not t4 > 1.0:
+        raise InadmissibleModuli(f"moduli need t4 > 1; got t4 = {t4:.6g}")
     sign = 1.0 if delta.k == 1 else -1.0
     alpha = sign * np.sqrt(3.0) * (4.0 * t4 - 1.0) / 16.0
     beta = (3.0 - 4.0 * t4) / 8.0
+    if not _admits(t1, t2, (1, -1, -1), alpha, beta):
+        raise InadmissibleModuli(f"(t1, t2) = ({t1:.6g}, {t2:.6g}) is not admissible")
     gap = _sheet_gap(t1, t2, alpha, beta)
-    if gap < 0.0:
-        raise InadmissibleModuli("no real surface point over these moduli")
     c = SCoords(
         t=1.0 + sheet * float(np.sqrt(gap)),
         t1=t1,
@@ -178,7 +178,7 @@ def pentagon_from_moduli(
         alpha=float(alpha),
         beta=float(beta),
     )
-    # the chart's tests imply validate_coords': t1 < 0 and t2 > 1 on the
+    # the chart's tests imply validate_coords': _admits' pair rule on the
     # pattern (+1, -1, -1), beta < 0 and |alpha| > 0 from t4 > 1, and t on
     # the surface up to roundoff
     T = triple_from_coords(c, tol)

@@ -16,9 +16,10 @@ horizontal lines used to connect triples.
 
 The coordinate moves read three facts off this surface: which preimage of
 a target lies on which sheet, from the bending's orientation (_HIGH_SHEET);
-whether a target is reachable, from the sign of the relation's (t - 1)^2
-there (_sheet_gap); and that a change of sheet at fixed (t1, t2) is one bend
-to the mirror preimage.
+whether a target is reachable, from the admissible region (_admits: each
+coordinate in its pair's range, _pair_admits, and the relation's
+(t - 1)^2, _sheet_gap, nonnegative there); and that a change of sheet at
+fixed (t1, t2) is one bend to the mirror preimage.
 
 A move bends one consecutive pair of a chain of points: "12" and "23" on a
 triple, "34" and "45" as well on a pentagon.  `_bend` is the only code that
@@ -191,6 +192,8 @@ CLOSURE_TOL = 1e-8
 def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
     """Raise InadmissibleCoords unless c describes a strongly regular triple.
 
+    Each of t1 and t2 must lie in its pair's range (_pair_admits): it has
+    the sign of the pair's sign product and exceeds 1 when that is +1.
     alpha reads as zero at |alpha| <= tol, the test classify_triple makes,
     so a positive point needs |alpha| > tol.  The surface relation's
     residual is bounded by CLOSURE_TOL times max(1, |t1 t2| (1 + (t - 1)^2)).
@@ -201,12 +204,8 @@ def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
     if sum(1 for s in c.sigma if s > 0) > 1:
         raise InadmissibleCoords("at most one positive point is allowed")
     for name, tval, ss in (("t1", c.t1, s1 * s2), ("t2", c.t2, s2 * s3)):
-        if tval * ss <= 0:
-            raise InadmissibleCoords(f"{name} must have the sign of the pair")
-        if ss > 0 and tval <= 1.0:
-            raise InadmissibleCoords(
-                f"{name} <= 1 makes the equal-sign pair non-hyperbolic"
-            )
+        if not _pair_admits(tval, ss):
+            raise InadmissibleCoords(f"{name} = {tval:.6g} is outside its pair's range")
     if c.beta * s1 * s2 * s3 >= 0:
         raise InadmissibleCoords("beta has the wrong sign for signature (2, 1)")
     if abs(c.alpha) <= tol and any(s > 0 for s in c.sigma):
@@ -292,9 +291,28 @@ def _standard_cols(T: Triple) -> np.ndarray:
 
 
 def _sheet_gap(t1: float, t2: float, alpha: float, beta: float) -> float:
-    """(t - 1)^2 over (t1, t2) by the surface relation; negative off it."""
+    """(t - 1)^2 over (t1, t2) by the surface relation; negative off it.
+
+    The squares are products: a float ** that overflows raises, a product
+    gives inf.
+    """
     t1t2 = t1 * t2
-    return 1.0 - (t1 + t2 + beta - 1.0) / t1t2 - alpha**2 / t1t2**2
+    return 1.0 - (t1 + t2 + beta - 1.0) / t1t2 - alpha * alpha / (t1t2 * t1t2)
+
+
+def _pair_admits(t: float, ss: int) -> bool:
+    """Whether t is a consecutive pair's coordinate for sign product ss:
+    it has the sign of ss, and exceeds 1 when ss > 0 (a hyperbolic pair)."""
+    return t * ss > 0 and (ss < 0 or t > 1.0)
+
+
+def _admits(t1: float, t2: float, sigma, alpha: float, beta: float) -> bool:
+    """Whether (t1, t2) lies in the admissible region of the surface with
+    signs sigma and (alpha, beta): each pair admits its coordinate, and
+    the relation's (t - 1)^2, _sheet_gap, is nonnegative there."""
+    s1, s2, s3 = sigma
+    pairs = _pair_admits(t1, s1 * s2) and _pair_admits(t2, s2 * s3)
+    return pairs and _sheet_gap(t1, t2, alpha, beta) >= 0.0
 
 
 def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple:
@@ -318,6 +336,8 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
         g = 2.0
         for _ in range(20):
             t1, t2 = s1 * s2 * g * g, s2 * s3 * g * g
+            # |t1| = |t2| = g^2 >= 4 with the pairs' signs, so the pairs
+            # admit them and the gap alone decides
             gap = _sheet_gap(t1, t2, a, b)
             if gap >= 0.25:
                 break
@@ -472,7 +492,8 @@ def _bend_onto(
     target = getattr(cb, x1)
     if _off_target(getattr(ca, x1), target):
         # _sheet_gap is symmetric in t1 and t2, so the order of its
-        # arguments does not matter
+        # arguments does not matter; the pairs admit target (B's) and
+        # every doubling of A's y, so the gap alone decides
         y, lifts = getattr(ca, x2), 0
         while _sheet_gap(target, y, ca.alpha, ca.beta) < 0.0:
             if lifts == 60:

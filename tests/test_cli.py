@@ -90,6 +90,13 @@ class TestInvariants:
         code, out = run(capsys, "invariants", "--points", "/nonexistent.json")
         assert code == 2
 
+    def test_point_file_names_the_missing_key(self, tmp_path, capsys):
+        # a point file has "rep" and "sign" but no "points"
+        p = write(tmp_path, "p.json", random_negative_point(default_rng(1)))
+        code, out = run(capsys, "invariants", "--points", p)
+        assert code == 2
+        assert "usage error: missing key 'points'" in out.err
+
     def test_unknown_verb_usage_exit(self):
         with pytest.raises(SystemExit) as ex:
             main(["frobnicate"])
@@ -256,6 +263,13 @@ class TestPentagonVerbs:
         assert info.value.value == pytest.approx(self.T_SHEET - 1.8, rel=1e-9)
         assert info.value.bound == pytest.approx(1.8e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("moduli", ["-1e300,4.0,2.0,2.0,0.0", "-2.0,1e300,2.0,2.0,0.0"])
+    def test_huge_modulus_is_a_domain_error(self, capsys, moduli):
+        # the surface relation squares t1 t2 = -4e300 without overflowing
+        code, out = run(capsys, "pentagon", "new", "--delta", "1", f"--moduli={moduli}")
+        assert code == 1
+        assert "Traceback" not in out.err
+
     def test_verify_nan_coordinate_is_usage_error(self, tmp_path, capsys):
         d = jsonio.encode(pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1)))
         d["points"][2]["rep"][0][0] = float("nan")
@@ -404,6 +418,23 @@ class TestHolonomyProbe:
             main(["holonomy", "probe", "--triple", t, "--ds", ds])
         assert ex.value.code == 2
         assert f"argument --ds: invalid _finite value: '{ds}'" in capsys.readouterr().err
+
+    def test_sides_past_a_pairs_sign_halve(self, tmp_path, capsys):
+        # t1 = -1.33 on the pattern (1, -1, -1): at --ds 5 the first
+        # rectangles' t1 sides cross 0 and halve until they fit
+        t = write(tmp_path, "t.json", random_strongly_regular_triple(default_rng(1)))
+        code, out = run(capsys, "holonomy", "probe", "--triple", t,
+                        "--samples", "2", "--ds", "5")
+        assert code == 0
+        assert '"dimension": 2' in out.out
+
+    @pytest.mark.parametrize("ds", ["1e3", "1e200"])
+    def test_rectangle_that_never_fits_leaves_the_region(self, tmp_path, capsys, ds):
+        t = write(tmp_path, "t.json", random_strongly_regular_triple(default_rng(1)))
+        code, out = run(capsys, "holonomy", "probe", "--triple", t,
+                        "--samples", "2", "--ds", ds)
+        assert code == 1
+        assert "LeavesAdmissibleRegion" in out.err
 
     def test_probe_deterministic(self, tmp_path, capsys, tri):
         t = write(tmp_path, "t.json", tri)

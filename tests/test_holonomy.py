@@ -350,6 +350,40 @@ class TestRectangleHolonomy:
         with pytest.raises(LeavesAdmissibleRegion):
             rectangle_holonomy(triple_from_coords(c), -1e-2 * c.t2, -1e-2 * c.t1)
 
+    def test_a_side_past_a_pairs_sign_halves(self):
+        # t1 = -1.33 on the pattern (1, -1, -1): the corners at t1 + 2 and
+        # t1 + 1 have the wrong sign, t1 + 1/2 fits
+        T = random_strongly_regular_triple(default_rng(1))
+        assert T.p1.sign == 1 and -2.0 < s_coords(T).t1 < -1.0
+        g, used = rectangle_holonomy(T, 1.0, 2.0)
+        assert used == (0.25, 0.5)
+        assert form_residual(g.m) <= 1e-10
+
+    def test_sides_past_the_region_halve_or_leave_it(self):
+        # each side takes its coordinate past 0 (a pair of mixed signs) or
+        # past 1 (a pair of equal signs), by a factor of 1 to 1000: no leg
+        # may raise Unreachable, and both outcomes occur on every pattern
+        rng = default_rng(29)
+
+        def side(t, ss):
+            return ((0.0 if ss < 0 else 1.0) - t) * 10 ** rng.uniform(0.0, 3.0)
+
+        for sigma in ((-1, -1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+            s1, s2, s3 = sigma
+            outcomes = set()
+            for _ in range(8):
+                c = random_strongly_regular_coords(rng, sigma=sigma)
+                ds1, ds2 = side(c.t2, s2 * s3), side(c.t1, s1 * s2)
+                try:
+                    g, (d1, d2) = rectangle_holonomy(triple_from_coords(c), ds1, ds2)
+                except LeavesAdmissibleRegion:
+                    outcomes.add("leaves")
+                    continue
+                outcomes.add("fits")
+                assert d1 / ds1 == d2 / ds2 <= 0.5
+                assert form_residual(g.m) <= 1e-10
+            assert outcomes == {"fits", "leaves"}, sigma
+
 
 class TestHolonomyDimension:
     def test_generic_triple_has_dimension_two(self):

@@ -156,6 +156,14 @@ class TestSurfaceCoordinates:
         assert flips == 0
         assert 1_600 <= passed <= 2_400
 
+    @pytest.mark.parametrize("t1, t2, gap", [(-1e300, 4.0, 0.75), (-2.0, 1e300, 1.5)])
+    def test_sheet_gap_does_not_overflow(self, t1, t2, gap):
+        # (t1 t2)^2 is past the largest float: alpha^2 over it is 0, not an
+        # OverflowError, and the gap tends to 1 - 1/t for the finite t
+        got = _sheet_gap(t1, t2, 1.0, -2.0)
+        assert isinstance(got, float)
+        assert got == pytest.approx(gap, rel=1e-12)
+
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_coords_roundtrip(self, pattern):
         rng = default_rng(11 + 7 * PATTERNS.index(pattern))
