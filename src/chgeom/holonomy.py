@@ -42,6 +42,7 @@ from .errors import (
 from .isometry import (
     Isometry,
     _frame_map,
+    _realified,
     centralizer_basis,
     isometry_log,
     project_to_su_algebra,
@@ -197,8 +198,8 @@ def _omega(T: Triple, c: SCoords) -> np.ndarray:
     p1, p2, p3 = (p.rep for p in T.points)
     s1, s2 = T.p1.sign, T.p2.sign
     t1, t2, t, al, be = c.t1, c.t2, c.t, c.alpha, c.beta
-    denom = t1**2 * t2**2 * (t - 1.0)
-    c1 = ((1.0 - be - t2) * t1 * t2 - 2.0 * al**2) / denom
+    denom = (t1 * t1) * (t2 * t2) * (t - 1.0)
+    c1 = ((1.0 - be - t2) * t1 * t2 - 2.0 * (al * al)) / denom
     taubar = t + 1j * al / (t1 * t2)
     return (
         c1 * (p1 - s1 * p2 / G[1, 0])
@@ -263,14 +264,17 @@ def _walk(cur: Triple, cc: SCoords, pair: str, factor: float, sheet: int, tol: f
     return cur, s_coords(cur)
 
 
-def _basis_coords(basis, w: np.ndarray) -> np.ndarray:
-    """Real least-squares coordinates of the algebra element w in basis."""
-    cols = np.column_stack(
-        [np.concatenate([y.real.ravel(), y.imag.ravel()]) for y in basis]
-    )
-    rhs = np.concatenate([w.real.ravel(), w.imag.ravel()])
-    sol, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    return sol
+def _basis_coords(basis, w) -> np.ndarray:
+    """Real least-squares coordinates of w in basis, in one stacked solve.
+
+    basis is (..., k, r, c): k elements of shape (r, c), such as 3x3
+    algebra elements or 3x1 columns; w is (..., r, c).  The leading axes
+    broadcast, and every (2rc)xk real system is solved at once by its
+    normal equations.
+    """
+    a = _realified(basis)
+    rhs = _realified(w)[..., None]
+    return np.linalg.solve(a @ np.swapaxes(a, -1, -2), a @ rhs)[..., 0]
 
 
 def holonomy_samples(
@@ -301,9 +305,9 @@ def holonomy_samples(
         ds1 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t2))
         ds2 = ds * rng.uniform(0.5, 1.5) * max(1.0, abs(cc.t1))
         g, _ = rectangle_holonomy(cur, ds1, ds2, tol)
-        return _basis_coords(basis, isometry_log(g))
+        return isometry_log(g)
 
-    return np.array([loop() for _ in range(n_samples)])
+    return _basis_coords(basis, np.reshape([loop() for _ in range(n_samples)], (-1, 3, 3)))
 
 
 #: sv1/sv0 of the curvature rows at or above this is rank 2, at or below
@@ -322,20 +326,16 @@ def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
     the product.
 
     A curvature value Y in C(F) is written through its action Y p1 = omega
-    on the first point: a 6x2 real least-squares solve against the basis
-    applied to p1.
+    on the first point: the five values are solved against the basis
+    applied to p1 in one stacked real least-squares solve.
     """
     c, cur, basis = _canonical_base(T, tol)
-
-    def row(P: Triple, cc: SCoords) -> np.ndarray:
-        return _basis_coords([B @ P.p1.rep for B in basis], _omega(P, cc))
-
-    cc = c
-    rows = [row(cur, c)]
+    at = [(cur, c)]
     for pair, factor in _SPAN_MOVES:
-        cur, cc = _walk(cur, cc, pair, factor, c.sheet, tol)
-        rows.append(row(cur, cc))
-    rows = np.array(rows)
+        at.append(_walk(*at[-1], pair, factor, c.sheet, tol))
+    p1 = np.array([P.p1.rep for P, _ in at])[:, None, :, None]
+    omega = np.array([_omega(P, cc) for P, cc in at])[..., None]
+    rows = _basis_coords(np.array(basis) @ p1, omega)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     sv = np.linalg.svd(rows, compute_uv=False)
     return float(sv[1] / sv[0])

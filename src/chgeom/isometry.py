@@ -349,25 +349,31 @@ def su_basis() -> list[np.ndarray]:
 
 
 _SU_BASIS = su_basis()
+_SU_STACK = np.array(_SU_BASIS)
 
 
-def _su_kernel(images, scale: float = 1.0) -> list[np.ndarray]:
-    """Real basis of the kernel of a real-linear map on su, given the images
-    of _SU_BASIS: the SVD nullspace (cutoff EIGEN_TOL) of the realified
-    images over `scale`, each row signed to make its anchor entry positive."""
-    cols = [np.concatenate([w.real.ravel(), w.imag.ravel()]) for w in images]
-    _, s, vt = np.linalg.svd(np.array(cols).T / scale)
+def _realified(y) -> np.ndarray:
+    """y of shape (..., r, c) as (..., 2rc) reals: real parts, then imaginary."""
+    y = np.asarray(y)
+    y = y.reshape(y.shape[:-2] + (y.shape[-2] * y.shape[-1],))
+    return np.concatenate([y.real, y.imag], axis=-1)
+
+
+def _su_kernel(images: np.ndarray, scale: float = 1.0) -> list[np.ndarray]:
+    """Real basis of the kernel of a real-linear map on su, given the stack
+    of images of _SU_BASIS, each an (r, c) matrix: the SVD nullspace (cutoff
+    EIGEN_TOL) of the realified images over `scale`, each row signed to make
+    its anchor entry positive, all assembled in one product with _SU_STACK."""
+    _, s, vt = np.linalg.svd(_realified(images).T / scale)
     rank = int(np.sum(s > EIGEN_TOL * max(s[0], 1.0)))
-    out = []
     for c in vt[rank:]:
         _rephase(c)
-        out.append(sum(ci * bi for ci, bi in zip(c, _SU_BASIS)))
-    return out
+    return list((vt[rank:] @ _SU_STACK.reshape(8, 9)).reshape(-1, 3, 3))
 
 
 def _centralizer(F: Isometry) -> list[np.ndarray]:
     scale = max(1.0, float(np.abs(F.m).max()))
-    return _su_kernel([b @ F.m - F.m @ b for b in _SU_BASIS], scale)
+    return _su_kernel(_SU_STACK @ F.m - F.m @ _SU_STACK, scale)
 
 
 def centralizer_basis(F: Isometry) -> list[np.ndarray]:
@@ -380,7 +386,7 @@ def centralizer_basis(F: Isometry) -> list[np.ndarray]:
 
 def stabilizer_algebra(p: Point) -> list[np.ndarray]:
     """Real basis of {Y in su : Y p = 0} (three-dimensional)."""
-    return _su_kernel([b @ p.rep for b in _SU_BASIS])
+    return _su_kernel(_SU_STACK @ p.rep[:, None])
 
 
 def _matched_eigen(F: Isometry, G: Isometry, tol: float):

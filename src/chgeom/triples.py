@@ -170,7 +170,7 @@ class SCoords:
         """
         t1t2 = self.t1 * self.t2
         gap = _sheet_gap(self.t1, self.t2, self.alpha, self.beta)
-        return t1t2 * ((self.t - 1.0) ** 2 - gap)
+        return t1t2 * ((self.t - 1.0) * (self.t - 1.0) - gap)
 
 
 #: The sign patterns of strongly regular triples: all negative first, then
@@ -196,7 +196,8 @@ def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
     the sign of the pair's sign product and exceeds 1 when that is +1.
     alpha reads as zero at |alpha| <= tol, the test classify_triple makes,
     so a positive point needs |alpha| > tol.  The surface relation's
-    residual is bounded by CLOSURE_TOL times max(1, |t1 t2| (1 + (t - 1)^2)).
+    residual is bounded by CLOSURE_TOL times max(1, |t1 t2| (1 + (t - 1)^2)),
+    a scale capped at the largest float.
     """
     s1, s2, s3 = c.sigma
     if any(s not in (-1, 1) for s in c.sigma):
@@ -210,7 +211,10 @@ def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
         raise InadmissibleCoords("beta has the wrong sign for signature (2, 1)")
     if abs(c.alpha) <= tol and any(s > 0 for s in c.sigma):
         raise InadmissibleCoords("a real configuration with a positive point")
-    bound = CLOSURE_TOL * max(1.0, abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) ** 2))
+    # the squares are products, which overflow to inf; an inf scale is
+    # capped, since the residual it would bound is then inf as well
+    scale = abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) * (c.t - 1.0))
+    bound = CLOSURE_TOL * min(max(1.0, scale), np.finfo(float).max)
     _require(abs(c.residual()), bound, InadmissibleCoords, "surface residual")
 
 

@@ -31,8 +31,10 @@ from chgeom.paths import tangent
 from chgeom.sampling import (
     default_rng,
     random_isometry,
+    random_point,
     random_strongly_regular_coords,
     random_strongly_regular_triple,
+    random_su_element,
 )
 from chgeom.triples import (
     _SWEPT,
@@ -549,6 +551,50 @@ def test_span_ratio_matches_vertical_part_reference():
         T = random_strongly_regular_triple(rng)
         want = reference_span_ratio(T)
         assert _curvature_span_ratio(T) == pytest.approx(want, rel=1e-8)
+
+
+def lstsq_coords(basis, w):
+    """Coordinates of w in basis by numpy's least squares, one item at a time."""
+    cols = np.column_stack(
+        [np.concatenate([y.real.ravel(), y.imag.ravel()]) for y in basis]
+    )
+    rhs = np.concatenate([w.real.ravel(), w.imag.ravel()])
+    return np.linalg.lstsq(cols, rhs, rcond=None)[0]
+
+
+class TestBasisCoords:
+    """The stacked normal-equations solve against per-item lstsq, on
+    centralizer bases of isometries up to scale 2 and right sides off their
+    span."""
+
+    def draws(self, seed):
+        rng = default_rng(seed)
+        for scale in (0.5, 1.0, 2.0):
+            for _ in range(10):
+                F = random_isometry(rng, scale)
+                yield rng, np.array(centralizer_basis(F))
+
+    def test_stacked_vectors(self):
+        for rng, basis in self.draws(240):
+            p = np.array([random_point(rng).rep for _ in range(5)])
+            cols = basis @ p[:, None, :, None]
+            w = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+            got = _basis_coords(cols, w[..., None])
+            assert got.shape == (5, 2)
+            for k in range(5):
+                want = lstsq_coords(cols[k], w[k])
+                assert np.linalg.norm(got[k] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_algebra_elements(self):
+        for rng, basis in self.draws(241):
+            w = np.tensordot(rng.standard_normal(2), basis, 1)
+            w = w + 1e-3 * random_su_element(rng)
+            got = _basis_coords(list(basis), w)
+            want = lstsq_coords(basis, w)
+            assert got.shape == (2,)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            stacked = _basis_coords(basis, np.array([w, 2.0 * w]))
+            assert np.linalg.norm(stacked - [got, 2.0 * got]) <= 1e-12 * np.linalg.norm(want)
 
 
 def walked_back_samples(T, n_samples, ds, rng):

@@ -11,12 +11,14 @@ import scipy.linalg
 
 import chgeom as chg
 from chgeom import errors
+from chgeom.core import _rephase
 from chgeom.isometry import (
     EIGEN_TOL,
     IDENTITY,
     SEPARATION_TOL,
     CubeRoot,
     Isometry,
+    _centralizer,
     _expm3,
     _frame_map,
     _logm3,
@@ -453,6 +455,82 @@ class TestCentralizer:
             for y in basis:
                 assert np.allclose(y @ p.rep, 0.0, atol=1e-10)
                 assert np.allclose(y + star(y), 0.0, atol=1e-10)
+
+
+def reference_su_kernel(images, scale=1.0):
+    """_su_kernel one basis element at a time: the realified images as
+    columns, and each kernel element summed from the su basis."""
+    cols = [np.concatenate([w.real.ravel(), w.imag.ravel()]) for w in images]
+    _, s, vt = np.linalg.svd(np.array(cols).T / scale)
+    rank = int(np.sum(s > EIGEN_TOL * max(s[0], 1.0)))
+    out = []
+    for c in vt[rank:]:
+        _rephase(c)
+        out.append(sum(ci * bi for ci, bi in zip(c, su_basis())))
+    return out
+
+
+def reference_centralizer(F):
+    scale = max(1.0, float(np.abs(F.m).max()))
+    return reference_su_kernel([b @ F.m - F.m @ b for b in su_basis()], scale)
+
+
+def same_span(a, b) -> bool:
+    """Whether two lists of algebra elements span the same real space."""
+    rows = np.array([np.concatenate([y.real.ravel(), y.imag.ravel()]) for y in a + b])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return len(a) == len(b) and (len(a) == len(rows) or sv[len(a)] <= 1e-12 * sv[0])
+
+
+class TestStackedKernel:
+    """The stacked kernel against the element-by-element reference."""
+
+    def test_regular_isometries(self):
+        rng = default_rng(301)
+        for scale in (0.1, 0.5, 1.0, 1.5, 2.0):
+            for _ in range(10):
+                F = random_isometry(rng, scale)
+                got, want = _centralizer(F), reference_centralizer(F)
+                assert len(got) == len(want) == 2
+                assert same_span(got, want)
+                # the reference commutes to 6.0e-13 of |F| |Y| over these draws
+                size = max(1.0, float(np.abs(F.m).max()))
+                for y in got:
+                    assert np.abs(y @ F.m - F.m @ y).max() <= 1e-11 * size * np.abs(y).max()
+
+    def test_unipotent(self):
+        F = project_to_su(_expm3(NILPOTENT))
+        got, want = _centralizer(F), reference_centralizer(F)
+        assert len(got) == len(want) == 2
+        assert same_span(got, want)
+        for y in got:
+            assert np.abs(y @ F.m - F.m @ y).max() <= 1e-13 * np.abs(F.m).max()
+
+    def test_non_regular_verdicts_agree(self):
+        rng = default_rng(302)
+        cases = [IDENTITY, reflection(random_point(rng)), reflection(random_negative_point(rng))]
+        for _ in range(5):
+            g = random_isometry(rng, 0.7)
+            u = np.exp(1j * rng.uniform(0.2, 2.8))
+            cases.append(Isometry(g.m @ np.diag([u, u, u**-2]) @ star(g.m)))
+        for F in cases:
+            got, want = _centralizer(F), reference_centralizer(F)
+            assert len(got) == len(want) > 2
+            assert same_span(got, want)
+            assert not is_regular(F)
+
+    def test_stabilizer_algebra(self):
+        rng = default_rng(303)
+        points = [random_point(rng) for _ in range(10)]
+        points += [random_negative_point(rng) for _ in range(5)]
+        for p in points:
+            got = stabilizer_algebra(p)
+            want = reference_su_kernel([b @ p.rep for b in su_basis()])
+            assert len(got) == len(want) == 3
+            assert same_span(got, want)
+            # the reference annihilates p to 1.2e-14 of |Y| |p| over these draws
+            for y in got:
+                assert np.abs(y @ p.rep).max() <= 1e-13 * np.abs(y).max() * np.abs(p.rep).max()
 
 
 class TestConjugator:

@@ -244,6 +244,16 @@ class TestSurfaceCoordinates:
         with pytest.raises(InadmissibleCoords):
             validate_coords(c)
 
+    def test_overflowing_squares_are_rejected(self):
+        # (t - 1)^2 overflows: as a float ** it raised OverflowError, as a
+        # product it is inf, and so is the residual it would bound
+        c = SCoords(t=1e200, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.5, beta=9.0)
+        assert c.residual() == np.inf
+        with pytest.raises(InadmissibleCoords) as info:
+            triple_from_coords(c)
+        assert info.value.value == np.inf
+        assert np.isfinite(info.value.bound)
+
     def test_nan_t_rejected(self):
         c = SCoords(t=np.nan, t1=-2.0, t2=4.0, sigma=(1, -1, -1), alpha=0.3, beta=-0.2)
         with pytest.raises(InadmissibleCoords) as info:
