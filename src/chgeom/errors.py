@@ -168,10 +168,3 @@ class InadmissibleModuli(GeometryError):
 class DifferentDelta(GeometryError):
     """The pentagons have different central cube roots."""
 
-
-class RankInconclusive(GeometryError):
-    """The numerical rank of the holonomy could not be resolved.
-
-    `value` is the measured singular-value ratio sv1/sv0 and `bound` the
-    (rank-one, rank-two) band it fell strictly inside.
-    """

@@ -13,17 +13,19 @@ The holonomy dimension (one for real triples, two otherwise) is decided
 without transport.  Every holonomy element lies in C(F), which is abelian
 when F is regular, so by the Ambrose-Singer theorem (Trans. AMS 75, 1953)
 the holonomy algebra is the span of the curvature's values over the fibre,
-with no conjugation back to the base point.  `holonomy_dimension` reads
-the rank of a few such values.  It reads them at the canonical triple
-realizing the input's S-coordinates: congruent triples have conjugate
-holonomy, and there the representatives stay small however far the input
-was moved.  Each value is the closed-form curvature vector
-`omega_commutator`, the curvature applied to p1, written in the
-centralizer basis applied to p1.  The loop samples (`holonomy_samples`)
-remain as the independent check.  They too are read at the canonical
-triple, in the centralizer basis of its product, so moving the input
-changes them only by roundoff; bendings are natural under isometries, so a
-loop ends at its rectangle and never walks its outbound legs back.
+with no conjugation back to the base point: one direction on the real
+locus, both off it.  `holonomy_dimension` therefore returns the reality
+verdict of `classify_triple`, read in the precision of the input's own
+representatives, once the canonical triple realizing the input's
+S-coordinates shows a regular product.  The curvature vector
+`omega_commutator`, the curvature applied to p1, is kept in closed form,
+and the loop samples (`holonomy_samples`) remain as the independent check.
+They are read at the canonical triple, in the centralizer basis of its
+product: congruent triples have conjugate holonomy, and there the
+representatives stay small however far the input was moved, so moving it
+changes the samples only by roundoff.  Bendings are natural under
+isometries, so a loop ends at its rectangle and never walks its outbound
+legs back.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL
-from .errors import (
-    LeavesAdmissibleRegion,
-    OnRamification,
-    RankInconclusive,
-    _require_above,
-)
+from .errors import LeavesAdmissibleRegion, OnRamification, _require_above
 from .isometry import (
     Isometry,
     _frame_map,
@@ -54,6 +51,8 @@ from .triples import (
     _admits,
     _coordinate_move,
     _invariants,
+    _kappa,
+    _reads_real,
     _standard_cols,
     _standard_triple,
     s_coords,
@@ -310,37 +309,6 @@ def holonomy_samples(
     return _basis_coords(basis, np.reshape([loop() for _ in range(n_samples)], (-1, 3, 3)))
 
 
-#: sv1/sv0 of the curvature rows at or above this is rank 2, at or below
-#: RANK_ONE_BELOW rank 1; in between the rank is undecided.
-RANK_TWO_ABOVE = 1e-6
-RANK_ONE_BELOW = 1e-10
-
-#: The curvature's sample points: sheet-pinned moves from T, each scaling
-#: the tracked coordinate of the current triple by the factor.
-_SPAN_MOVES = (("12", 1.3), ("23", 1.45), ("12", 1.6), ("23", 1.35))
-
-
-def _curvature_span_ratio(T: Triple, tol: float = DEFAULT_TOL) -> float:
-    """sv1/sv0 of the normalised curvature values at the canonical triple
-    with T's coordinates and four moves away, in centralizer coordinates of
-    the product.
-
-    A curvature value Y in C(F) is written through its action Y p1 = omega
-    on the first point: the five values are solved against the basis
-    applied to p1 in one stacked real least-squares solve.
-    """
-    c, cur, basis = _canonical_base(T, tol)
-    at = [(cur, c)]
-    for pair, factor in _SPAN_MOVES:
-        at.append(_walk(*at[-1], pair, factor, c.sheet, tol))
-    p1 = np.array([P.p1.rep for P, _ in at])[:, None, :, None]
-    omega = np.array([_omega(P, cc) for P, cc in at])[..., None]
-    rows = _basis_coords(np.array(basis) @ p1, omega)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return float(sv[1] / sv[0])
-
-
 def holonomy_dimension(
     T: Triple,
     n_samples: int = 8,
@@ -353,28 +321,17 @@ def holonomy_dimension(
 
     The holonomy lies in the centralizer of the product, abelian when the
     product is regular, so by Ambrose-Singer its algebra is the span of the
-    curvature vertical_part(P, b_commutator(P)).lie over the fibre.  The
-    rank is read at the canonical triple with T's S-coordinates, so it does
-    not depend on where an isometry has moved T.  The curvature is
-    evaluated there and at four sheet-pinned moves from it, each value
-    taken as its closed-form action omega on p1, written in the centralizer
-    basis and normalised; the rank is 2 when sv1/sv0 >= RANK_TWO_ABOVE, 1
-    when sv1/sv0 <= RANK_ONE_BELOW.  A ratio in between raises
-    RankInconclusive carrying the ratio and the band; nothing is resampled.
-    A non-regular product raises NotRegular, and t = 1 raises
+    curvature vertical_part(P, b_commutator(P)).lie over the fibre: one
+    direction on the real locus, both off it.  So the rank is the reality
+    verdict triples._reads_real, the one classify_triple gives, read in
+    the precision of T's own representatives; nothing is walked, no
+    curvature is evaluated and no rank is measured.  The canonical triple
+    with T's S-coordinates is still built, and its product's centralizer
+    read: a non-regular product raises NotRegular, and t = 1 raises
     OnRamification.  n_samples and rng are accepted for compatibility and
     unused; ds matters only as ds = 0.
     """
     if ds == 0:
         return 0
-    ratio = _curvature_span_ratio(T, tol)
-    if ratio >= RANK_TWO_ABOVE:
-        return 2
-    if ratio <= RANK_ONE_BELOW:
-        return 1
-    raise RankInconclusive(
-        f"curvature span ratio sv1/sv0 = {ratio:.3g} lies in the undecided band "
-        f"({RANK_ONE_BELOW:g}, {RANK_TWO_ABOVE:g})",
-        value=ratio,
-        bound=(RANK_ONE_BELOW, RANK_TWO_ABOVE),
-    )
+    c, _, _ = _canonical_base(T, tol)
+    return 1 if _reads_real(c.alpha, _kappa(T), tol) else 2

@@ -119,9 +119,36 @@ def classify_triple(T: Triple, tol: float = DEFAULT_TOL) -> TripleClass:
     a common real geodesic break regularity; vanishing beta (degenerate
     Gram) or a real configuration with a positive point stop short of strong
     regularity; otherwise alpha separates the real locus from the generic
-    one.
+    one.  Reality is read by _reads_real, whose band allows for the
+    rounding of the representatives: a real triple moved far by an isometry
+    still reads real.
     """
     return _classify(T, _triple_invariants(T.gram().m), tol)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _reads_real(alpha: float, kappa: float, tol: float) -> bool:
+    """Whether alpha reads as zero: |alpha| <= tol + 32 eps kappa.
+
+    kappa is the largest squared euclidean norm of the representatives
+    alpha was read from (1 for bare coordinates).  alpha is a sum of
+    products of three Gram entries, so rounding the representatives alone
+    leaves it a few eps kappa off zero on a real configuration.  On the
+    default_rng(99) draws of random_strongly_regular_triple moved by
+    random_isometry at scales 1 to 3 (test_moved_triples_keep_their_rank),
+    real triples read |alpha| / (eps kappa) up to 6.2, and 6.8 on numpy's
+    baseline SIMD dispatch; generic ones read 1.7e6 or more.  c = 32
+    leaves about 4.7x over the worst real reading.
+    """
+    return abs(alpha) <= tol + 32.0 * _EPS * kappa
+
+
+def _kappa(T: Triple) -> float:
+    """The largest squared euclidean norm of T's representatives: a
+    self-product is +-1, so |rep|^2 = sign + 2 |rep[2]|^2."""
+    return max(p.sign + 2.0 * abs(p.rep[2]) ** 2 for p in T.points)
 
 
 def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
@@ -132,14 +159,15 @@ def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
     if min(abs(m[0, 1]), abs(m[1, 2])) <= tol:
         return TripleClass.NOT_REGULAR
     *_, a, b = inv
-    if abs(a) <= tol and abs(b) <= tol:
+    real = _reads_real(a, _kappa(T), tol)
+    if real and abs(b) <= tol:
         # at most one positive point and g12 != 0: p1 and p2 coincide or
         # span a hyperbolic line, and a real degenerate Gram puts p3 on
         # their real geodesic
         return TripleClass.NOT_REGULAR
     if abs(b) <= tol:
         return TripleClass.REGULAR
-    if abs(a) <= tol:
+    if real:
         if any(p.sign > 0 for p in T.points):
             return TripleClass.REGULAR
         return TripleClass.REAL_STRONGLY_REGULAR
@@ -194,8 +222,9 @@ def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
 
     Each of t1 and t2 must lie in its pair's range (_pair_admits): it has
     the sign of the pair's sign product and exceeds 1 when that is +1.
-    alpha reads as zero at |alpha| <= tol, the test classify_triple makes,
-    so a positive point needs |alpha| > tol.  The surface relation's
+    alpha reads as zero by _reads_real, the test classify_triple makes,
+    with kappa = 1 since coordinates have no representatives, so a
+    positive point needs |alpha| > tol + 32 eps.  The surface relation's
     residual is bounded by CLOSURE_TOL times max(1, |t1 t2| (1 + (t - 1)^2)),
     a scale capped at the largest float.
     """
@@ -209,7 +238,7 @@ def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
             raise InadmissibleCoords(f"{name} = {tval:.6g} is outside its pair's range")
     if c.beta * s1 * s2 * s3 >= 0:
         raise InadmissibleCoords("beta has the wrong sign for signature (2, 1)")
-    if abs(c.alpha) <= tol and any(s > 0 for s in c.sigma):
+    if _reads_real(c.alpha, 1.0, tol) and any(s > 0 for s in c.sigma):
         raise InadmissibleCoords("a real configuration with a positive point")
     # the squares are products, which overflow to inf; an inf scale is
     # capped, since the residual it would bound is then inf as well

@@ -15,6 +15,7 @@ from chgeom.errors import (
     GeometryError,
     IncompatibleInvariants,
     InadmissibleModuli,
+    IsotropicVector,
     NotAPentagon,
     NotConjugate,
 )
@@ -36,7 +37,15 @@ from chgeom.sampling import (
     random_negative_point,
     random_point,
 )
-from chgeom.triples import Move, SCoords, _closure_gap, s_coords, triple_from_coords
+from chgeom.triples import (
+    Move,
+    SCoords,
+    TripleClass,
+    _closure_gap,
+    classify_triple,
+    s_coords,
+    triple_from_coords,
+)
 
 J = np.diag([1.0, 1.0, -1.0])
 
@@ -264,6 +273,27 @@ class TestRealPentagon:
         )
         assert is_real_pentagon(moved)
         assert relation_residual(moved) <= 1e-9
+
+    def test_moved_real_pentagons_have_real_triples(self):
+        # test_11's real chart moved far: alpha of the moved triple is
+        # rounding of its representatives, which classify_triple allows
+        # for.  is_real_pentagon's own band is fixed at 1e-8 max(1, max|G|);
+        # it calls these 98 real natively, 97 on numpy's baseline dispatch.
+        rng = default_rng(211)
+        moved = 0
+        for _ in range(100):
+            t1 = float(rng.uniform(2.5, 6.0))
+            t2 = float(rng.uniform(2.5, 6.0))
+            t4 = float(rng.uniform(1.2, min(5.0, (t1 - 1.0) * (t2 - 1.0) - 0.2)))
+            P = real_pentagon(float(rng.uniform(-1.0, 1.0)), t4, t1, t2)
+            g = random_isometry(rng, 3.0)
+            try:
+                P = P.apply(g)
+            except IsotropicVector:
+                continue
+            moved += 1
+            assert classify_triple(P.triple()) is TripleClass.REAL_STRONGLY_REGULAR
+        assert moved >= 90
 
 
 class TestMoves:

@@ -280,11 +280,25 @@ class TestSurfaceCoordinates:
         with pytest.raises(InadmissibleCoords):
             validate_coords(c)
 
+    def test_alpha_reads_zero_within_unit_kappa_rounding(self):
+        # coordinates have no representatives, so validate_coords reads
+        # alpha with kappa = 1: zero up to tol + 32 eps
+        eps = np.finfo(float).eps
+        t1, t2, b = -2.0, 3.0, -0.5
+        for a, real in ((1e-9 + 16 * eps, True), (1e-9 + 64 * eps, False)):
+            c = SCoords(1.0 + np.sqrt(_sheet_gap(t1, t2, a, b)), t1, t2, (1, -1, -1), a, b)
+            if real:
+                with pytest.raises(InadmissibleCoords, match="real configuration"):
+                    validate_coords(c)
+            else:
+                validate_coords(c)
+
     @pytest.mark.parametrize("a", [2e-9, 5e-9])
     def test_alpha_just_above_tol_round_trips(self, a):
-        # classify_triple reads alpha as zero at |alpha| <= tol, and so does
-        # validate_coords: a triple that reads as strongly regular has
-        # coordinates that build it again
+        # classify_triple reads alpha as zero up to tol plus the rounding of
+        # the representatives, 32 eps kappa, and validate_coords up to
+        # tol + 32 eps: a canonical triple, whose representatives are small,
+        # that reads as strongly regular has coordinates that build it again
         t1, t2, b = -2.0, 3.0, -0.5
         c = SCoords(1.0 + np.sqrt(_sheet_gap(t1, t2, a, b)), t1, t2, (1, -1, -1), a, b)
         T = triples_module._standard_triple(c)
@@ -426,6 +440,21 @@ class TestClassification:
         p1, p2 = random_negative_point(rng), random_negative_point(rng)
         p3 = point(p1.rep + (0.3 + 0.4j) * p2.rep)
         assert classify_triple(triple(p1, p2, p3)) is TripleClass.REGULAR
+
+    def test_moved_real_triple_reads_real_in_its_own_precision(self):
+        # draw 187 of default_rng(99) moved at scale 2: alpha = -7.9e-9 is
+        # the rounding of representatives of squared norm 1.05e8, inside
+        # 32 eps kappa.  The canonical triple rebuilt from its coordinates
+        # has small representatives, and there that alpha reads generic.
+        rng = default_rng(99)
+        for i in range(188):
+            T = random_strongly_regular_triple(rng, real=i % 4 == 3)
+            g = random_isometry(rng, 2.0)
+        M = T.apply(g)
+        c = s_coords(M)
+        assert abs(c.alpha) > 1e-9
+        assert classify_triple(M) is TripleClass.REAL_STRONGLY_REGULAR
+        assert classify_triple(triple_from_coords(c)) is TripleClass.STRONGLY_REGULAR
 
     def test_real_gram_with_positive_point_is_regular(self):
         G = np.array(
