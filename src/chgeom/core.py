@@ -77,7 +77,7 @@ def _rephase(v: np.ndarray) -> tuple[np.ndarray, int]:
     return v, k
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Point:
     """A non-isotropic point, held as a canonical representative.
 
@@ -92,9 +92,21 @@ class Point:
     rep: np.ndarray
     sign: int
 
+    def __init__(self, rep: np.ndarray, sign: int):
+        # The frozen dataclass __init__ assigns through object.__setattr__;
+        # the slots' own setters store the same fields at less call cost.
+        _set_rep(self, rep)
+        _set_sign(self, sign)
+
     def __repr__(self) -> str:  # pragma: no cover
         sgn = "+" if self.sign > 0 else "-"
         return f"Point({sgn}1; {np.array2string(self.rep, precision=6)})"
+
+
+_set_rep = Point.rep.__set__
+_set_sign = Point.sign.__set__
+
+_COMPLEX = np.dtype(complex)
 
 
 def point(v, tol: float = DEFAULT_TOL) -> Point:
@@ -104,18 +116,25 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     the euclidean size of the vector, ValueError when its squared norm is
     not finite (a NaN or infinite entry, or an overflow).
     """
-    # Three entries: Python scalars beat numpy's per-call overhead here.
-    # t holds the squared moduli; s = (t0 + t1) - t2 is self_product's
-    # arithmetic, so it gives the same bits.  setflags and positional
-    # fields cost less than flags.writeable and keywords.
-    v = np.asarray(v, dtype=complex).reshape(3)
-    t = (v * v.conj()).real.tolist()
-    norm2 = t[0] + t[1] + t[2]
+    # Every bit of the result comes from a numpy operation, in this order:
+    # the squared moduli t from v * v.conj(), the division by sqrt|s|, in
+    # _rephase the anchor phase as a numpy scalar quotient and the in-place
+    # product, and last the zeroed imaginary part of the anchor.  Python
+    # scalars only choose and check between them (s = (t0 + t1) - t2 is
+    # self_product's arithmetic, so it has the same bits); products in
+    # Python scalars would round differently from numpy's SIMD complex
+    # product.  A complex (3,) array, as Isometry.apply passes, skips
+    # asarray and reshape.
+    if type(v) is not np.ndarray or v.dtype is not _COMPLEX or v.shape != (3,):
+        v = np.asarray(v, dtype=complex).reshape(3)
+    t0, t1, t2 = (v * v.conj()).tolist()
+    t0, t1, t2 = t0.real, t1.real, t2.real
+    norm2 = t0 + t1 + t2
     if not 0.0 < norm2 < math.inf:
         if norm2 == 0.0:
             raise IsotropicVector("zero vector spans no point")
         raise ValueError("vector has a non-finite squared norm")
-    s = (t[0] + t[1]) - t[2]
+    s = (t0 + t1) - t2
     if abs(s) <= tol * norm2:
         rel = abs(s) / norm2
         raise IsotropicVector(
@@ -125,7 +144,7 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
             bound=tol,
         )
     rep, k = _rephase(v / math.sqrt(abs(s)))
-    rep[k] = rep[k].real
+    rep.imag[k] = 0.0
     rep.setflags(write=False)
     return Point(rep, 1 if s > 0 else -1)
 

@@ -334,4 +334,4 @@ def holonomy_dimension(
     if ds == 0:
         return 0
     c, _, _ = _canonical_base(T, tol)
-    return 1 if _reads_real(c.alpha, _kappa(T), tol) else 2
+    return 1 if _reads_real(c.alpha, _kappa(T.points), tol) else 2

@@ -44,11 +44,15 @@ def star(a) -> np.ndarray:
     return J @ np.asarray(a).conj().T @ J
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Isometry:
     """A holomorphic isometry, stored as its unit-determinant matrix."""
 
     m: np.ndarray
+
+    def __init__(self, m: np.ndarray):
+        # the slot's own setter, as Point's __init__ does
+        _set_m(self, m)
 
     @property
     def trace(self) -> complex:
@@ -67,6 +71,9 @@ class Isometry:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Isometry(trace={self.trace:.6g})"
+
+
+_set_m = Isometry.m.__set__
 
 
 def isometry(m, tol: float = DEFAULT_TOL) -> Isometry:

@@ -139,7 +139,7 @@ def normalized_lift(path) -> np.ndarray:
     """
     points = path.points if isinstance(path, PathSample) else list(path)
     sign = _same_sign(points)
-    reps = np.array([p.rep for p in points])
+    reps = np.concatenate([p.rep for p in points]).reshape(-1, 3)
     prev, nxt = reps[:-1], reps[1:]
     cosang = np.minimum(
         1.0,
@@ -257,8 +257,12 @@ _GEODESIC_TOL = 1e-7
 #: Log of the largest float: the most a hyperbolic bending's th_max can be.
 _EXP_MAX = math.log(sys.float_info.max)
 
+# Bending.evaluate runs once per orbit sample, and on Python 3.11 reading an
+# enum member off its class costs a descriptor call.
+_HYPERBOLIC, _SPHERICAL = LineType.HYPERBOLIC, LineType.SPHERICAL
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Bending:
     """One-parameter group of isometries preserving the line of a pair.
 
@@ -280,13 +284,17 @@ class Bending:
     th_max: float = _EXP_MAX
 
     def evaluate(self, s: float) -> Isometry:
-        # cols @ N(s) @ cols_inv for the normal form N(s); ndarray.dot
-        # gives the bits of @ on 3x3 complex matrices at less call cost,
-        # and scaling the columns gives those of @ with a diagonal N.  A
-        # flat list converts to N faster than nested ones; the diagonal's
-        # list converts faster than an array product [-1, 1, 0] * th.
+        # cols @ N(s) @ cols_inv for the normal form N(s), bit for bit:
+        # ndarray.dot gives the bits of @ on 3x3 complex matrices at less
+        # call cost, and scaling the columns gives those of @ with a
+        # diagonal N.  As a Python float, th compares and converts to an
+        # array faster than a numpy scalar (np.linspace's samples are);
+        # float() changes no bit of the product rate * s.  A flat list
+        # converts to N faster than nested ones.
+        s = float(s)
         th = self.rate * s
-        if self.kind is LineType.HYPERBOLIC:
+        kind = self.kind
+        if kind is _HYPERBOLIC:
             if not abs(th) <= self.th_max:
                 raise BendingOverflow(
                     f"bending exponent {abs(th):.3e} exceeds {self.th_max:.2f}",
@@ -294,16 +302,16 @@ class Bending:
                     bound=self.th_max,
                 )
             m = (self.cols * np.exp([-th, th, 0.0])).dot(self.cols_inv)
-            return Isometry(_ro(m))
-        if self.kind is LineType.SPHERICAL:
-            c, sn = np.cos(th), np.sin(th)
-            n = [c, -sn, 0.0, sn, c, 0.0, 0.0, 0.0, 1.0]
-            n = np.array(n, dtype=complex)
         else:
-            n = [1.0, 0.0, 0.0, -s, 1.0, 0.0, -s * s / 2.0, s, 1.0]
-            n = np.array(n, dtype=complex)
-        m = self.cols.dot(n.reshape(3, 3)).dot(self.cols_inv)
-        return Isometry(_ro(m))
+            if kind is _SPHERICAL:
+                c, sn = np.cos(th), np.sin(th)
+                n = [c, -sn, 0.0, sn, c, 0.0, 0.0, 0.0, 1.0]
+            else:
+                n = [1.0, 0.0, 0.0, -s, 1.0, 0.0, -s * s / 2.0, s, 1.0]
+            n = np.array(n, dtype=complex).reshape(3, 3)
+            m = self.cols.dot(n).dot(self.cols_inv)
+        m.setflags(write=False)
+        return Isometry(m)
 
     def point_parameter(self, q: Point) -> tuple[float, int]:
         """Parameter u with evaluate(u) carrying the base fiber onto q's.

@@ -50,7 +50,9 @@ from .triples import (
     _closure_gap,
     _connect_triples,
     _coordinate_move,
+    _kappa,
     _off_target,
+    _reads_real,
     _replay,
     _require_same_signs,
     _sheet_gap,
@@ -192,13 +194,18 @@ def is_real_pentagon(P: Pentagon) -> bool:
 
     Tested gauge-invariantly: in the chain gauge c of _chain_phases, where
     consecutive pairings are real positive, the Gram matrix
-    c_j conj(c_k) G[j, k] must be real, its imaginary parts at most 1e-8
-    times max(1, max|G|).
+    c_j conj(c_k) G[j, k] must be real, its imaginary parts at most
+    1e-8 max(1, max|G|) + 32 eps kappa, kappa the largest squared euclidean
+    norm of the five representatives.  The second term is the rounding
+    budget of triples._reads_real: rounding the representatives alone
+    leaves a real pentagon's gauged Gram a few eps kappa off the real axis,
+    which on far-moved pentagons exceeds the first term.
     """
     G = P.gram().m
     c = _chain_phases(G)
     G = c[:, None] * G * c.conj()
-    return float(np.abs(G.imag).max()) <= 1e-8 * max(1.0, float(np.abs(G).max()))
+    band = 1e-8 * max(1.0, float(np.abs(G).max()))
+    return _reads_real(float(np.abs(G.imag).max()), _kappa(P.points), band)
 
 
 def _move_34(P: Pentagon, t4_target: float, tol: float) -> tuple[Pentagon, Move]:

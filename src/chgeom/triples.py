@@ -145,10 +145,10 @@ def _reads_real(alpha: float, kappa: float, tol: float) -> bool:
     return abs(alpha) <= tol + 32.0 * _EPS * kappa
 
 
-def _kappa(T: Triple) -> float:
-    """The largest squared euclidean norm of T's representatives: a
+def _kappa(points) -> float:
+    """The largest squared euclidean norm of the points' representatives: a
     self-product is +-1, so |rep|^2 = sign + 2 |rep[2]|^2."""
-    return max(p.sign + 2.0 * abs(p.rep[2]) ** 2 for p in T.points)
+    return float(max(p.sign + 2.0 * abs(p.rep[2]) ** 2 for p in points))
 
 
 def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
@@ -159,7 +159,7 @@ def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
     if min(abs(m[0, 1]), abs(m[1, 2])) <= tol:
         return TripleClass.NOT_REGULAR
     *_, a, b = inv
-    real = _reads_real(a, _kappa(T), tol)
+    real = _reads_real(a, _kappa(T.points), tol)
     if real and abs(b) <= tol:
         # at most one positive point and g12 != 0: p1 and p2 coincide or
         # span a hyperbolic line, and a real degenerate Gram puts p3 on

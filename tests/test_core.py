@@ -6,6 +6,8 @@ v1, v2 with <v1, v2> = 1/2 and a unit positive vector v3 pairing as
 exact rational arithmetic from that Gram and is frozen here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,48 @@ def test_point_is_bitwise_reference():
             reference_point(v)
         with pytest.raises(errors.IsotropicVector):
             chg.point(v)
+
+
+def test_point_is_a_frozen_slotted_value():
+    p = chg.point([0.3 + 0.1j, -0.2j, 1.0])
+    assert not hasattr(p, "__dict__")
+    assert not p.rep.flags.writeable
+    for field in ("rep", "sign"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, getattr(p, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, field)
+    q = chg.Point(rep=p.rep, sign=p.sign)
+    assert q.rep is p.rep and q.sign == p.sign
+
+
+def test_point_reads_every_form_of_a_vector_alike():
+    # a complex (3,) array takes point's fast path as it is, every other
+    # form goes through asarray and reshape: the bits must not depend on it
+    rng = default_rng(25)
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = rng.standard_normal(3) * scale
+        z = x + 1j * rng.standard_normal(3) * scale
+        for v in (x, z):
+            strided = np.zeros((3, 2), dtype=complex)
+            strided[:, 1] = v
+            forms = [
+                v.tolist(),
+                tuple(v.tolist()),
+                v,
+                v.reshape(3, 1),
+                v.astype(complex),
+                v.astype(complex).reshape(3, 1),
+                v.astype(complex).reshape(1, 3),
+                strided[:, 1],
+            ]
+            want = chg.point(forms[0])
+            for form in forms[1:]:
+                got = chg.point(form)
+                assert got.rep.tobytes() == want.rep.tobytes() and got.sign == want.sign
+            # the input is read, never written
+            assert np.array_equal(strided[:, 1], v)
 
 
 def test_self_product_is_bitwise_form():

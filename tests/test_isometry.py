@@ -5,6 +5,8 @@ oracle), the custom exponential against scipy's, and every algebraic law of
 reflections against its analytic statement.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -152,6 +154,15 @@ class TestIsometryType:
             g = random_isometry(rng, rng.uniform(0.1, 2.0))
             got, want = g.apply(p), chg.point(g.m @ p.rep)
             assert got.rep.tobytes() == want.rep.tobytes() and got.sign == want.sign
+
+    def test_is_a_frozen_slotted_value(self):
+        g = random_isometry(default_rng(8))
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.m = np.eye(3, dtype=complex)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g.m
+        assert Isometry(m=g.m).m is g.m
 
 
 class TestExpLog:

@@ -275,10 +275,12 @@ class TestRealPentagon:
         assert relation_residual(moved) <= 1e-9
 
     def test_moved_real_pentagons_have_real_triples(self):
-        # test_11's real chart moved far: alpha of the moved triple is
-        # rounding of its representatives, which classify_triple allows
-        # for.  is_real_pentagon's own band is fixed at 1e-8 max(1, max|G|);
-        # it calls these 98 real natively, 97 on numpy's baseline dispatch.
+        # test_11's real chart moved far: alpha of the moved triple, and the
+        # imaginary parts of the gauged Gram, are rounding of the
+        # representatives, which classify_triple and is_real_pentagon both
+        # allow for by 32 eps kappa.  Without that term is_real_pentagon
+        # called draw 7 not real on numpy's baseline dispatch (imaginary
+        # part 1.28 times 1e-8 max(1, max|G|)).
         rng = default_rng(211)
         moved = 0
         for _ in range(100):
@@ -293,6 +295,7 @@ class TestRealPentagon:
                 continue
             moved += 1
             assert classify_triple(P.triple()) is TripleClass.REAL_STRONGLY_REGULAR
+            assert is_real_pentagon(P)
         assert moved >= 90
 
 
