@@ -20,8 +20,6 @@ from .core import (
     Gram,
     Point,
     _chain_phases,
-    _rep,
-    form,
     gram,
     tance,
 )
@@ -97,19 +95,15 @@ def verify_pentagon(points, tol: float = RELATION_TOL) -> CubeRoot:
     """The central value of R5 R4 R3 R2 R1, or NotAPentagon.
 
     The off-center residual is bounded by tol times the largest of 1, |f|
-    and the squared euclidean norms of the unit representatives: f itself
-    is ~delta I, but the roundoff of the five reflections grows with
-    |rep|^2, so a valid pentagon far from the origin misses a bound of
-    tol * |f|.
+    and triples._kappa of the points, the largest squared euclidean norm
+    of their unit representatives: f itself is ~delta I, but the roundoff
+    of the five reflections grows with |rep|^2, so a valid pentagon far
+    from the origin misses a bound of tol * |f|.
     """
     f = _reflection_product(points)
     root = nearest_cube_root(complex(np.trace(f)) / 3.0)
     resid = float(np.abs(f - root.matrix()).max())
-    reps = np.array([_rep(p) for p in points])
-    rep_norm2 = float(
-        (np.linalg.norm(reps, axis=1) ** 2 / np.abs(form(reps, reps).real)).max()
-    )
-    bound = tol * max(1.0, float(np.abs(f).max()), rep_norm2)
+    bound = tol * max(1.0, float(np.abs(f).max()), _kappa(points))
     _require(resid, bound, NotAPentagon, "off-center residual")
     return root
 
@@ -157,7 +151,9 @@ def pentagon_from_moduli(
     conj(delta) R3 R2 R1.  Raises InadmissibleModuli when t4 <= 1, when
     (t1, t2) is outside that surface's admissible region (triples._admits:
     t1 < 0 < 1 < t2 and the relation's (t - 1)^2 nonnegative), and for the
-    central value 1, whose products have no (+1, -1, -1) triples.
+    central value 1, whose products have no (+1, -1, -1) triples.  Moduli
+    in that region whose triple cannot be realized or read back in floats
+    (t1 = -1e20, say) raise triple_from_coords' InadmissibleCoords.
     """
     t1, t2, t4 = (float(v) for v in m)
     if delta.k not in (1, 2):

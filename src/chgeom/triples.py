@@ -56,8 +56,10 @@ from .core import (
 )
 from .errors import (
     GeometryError,
+    IncompatibleInertia,
     IncompatibleInvariants,
     InadmissibleCoords,
+    IsotropicVector,
     NotConjugate,
     NotRegular,
     NotStronglyRegular,
@@ -147,7 +149,12 @@ def _reads_real(alpha: float, kappa: float, tol: float) -> bool:
 
 def _kappa(points) -> float:
     """The largest squared euclidean norm of the points' representatives: a
-    self-product is +-1, so |rep|^2 = sign + 2 |rep[2]|^2."""
+    self-product is +-1, so |rep|^2 = sign + 2 |rep[2]|^2.
+
+    It is the one measure of how far out a configuration sits: the
+    rounding budget of _reads_real, the scale of verify_pentagon's bound
+    and of _connect_triples' estimated error.
+    """
     return float(max(p.sign + 2.0 * abs(p.rep[2]) ** 2 for p in points))
 
 
@@ -288,7 +295,9 @@ def standard_gram(c: SCoords) -> np.ndarray:
 def triple_from_coords(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
     """A triple with the given surface coordinates (InadmissibleCoords if none).
 
-    The coordinates are validated at `tol`, and the triple built is read
+    The coordinates are validated at `tol`, realized by _standard_triple,
+    which raises InadmissibleCoords for admissible coordinates too far out
+    to realize in floats (t1 = -1e20, say), and the triple built is read
     back by s_coords.  InadmissibleCoords is raised when it is not strongly
     regular: realize_gram drops a Gram eigenvalue of at most tol relative,
     so a |beta| near tol can read back as zero.  It is raised as well, with
@@ -308,9 +317,19 @@ def triple_from_coords(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
 
 
 def _standard_triple(c: SCoords, tol: float = DEFAULT_TOL) -> Triple:
-    """The triple realizing standard_gram(c), for coordinates already known
-    to be admissible: read off a triple by s_coords, or built to order."""
-    return Triple(*(point(v, tol) for v in realize_gram(standard_gram(c), tol)))
+    """The triple realizing standard_gram(c), for coordinates read off a
+    triple by s_coords or built to order.
+
+    It is the one place that refuses coordinates no triple realizes in
+    floats: an IncompatibleInertia from realize_gram or an IsotropicVector
+    from point, as when standard_gram's entries are too large for three
+    points to be resolved, leaves as InadmissibleCoords with that error as
+    its cause.
+    """
+    try:
+        return Triple(*(point(v, tol) for v in realize_gram(standard_gram(c), tol)))
+    except (IncompatibleInertia, IsotropicVector) as err:
+        raise InadmissibleCoords(f"coordinates not realized: {err}") from err
 
 
 def _standard_cols(T: Triple) -> np.ndarray:
@@ -354,8 +373,12 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
     The trace of F fixes alpha and beta; a balanced point on the matching
     surface is realized for each admissible sign pattern and transported
     onto F by a conjugator.  Raises TraceMinusOne for trace -1 (reflections
-    and other undecomposable classes) and NotConjugate when no pattern's
-    class matches (same-trace elliptic classes differ by their sign data).
+    and other undecomposable classes) and NotConjugate when no pattern
+    gives a triple whose product is conjugate to F: same-trace elliptic
+    classes differ by their sign data, 20 doublings of the pairings may
+    find no balanced point (a sheet gap of at least 0.25), and the
+    balanced point of a far-out F may not be realizable
+    (_standard_triple's InadmissibleCoords).
     """
     tr = F.trace
     _require_above(abs(tr + 1.0), tol, TraceMinusOne, "|trace + 1|")
@@ -375,19 +398,20 @@ def decompose_three_reflections(F: Isometry, tol: float = DEFAULT_TOL) -> Triple
             if gap >= 0.25:
                 break
             g *= 2.0
+        else:
+            failure = NotConjugate(f"sheet gap {gap:.2e} is below 0.25", value=gap, bound=0.25)
+            continue
         t = 1.0 + np.sqrt(gap)
-        # g is a power of two, so both consecutive pairings come out as g
-        # exactly; validate_coords is skipped, it rejects |beta| <= tol
-        T0 = _standard_triple(SCoords(t, t1, t2, sigma, a, b), tol)
         try:
+            # g is a power of two, so both consecutive pairings come out as
+            # g exactly; validate_coords is skipped, it rejects |beta| <= tol
+            T0 = _standard_triple(SCoords(t, t1, t2, sigma, a, b), tol)
             h = conjugator(T0.product(), F, tol)
-        except (NotConjugate, NotRegular) as err:
+        except (InadmissibleCoords, NotConjugate, NotRegular) as err:
             failure = err
             continue
         return T0.apply(h, tol)
-    raise NotConjugate(
-        f"no admissible sign pattern matches the input ({failure})"
-    )
+    raise NotConjugate(f"no admissible sign pattern matches the input ({failure})") from failure
 
 
 @dataclass(frozen=True)
@@ -578,14 +602,14 @@ def connect_triples(
     gives there.
 
     Its error against those coordinates is estimated, not measured: the
-    isometry's form residual times the largest squared representative
-    norm of the bent triple, and an estimate above CLOSURE_TOL (1e-8)
-    raises NotConjugate.  It covers the isometry's roundoff only, not how
-    far the moves landed (bench connect seed 2, draw 217, 12 first:
-    estimate 3.7e-15, error 5.3e-10 at representative norm 3.5).  What is
-    measured is the closure gap of `_closure_gap` between the moved triple
-    and B: above GAP_TOL (1e-7, or NaN) it raises NotConjugate carrying
-    the gap as `value` and GAP_TOL as `bound`.
+    isometry's form residual times _kappa of the bent triple, the largest
+    squared norm of its unit representatives, and an estimate above
+    CLOSURE_TOL (1e-8) raises NotConjugate.  It covers the isometry's
+    roundoff only, not how far the moves landed (bench connect seed 2,
+    draw 217, 12 first: estimate 3.7e-15, error 5.3e-10 at representative
+    norm 3.5).  What is measured is the closure gap of `_closure_gap`
+    between the moved triple and B: above GAP_TOL (1e-7, or NaN) it raises
+    NotConjugate carrying the gap as `value` and GAP_TOL as `bound`.
 
     The program bends pair 23 first and pair 12 second.  That order can
     drive the representatives far out, where the isometry's roundoff is
@@ -618,10 +642,9 @@ def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
             if best is None:  # the first order's failure is the caller's
                 raise
             break
-        pa = _standard_cols(cur)
-        g = _frame_map(pa, _standard_cols(B))
+        g = _frame_map(_standard_cols(cur), _standard_cols(B))
         residual = float(np.abs(star(g.m) @ g.m - np.eye(3)).max())
-        est = residual * float(np.max(np.sum(np.abs(pa) ** 2, axis=0)))
+        est = residual * _kappa(cur.points)
         if best is None or est < best[3]:
             best = (moves, cur, g, est)
         if est <= min(tol, CLOSURE_TOL):

@@ -227,6 +227,21 @@ class TestDecompose:
         assert code == 2
         assert "determinant" in out.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rapidity", [40.0, 60.0])
+    def test_far_boost_is_a_domain_error(self, tmp_path, capsys, rapidity):
+        # a valid isometry (|F| = 5.7e25 at rapidity 60) that no sign
+        # pattern decomposes is a domain error, not numpy's "Eigenvalues
+        # did not converge" on a NaN (a usage error, exit 2)
+        c, s = np.cosh(rapidity), np.sinh(rapidity)
+        m = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]], dtype=complex)
+        path = tmp_path / "boost.json"
+        path.write_text(json.dumps({"m": jsonio.encode_vector(m)}))
+        code, out = run(capsys, "decompose", "--isometry", str(path))
+        assert code == 1
+        assert "NotConjugate" in out.err
+        assert "RuntimeWarning" not in out.err
+
 
 class TestPentagonVerbs:
     T_SHEET = 1.9380206887377254  # positive-sheet t over moduli (-2, 3, 2)
@@ -265,10 +280,12 @@ class TestPentagonVerbs:
 
     @pytest.mark.parametrize("moduli", ["-1e300,4.0,2.0,2.0,0.0", "-2.0,1e300,2.0,2.0,0.0"])
     def test_huge_modulus_is_a_domain_error(self, capsys, moduli):
-        # the surface relation squares t1 t2 = -4e300 without overflowing
+        # the surface relation squares t1 t2 = -4e300 without overflowing;
+        # the moduli are admissible, but too far out to realize
         code, out = run(capsys, "pentagon", "new", "--delta", "1", f"--moduli={moduli}")
         assert code == 1
         assert "Traceback" not in out.err
+        assert "InadmissibleCoords" in out.err
 
     def test_verify_nan_coordinate_is_usage_error(self, tmp_path, capsys):
         d = jsonio.encode(pentagon_from_moduli((-2.0, 3.0, 2.0), CubeRoot(1)))

@@ -1394,7 +1394,9 @@ class TestBendTargetsClosedForm:
         assert both_new.max() <= both_old.max()
         assert new_m.max() <= old_m.max()
         # next to the minimum the closed form lands within an ulp of the
-        # terms; the polish stepped the polish-miss frame's second root
-        # off its level by 0.111, 2.5e-2 of the terms
+        # terms.  Where the polish lands depends on numpy's SIMD dispatch:
+        # it stepped the polish-miss frame's second root off its level by
+        # 0.111 (2.5e-2 of the terms) on an AVX-512 dispatch, and to within
+        # 3.7e-16 on the baseline (X86_V2) one, so the polish's own miss is
+        # not asserted: it is this test's copy, not the library's code
         assert new_n.max() <= np.finfo(float).eps
-        assert old_n.max() >= 1e-2

@@ -21,12 +21,13 @@ from chgeom.core import (
 from chgeom.errors import (
     InadmissibleCoords,
     IncompatibleInvariants,
+    IsotropicVector,
     NotConjugate,
     NotStronglyRegular,
     TraceMinusOne,
     Unreachable,
 )
-from chgeom.isometry import Isometry, centralizer_basis, reflection
+from chgeom.isometry import Isometry, centralizer_basis, isometry, reflection
 from chgeom.paths import bending, orthogonal_partner, tangent
 from chgeom.sampling import (
     default_rng,
@@ -93,6 +94,13 @@ def coords_like(c: SCoords, t1: float, t2: float, sheet: int) -> SCoords:
         alpha=c.alpha,
         beta=c.beta,
     )
+
+
+def boost(rapidity: float) -> Isometry:
+    """The hyperbolic isometry of the (x0, x2) plane at this rapidity,
+    through the validating constructor."""
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    return isometry([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
 def assert_triples_match(g: Isometry, A: Triple, B: Triple, tol: float) -> None:
@@ -317,6 +325,18 @@ class TestSurfaceCoordinates:
         validate_coords(c)
         with pytest.raises(InadmissibleCoords, match="triple is regular"):
             triple_from_coords(c)
+
+    def test_coordinates_too_far_out_to_realize_are_inadmissible(self):
+        # the surface of the pentagon chart at t4 = 2, at t2 = 4: admissible
+        # at t1 = -1e20, where standard_gram's entries are too large for
+        # point to resolve three points; its IsotropicVector is the cause
+        a, b = np.sqrt(3.0) * 7.0 / 16.0, -0.625
+        t1, t2 = -1e20, 4.0
+        c = SCoords(1.0 + np.sqrt(_sheet_gap(t1, t2, a, b)), t1, t2, (1, -1, -1), a, b)
+        validate_coords(c)
+        with pytest.raises(InadmissibleCoords, match="not realized") as info:
+            triple_from_coords(c)
+        assert isinstance(info.value.__cause__, IsotropicVector)
 
     def test_read_back_miss_carries_value_and_bound(self, monkeypatch):
         # a triple built from t1 off by 1e-6 (relative) misses t1 by that
@@ -1132,6 +1152,20 @@ class TestDecompose:
         D = decompose_three_reflections(F)
         assert [p.sign for p in D.points] == signs
         assert np.abs(D.product().m - F.m).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rapidity, cause", [(40.0, InadmissibleCoords), (60.0, NotConjugate)])
+    def test_far_boost_is_not_conjugate(self, rapidity, cause):
+        # at rapidity 40 the balanced point is found but its standard Gram
+        # does not resolve into three points; at 60 (|F| = 5.7e25) twenty
+        # doublings of the pairings leave the sheet gap at -22.6, whose
+        # square root would be a NaN
+        with pytest.raises(NotConjugate) as info:
+            decompose_three_reflections(boost(rapidity))
+        assert isinstance(info.value.__cause__, cause)
+        if rapidity == 60.0:
+            assert info.value.__cause__.value == pytest.approx(-22.6, abs=0.05)
+            assert info.value.__cause__.bound == 0.25
 
     def test_elliptic_either_decomposes_or_reports_honestly(self):
         th = np.array([0.4, 0.9, -1.3])
