@@ -41,7 +41,7 @@ def _ro(a: np.ndarray) -> np.ndarray:
 
 def star(a) -> np.ndarray:
     """Adjoint with respect to the form: J A^H J."""
-    return J @ np.asarray(a).conj().T @ J
+    return J.dot(np.asarray(a).conj().T).dot(J)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -56,14 +56,14 @@ class Isometry:
 
     @property
     def trace(self) -> complex:
-        return complex(np.trace(self.m))
+        return complex(self.m.trace())
 
     def inv(self) -> "Isometry":
         return Isometry(_ro(star(self.m)))
 
     def __matmul__(self, other):
         if isinstance(other, Isometry):
-            return Isometry(_ro(self.m @ other.m))
+            return Isometry(_ro(self.m.dot(other.m)))
         return NotImplemented
 
     def apply(self, p: Point, tol: float = DEFAULT_TOL) -> Point:
@@ -100,20 +100,38 @@ def rank_one_map(v, p) -> np.ndarray:
     return np.outer(np.asarray(v, dtype=complex), (J @ _rep(p)).conj())
 
 
+_EYE = np.eye(3)
+
+
+def _reflections(reps: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) stack of reflection matrices 2 v (J v)^* / <v, v> - I
+    for the rows v of the (n, 3) complex stack `reps`, in one broadcast.
+
+    The one place the formula is written: reflection is its one-row case.
+    Row by row it has the bits of the formula taken one vector at a time,
+    <v, v> by self_product, J v by a product with J, the outer product by
+    np.outer, so stacking the rows moves no bit.
+    """
+    t = reps * reps.conj()
+    s = ((t[:, 0] + t[:, 1]) - t[:, 2]).real
+    w = reps.dot(J).conj()
+    return (2.0 / s)[:, None, None] * (reps[:, :, None] * w[:, None, :]) - _EYE
+
+
 def reflection(p: Point) -> Isometry:
     """The holomorphic involution fixing p and its orthogonal complement."""
-    rep = _rep(p)
-    s = self_product(rep)
-    m = (2.0 / s) * rank_one_map(rep, rep) - np.eye(3)
-    return Isometry(_ro(m))
+    return Isometry(_ro(_reflections(_rep(p)[None])[0]))
 
 
 def _reflection_product(points) -> np.ndarray:
     """Matrix of R(p_n) ... R(p_2) R(p_1), the reflection in the first point
-    applied first, multiplied left to right from R(p_n)."""
-    m = reflection(points[-1]).m
-    for p in reversed(points[:-1]):
-        m = m @ reflection(p).m
+    applied first, multiplied left to right from R(p_n).  The reflections
+    are built in one stack; the products are ndarray.dot, which gives the
+    bits of @ on 3x3 complex matrices."""
+    r = _reflections(np.array([_rep(p) for p in points]))
+    m = r[-1]
+    for k in range(len(r) - 2, -1, -1):
+        m = m.dot(r[k])
     return _ro(m)
 
 
@@ -125,10 +143,10 @@ def project_to_su(m) -> Isometry:
     """
     m = np.asarray(m, dtype=complex)
     for _ in range(3):
-        e = m.conj().T @ J @ m - J
+        e = m.conj().T.dot(J).dot(m) - J
         if float(np.abs(e).max()) < 1e-15:
             break
-        m = m @ (np.eye(3) - 0.5 * (J @ e))
+        m = m.dot(_EYE - 0.5 * J.dot(e))
     d = np.linalg.det(m)
     m = m * np.exp(-np.log(d) / 3.0)
     return Isometry(_ro(m))
@@ -271,6 +289,9 @@ def isometry_log(F: Isometry) -> np.ndarray:
 
 _OMEGA = np.exp(2j * np.pi / 3.0)
 
+#: _OMEGA**k for k = 0, 1, 2, each computed once.
+_OMEGA_POWERS = tuple(_OMEGA**k for k in range(3))
+
 
 @dataclass(frozen=True)
 class CubeRoot:
@@ -287,7 +308,7 @@ class CubeRoot:
 
 
 def nearest_cube_root(z: complex) -> CubeRoot:
-    return CubeRoot(k=min((0, 1, 2), key=lambda k: abs(z - _OMEGA**k)))
+    return CubeRoot(k=min((0, 1, 2), key=lambda k: abs(z - _OMEGA_POWERS[k])))
 
 
 def center_reduce(g: Isometry) -> Isometry:
@@ -300,13 +321,13 @@ def center_reduce(g: Isometry) -> Isometry:
     k = -nearest_cube_root(g.trace / 3.0).k % 3
     if k == 0:
         return g
-    return Isometry(_ro(_OMEGA**k * g.m))
+    return Isometry(_ro(_OMEGA_POWERS[k] * g.m))
 
 
 def _frame_map(pa, pb) -> Isometry:
     """The isometry nearest the identity with g pa = z pb, |z| = 1, for
     frames (columns) with equal Grams: pb pa^-1 projected onto the group."""
-    return center_reduce(project_to_su(pb @ np.linalg.inv(pa)))
+    return center_reduce(project_to_su(pb.dot(np.linalg.inv(pa))))
 
 
 def trace_formula(G, tol: float = DEFAULT_TOL) -> complex:

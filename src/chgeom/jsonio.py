@@ -25,6 +25,7 @@ written with shortest round-trip precision by the json module).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -53,22 +54,20 @@ def _one_of(x, allowed: tuple):
     return x
 
 
-def encode_complex(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def decode_complex(v) -> complex:
-    re, im = v
-    return complex(_finite(re), _finite(im))
-
-
 def encode_vector(v) -> list[list[float]]:
-    return [encode_complex(z) for z in np.asarray(v).ravel()]
+    return [[z.real, z.imag] for z in map(complex, np.asarray(v).ravel().tolist())]
 
 
 def decode_vector(data) -> np.ndarray:
-    return np.array([decode_complex(v) for v in data], dtype=complex)
+    out = []
+    for re, im in data:
+        z = complex(float(re), float(im))
+        if not cmath.isfinite(z):
+            # one of the two raises, naming the number
+            _finite(re)
+            _finite(im)
+        out.append(z)
+    return np.array(out, dtype=complex)
 
 
 def decode_point(data, tol: float = DEFAULT_TOL) -> Point:
@@ -78,8 +77,12 @@ def decode_point(data, tol: float = DEFAULT_TOL) -> Point:
     if p.sign != want:
         raise ValueError(f"stored sign {want} disagrees with the representative")
     # Canonicalizing an already-canonical vector only stirs the last bits;
-    # keep the stored ones so a re-encode reproduces the file exactly.
-    if float(np.abs(p.rep - v).max()) <= 1e-12 * float(np.abs(v).max()):
+    # keep the stored ones so a re-encode reproduces the file exactly.  The
+    # test only chooses which bits are kept, so it reads Python floats off
+    # one tolist of each vector.
+    stored = v.tolist()
+    gap = max(abs(a - b) for a, b in zip(p.rep.tolist(), stored))
+    if gap <= 1e-12 * max(map(abs, stored)):
         v.setflags(write=False)
         return Point(rep=v, sign=p.sign)
     return p
@@ -87,19 +90,19 @@ def decode_point(data, tol: float = DEFAULT_TOL) -> Point:
 
 def decode_gram(data) -> Gram:
     n = int(data["n"])
-    entries = [decode_complex(v) for v in data["entries"]]
+    entries = decode_vector(data["entries"])
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    m = np.array(entries, dtype=complex).reshape(n, n)
+    m = entries.reshape(n, n)
     m.setflags(write=False)
     return Gram(m=m)
 
 
 def decode_isometry(data, tol: float = DEFAULT_TOL) -> Isometry:
-    m = [decode_complex(v) for v in data["m"]]
+    m = decode_vector(data["m"])
     if len(m) != 9:
         raise ValueError(f"expected 9 entries, got {len(m)}")
-    return isometry(np.array(m, dtype=complex).reshape(3, 3), tol)
+    return isometry(m.reshape(3, 3), tol)
 
 
 def decode_cube_root(data) -> CubeRoot:

@@ -259,7 +259,7 @@ _EXP_MAX = math.log(sys.float_info.max)
 
 # Bending.evaluate runs once per orbit sample, and on Python 3.11 reading an
 # enum member off its class costs a descriptor call.
-_HYPERBOLIC, _SPHERICAL = LineType.HYPERBOLIC, LineType.SPHERICAL
+_HYPERBOLIC, _SPHERICAL, _EUCLIDEAN = LineType.HYPERBOLIC, LineType.SPHERICAL, LineType.EUCLIDEAN
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,29 +324,44 @@ class Bending:
         is at most _GEODESIC_TOL max(1, |r|).
         """
         tol, off = _GEODESIC_TOL, NotOnGeodesic
-        c = self.cols_inv @ q.rep
+        c = self.cols_inv.dot(q.rep)
+        # The moduli a_k are Python's abs of one tolist, which is numpy's
+        # scalar abs(c[k]), bit for bit; the bound is numpy's array abs,
+        # which on some SIMD dispatches differs from it in the last bit.
+        # The parameter comes from numpy scalars of c, as numpy's complex
+        # division rounds differently from Python's.
+        a0, a1, a2 = map(abs, c.tolist())
         bound = tol * float(np.abs(c).max())
-        if self.kind is not LineType.EUCLIDEAN:
-            _require(abs(c[2]), bound, off, "polar coordinate")
-        if self.kind is LineType.HYPERBOLIC:
-            _require_above(min(abs(c[0]), abs(c[1])), bound, off, "end coordinate")
+        kind = self.kind
+        if kind is not _EUCLIDEAN:
+            _require(a2, bound, off, "polar coordinate")
+        if kind is _HYPERBOLIC:
+            _require_above(min(a0, a1), bound, off, "end coordinate")
             r = c[1] / c[0]
             _require(abs(r.imag), tol * max(1.0, abs(r)), off, "Im of end ratio")
             if (r.real < 0) != (q.sign < 0):
                 raise NotOnGeodesic("branch does not match the point sign")
             return 0.5 * np.log(abs(r.real)) / self.rate, q.sign
-        if self.kind is LineType.SPHERICAL:
+        if kind is _SPHERICAL:
             _rephase(c)
             _require(np.abs(c[:2].imag).max(), bound, off, "Im of circle coordinates")
             th = float(np.arctan2(c[1].real, c[0].real)) % np.pi
             if th >= np.pi * (1.0 - 1e-12):
                 th = 0.0
             return th / self.rate, q.sign
-        _require(abs(c[0]), bound, off, "coordinate off the horocyclic family")
-        _require_above(abs(c[1]), bound, off, "coordinate toward the isotropic end")
+        _require(a0, bound, off, "coordinate off the horocyclic family")
+        _require_above(a1, bound, off, "coordinate toward the isotropic end")
         r = c[2] / c[1]
         _require(abs(r.imag), tol * max(1.0, abs(r)), off, "Im of family ratio")
         return float(r.real), q.sign
+
+
+def _columns(a, b, c) -> np.ndarray:
+    """The complex matrix with columns a, b and c, in C order as
+    np.column_stack gives it, at less call cost."""
+    m = np.empty((3, 3), dtype=complex)
+    m[:, 0], m[:, 1], m[:, 2] = a, b, c
+    return m
 
 
 def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
@@ -382,9 +397,9 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     _require_above(g, bound, OrthogonalPoints, "pairing of the points")
     # p2's representative rotated so its pairing with p1 is real positive
     q2 = (g12 / g) * p2.rep
-    if kind is not LineType.EUCLIDEAN:
-        pol = point(np.conj(_cross(J @ p1.rep, J @ p2.rep)), tol)
-    if kind is LineType.HYPERBOLIC:
+    if kind is not _EUCLIDEAN:
+        pol = point(np.conj(_cross(J.dot(p1.rep), J.dot(p2.rep))), tol)
+    if kind is _HYPERBOLIC:
         sd = np.sqrt(g * g - s1 * s2)
         rp = (-g + sd) / s1
         rm = (-g - sd) / s1
@@ -395,13 +410,13 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         # geodesic parameter -log|lam|, which normalizes the speed.
         lam = abs((g + sd) / s1)
         rate = -np.log(lam)
-        cols = np.column_stack([v1, v2, pol.rep])
-    elif kind is LineType.SPHERICAL:
+        cols = _columns(v1, v2, pol.rep)
+    elif kind is _SPHERICAL:
         # _minor_type calls a pair spherical only at g^2 < (1 - tol)/(1 + tol),
         # so ang = arccos g exceeds tol
         ang = np.arccos(min(1.0, g))
         p1prime = (q2 - g * p1.rep) / np.sin(ang)
-        cols = np.column_stack([p1.rep, p1prime, pol.rep])
+        cols = _columns(p1.rep, p1prime, pol.rep)
         rate = float(ang)
     else:
         u = q2 - g * p1.rep
@@ -409,14 +424,14 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         eta = 1.0 / form(r, u)
         gam = -(1.0 + abs(eta) ** 2 * self_product(r)) / 2.0
         b = gam * u + eta * r
-        cols = np.column_stack([b, p1.rep, u])
+        cols = _columns(b, p1.rep, u)
         rate = 1.0
     try:
         cols_inv = np.linalg.inv(cols)
     except np.linalg.LinAlgError as exc:
         raise EqualPoints("the adapted frame of the pair is singular") from exc
     th_max = _EXP_MAX
-    if kind is LineType.HYPERBOLIC:
+    if kind is _HYPERBOLIC:
         size = 3.0 * max(map(abs, cols.ravel().tolist()))
         th_max -= math.log(size * max(map(abs, cols_inv.ravel().tolist())))
     return Bending(kind, _ro(cols), _ro(cols_inv), float(rate), th_max)

@@ -69,6 +69,7 @@ from .errors import (
     _require_above,
 )
 from .isometry import (
+    _EYE,
     Isometry,
     _frame_map,
     _reflection_product,
@@ -155,7 +156,9 @@ def _kappa(points) -> float:
     rounding budget of _reads_real, the scale of verify_pentagon's bound
     and of _connect_triples' estimated error.
     """
-    return float(max(p.sign + 2.0 * abs(p.rep[2]) ** 2 for p in points))
+    # Python's float ** and abs of a complex are the C pow and hypot that
+    # numpy's scalar ** and abs call, so these are numpy's bits
+    return max(p.sign + 2.0 * abs(p.rep.item(2)) ** 2 for p in points)
 
 
 def _classify(T: Triple, inv: tuple, tol: float) -> TripleClass:
@@ -643,7 +646,7 @@ def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
                 raise
             break
         g = _frame_map(_standard_cols(cur), _standard_cols(B))
-        residual = float(np.abs(star(g.m) @ g.m - np.eye(3)).max())
+        residual = float(np.abs(star(g.m).dot(g.m) - _EYE).max())
         est = residual * _kappa(cur.points)
         if best is None or est < best[3]:
             best = (moves, cur, g, est)
@@ -660,15 +663,17 @@ def _closure_gap(g: Isometry, points, targets) -> float:
     lines: linear in the error, where 1 - cos theta is quadratic and
     cancels to zero below theta ~ 1e-8.  Zero when g carries each point
     onto its target, NaN when a representative is not finite."""
-    a = np.array([p.rep for p in points]) @ g.m.T
-    ab = np.concatenate((a, [q.rep for q in targets]))
+    n = len(points)
+    ab = np.array([p.rep for p in points] + [q.rep for q in targets])
+    ab[:n] = ab[:n].dot(g.m.T)
     # a product, not a quotient: a NaN row then raises no FP warning
-    ab *= 1.0 / np.linalg.norm(ab, axis=1, keepdims=True)
-    a, b = ab[: len(a)], ab[len(a) :]
+    ab *= 1.0 / np.sqrt((ab * ab.conj()).real.sum(axis=1, keepdims=True))
+    a, b = ab[:n], ab[n:]
     # np.angle(0) is 0, and at c = 0 every phase gives the distance sqrt 2
     u = np.exp(1j * np.angle((a.conj() * b).sum(axis=1, keepdims=True)))
+    d = a * u - b
     # ndarray.max, unlike the builtin max, propagates a NaN
-    return float(np.linalg.norm(a * u - b, axis=1).max())
+    return float(np.sqrt((d * d.conj()).real.sum(axis=1).max()))
 
 
 def tangent_ef_residual(T: Triple, tg1, tg2, tg3) -> float:

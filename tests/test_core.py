@@ -250,6 +250,69 @@ def test_self_product_is_bitwise_form():
         assert np.array_equal(chg.self_product(v), want)
 
 
+def test_form_of_two_vectors_is_bitwise_the_stacked_form():
+    """form of two (3,) arrays takes one array product and self_product's
+    sum; it must give the bits of the stacked path, which is the form on
+    0-d slices written out here and form of (1, 3) stacks, type included.
+    The vectors are contiguous, column views of a bending's frame,
+    real-valued complex or real, with entries of exactly +-0.0."""
+    rng = default_rng(26)
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+    pairs = [(np.array(zeros[:3]), np.array(zeros[1:]))]
+    for i in range(3000):
+        u = random_vector(rng)
+        v = random_vector(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if i % 3 == 0:
+            u = u.real.astype(complex)
+        if i % 5 == 0:
+            u[rng.integers(3)] = zeros[rng.integers(4)]
+        if i % 7 == 0:
+            v[rng.integers(3)] = zeros[rng.integers(4)]
+        pairs.append((u, v))
+        if i % 11 == 0:
+            pairs += [(u.real.copy(), v.real.copy()), (u.real.copy(), v)]
+    for _ in range(300):
+        p, q = random_point(rng), random_point(rng)
+        try:
+            b = chg.bending(p, q)
+        except errors.GeometryError:
+            continue
+        pairs += [(b.cols[:, 0], q.rep), (b.cols[:, 1], b.cols[:, 2]), (p.rep, b.cols_inv[:, 0])]
+    assert len(pairs) > 4000
+    for u, v in pairs:
+        got = chg.form(u, v)
+        want = (
+            u[..., 0] * v[..., 0].conj()
+            + u[..., 1] * v[..., 1].conj()
+            - u[..., 2] * v[..., 2].conj()
+        )
+        stacked = chg.form(u[None], v[None])[0]
+        assert type(got) is type(want) is type(stacked)
+        assert got.tobytes() == want.tobytes() == stacked.tobytes()
+
+
+def test_long_stacks_are_bitwise_the_per_column_products():
+    """follow_path pairs stacks of 10 000 rows.  One array product over a
+    whole stack is not their bits: on the AVX-512 dispatch numpy rounds a
+    complex product of some 10^4 entries otherwise than a short one."""
+    rng = default_rng(28)
+    u, v = (rng.normal(size=(10_000, 3)) + 1j * rng.normal(size=(10_000, 3)) for _ in "uv")
+    for a, b in ((u, v), (u, u), (u[1:], v[:-1])):
+        want = np.array([chg.form(x, y) for x, y in zip(a, b)])
+        assert chg.form(a, b).tobytes() == want.tobytes()
+
+
+def test_gram_is_bitwise_the_matmul_chain():
+    # gram multiplies by ndarray.dot; the chain written with @ is the reference
+    rng = default_rng(27)
+    for i in range(600):
+        points = [random_point(rng) for _ in range(2 + i % 4)]
+        reps = np.array([p.rep for p in points])
+        want = (reps.conj() @ chg.J @ reps.T).T
+        got = chg.gram(points).m
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
 def test_point_canonicalization_is_scale_free():
     rng = default_rng(7)
     for _ in range(50):

@@ -26,6 +26,7 @@ from chgeom.isometry import (
     _logm3,
     _normalize_eigenbasis,
     _null_pair,
+    _reflections,
     _sqrtm3,
     center_reduce,
     centralizer_basis,
@@ -111,6 +112,27 @@ class TestReflection:
         got = rank_one_map(v, p) @ x
         assert np.allclose(got, chg.form(x, p.rep) * v)
 
+    def test_is_bitwise_the_formula_written_out(self):
+        # reflection is the one-row case of the stacked build; its bits are
+        # those of 2 v (J v)^* / <v, v> - I by self_product, np.outer and @,
+        # for points and for raw vectors moved far out
+        rng = default_rng(13)
+        for i in range(1500):
+            v = random_point(rng).rep
+            if i % 2:
+                v = random_isometry(rng, 1.0 + i % 3).m @ v
+            want = (2.0 / chg.self_product(v)) * np.outer(v, (J @ v).conj()) - np.eye(3)
+            assert reflection(v).m.tobytes() == want.tobytes()
+
+    def test_stacked_rows_are_the_one_row_builds(self):
+        rng = default_rng(14)
+        for i in range(300):
+            reps = np.array([random_point(rng).rep for _ in range(1 + i % 5)])
+            reps = reps @ random_isometry(rng, 1.0 + i % 3).m.T
+            stack = _reflections(reps)
+            for v, m in zip(reps, stack):
+                assert m.tobytes() == reflection(v).m.tobytes()
+
 
 class TestIsometryType:
     def test_inverse_is_exact(self):
@@ -131,6 +153,15 @@ class TestIsometryType:
     def test_matmul_takes_isometries_only(self):
         with pytest.raises(TypeError):
             IDENTITY @ 2.0
+
+    def test_products_are_bitwise_the_matmul_chains(self):
+        # Isometry @, inv and star multiply by ndarray.dot; @ is the reference
+        rng = default_rng(15)
+        for i in range(500):
+            g, h = (random_isometry(rng, 0.5 + i % 3) for _ in range(2))
+            assert (g @ h).m.tobytes() == (g.m @ h.m).tobytes()
+            want = J @ g.m.conj().T @ J
+            assert star(g.m).tobytes() == g.inv().m.tobytes() == want.tobytes()
 
     def test_validating_factory_rejects_non_finite(self):
         for x in (np.nan, np.inf, -np.inf):
@@ -329,7 +360,37 @@ class TestLogm:
                 _logm3(m)
 
 
+def reference_project_to_su(m):
+    """project_to_su as it was written with @ and np.eye."""
+    m = np.asarray(m, dtype=complex)
+    for _ in range(3):
+        e = m.conj().T @ J @ m - J
+        if float(np.abs(e).max()) < 1e-15:
+            break
+        m = m @ (np.eye(3) - 0.5 * (J @ e))
+    d = np.linalg.det(m)
+    return m * np.exp(-np.log(d) / 3.0)
+
+
 class TestProjectToSu:
+    def test_is_bitwise_reference(self):
+        # drift from 1e-16 to 1e-9, so that the loop stops after 0 to 3 steps
+        rng = default_rng(16)
+        for i in range(1500):
+            g = random_isometry(rng, 0.3 + i % 4)
+            drift = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            m = g.m + drift * 10.0 ** rng.uniform(-16.0, -9.0)
+            assert project_to_su(m).m.tobytes() == reference_project_to_su(m).tobytes()
+
+    def test_frame_map_is_bitwise_reference(self):
+        rng = default_rng(17)
+        for i in range(300):
+            T = random_strongly_regular_triple(rng)
+            pa = _standard_cols(T)
+            pb = _standard_cols(T.apply(random_isometry(rng, 0.5 + i % 3)))
+            want = center_reduce(Isometry(reference_project_to_su(pb @ np.linalg.inv(pa))))
+            assert _frame_map(pa, pb).m.tobytes() == want.m.tobytes()
+
     def test_repairs_drift(self):
         rng = default_rng(11)
         g = random_isometry(rng)

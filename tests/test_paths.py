@@ -588,6 +588,40 @@ def test_evaluate_is_bitwise_reference(kind):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["hyperbolic", "spherical", "euclidean"])
+def test_frame_is_bitwise_reference(kind):
+    # the frame is filled column by column in C order, as np.column_stack
+    # gives it, its polar column is point of conj(np.cross(J p1, J p2)),
+    # and point_parameter on the orbit of p1 is the parameter written out
+    rng = default_rng(45)
+    for _ in range(100):
+        if kind == "hyperbolic":
+            p1, p2 = random_hyperbolic_pair(rng)
+        elif kind == "spherical":
+            p1, p2 = random_spherical_pair(rng)
+        else:
+            g = random_isometry(rng, 0.6)
+            p1, p2 = (g.apply(p) for p in EUCLIDEAN_PAIR)
+        b = bending(p1, p2)
+        assert b.cols.flags.c_contiguous
+        cols = np.column_stack(list(b.cols.T))
+        assert b.cols_inv.tobytes() == np.linalg.inv(cols).tobytes()
+        if kind != "euclidean":
+            pol = point(np.conj(np.cross(J @ p1.rep, J @ p2.rep)))
+            assert b.cols[:, 2].tobytes() == pol.rep.tobytes()
+            continue
+        s = float(rng.uniform(-2.0, 2.0))
+        q = b.evaluate(s).apply(p1)
+        c = b.cols_inv @ q.rep
+        assert b.point_parameter(q)[0] == float((c[2] / c[1]).real)
+    if kind == "hyperbolic":
+        for s in rng.uniform(-2.0, 2.0, 50):
+            q = b.evaluate(float(s)).apply(p1)
+            c = b.cols_inv @ q.rep
+            want = 0.5 * np.log(abs((c[1] / c[0]).real)) / b.rate
+            assert np.float64(b.point_parameter(q)[0]).tobytes() == np.float64(want).tobytes()
+
+
 def test_step_angle_error_carries_value_and_bound():
     p, far = point([0.0, 0.0, 1.0]), point([0.5, 0.0, 1.0])
     with pytest.raises(errors.StepTooLarge) as info:

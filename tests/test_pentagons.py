@@ -19,7 +19,7 @@ from chgeom.errors import (
     NotAPentagon,
     NotConjugate,
 )
-from chgeom.isometry import CubeRoot, reflection, split_two_reflections
+from chgeom.isometry import CubeRoot, _reflection_product, reflection, split_two_reflections
 from chgeom.pentagons import (
     Pentagon,
     apply_pentagon_moves,
@@ -104,16 +104,34 @@ def real_pentagon(s5=0.4, t4=2.0, t1=4.0, t2=4.0):
 
 
 def test_reflection_products_are_the_written_out_chains():
-    # the triple and pentagon products multiply left to right from the
-    # reflection in the last point, bit for bit
+    # the triple, pentagon and two-point products multiply left to right
+    # from the reflection in the last point, bit for bit, though their
+    # reflections are built in one stack: on chart pentagons, on the same
+    # pentagons moved by random_isometry at scales 1 to 3, and on the split
+    # pair whose product split_two_reflections checks
+    def check(P):
+        r = [reflection(p).m for p in P.points]
+        assert P.triple().product().m.tobytes() == (r[2] @ r[1] @ r[0]).tobytes()
+        five = r[4] @ r[3] @ r[2] @ r[1] @ r[0]
+        assert P.product().m.tobytes() == five.tobytes()
+        x1, x2 = P.p5, P.p4
+        pair = _reflection_product((x1, x2))
+        assert pair.tobytes() == (reflection(x2).m @ reflection(x1).m).tobytes()
+
     rng = default_rng(59)
     for _ in range(5):
-        P = pentagon_from_moduli(random_moduli(rng), CubeRoot(1), s5=0.2)
-        r = [reflection(p) for p in P.points]
-        T = P.triple()
-        assert np.array_equal(T.product().m, (r[2] @ r[1] @ r[0]).m)
-        five = r[4].m @ r[3].m @ r[2].m @ r[1].m @ r[0].m
-        assert np.array_equal(P.product().m, five)
+        check(pentagon_from_moduli(random_moduli(rng), CubeRoot(1), s5=0.2))
+    for scale in (1.0, 2.0, 3.0):
+        moved = 0
+        for i in range(20):
+            P = pentagon_from_moduli(random_moduli(rng), CubeRoot(1 + i % 2), s5=0.2)
+            try:
+                P = P.apply(random_isometry(rng, scale))
+            except IsotropicVector:
+                continue
+            check(P)
+            moved += 1
+        assert moved >= 15
 
 
 class TestVerifyAndBuild:

@@ -46,6 +46,7 @@ from chgeom.triples import (
     connect_triples,
     decompose_three_reflections,
     _closure_gap,
+    _kappa,
     _sheet_gap,
     horizontal_line,
     s_coords,
@@ -1113,6 +1114,42 @@ class TestClosureGap:
         T = random_strongly_regular_triple(default_rng(54))
         g = Isometry(np.full((3, 3), np.nan, dtype=complex))
         assert np.isnan(_closure_gap(g, T.points, T.points))
+
+    def test_is_bitwise_reference(self):
+        # the gap is the `value` of the connectors' NotConjugate; written
+        # with np.linalg.norm, @ and np.concatenate it has the same bits
+        def reference(g, points, targets):
+            a = np.array([p.rep for p in points]) @ g.m.T
+            ab = np.concatenate((a, [q.rep for q in targets]))
+            ab *= 1.0 / np.linalg.norm(ab, axis=1, keepdims=True)
+            a, b = ab[: len(a)], ab[len(a) :]
+            u = np.exp(1j * np.angle((a.conj() * b).sum(axis=1, keepdims=True)))
+            return float(np.linalg.norm(a * u - b, axis=1).max())
+
+        rng = default_rng(55)
+        for i in range(500):
+            T = random_strongly_regular_triple(rng)
+            g = random_isometry(rng, 0.5 + i % 2)
+            targets = T.apply(g).points
+            # near the isometry, so that the gaps run from roundoff up
+            near = random_isometry(rng, 10.0 ** -(i % 9)) @ g
+            for h in (g, near):
+                assert _closure_gap(h, T.points, targets) == reference(h, T.points, targets)
+
+
+class TestKappa:
+    def test_is_bitwise_the_numpy_expression(self):
+        # _kappa scales verify_pentagon's bound and the estimate by which
+        # _connect_triples picks its candidate; on numpy scalars it read
+        def reference(points):
+            return float(max(p.sign + 2.0 * abs(p.rep[2]) ** 2 for p in points))
+
+        rng = default_rng(56)
+        for i in range(600):
+            T = random_strongly_regular_triple(rng)
+            points = T.apply(random_isometry(rng, 0.5 * (1 + i % 6))).points
+            got = _kappa(points)
+            assert type(got) is float and got.hex() == reference(points).hex()
 
 
 class TestDecompose:
