@@ -131,7 +131,7 @@ def _pentagon_from_moduli_flag(moduli, delta: CubeRoot, tol: float):
     """The pentagon at --moduli's five numbers t1, t2, t4, t, s5."""
     t1, t2, t4, t, s5 = moduli
     P = pentagon_from_moduli((t1, t2, t4), delta, s5=s5, sheet=_sheet_of(t), tol=tol)
-    got = s_coords(P.triple()).t
+    got = s_coords(P.triple(), tol).t
     bound = 1e-6 * max(1.0, abs(t))
     _require(abs(got - t), bound, InadmissibleModuli, "distance of t from the surface")
     return P

@@ -113,9 +113,10 @@ class StepTooLarge(GeometryError):
 
 
 class BendingOverflow(GeometryError):
-    """A hyperbolic bending parameter whose isometry would overflow a float:
-    `value` is |rate * s|, `bound` the bending's th_max, log of the largest
-    float (about 709.78) less log(3 max|cols| max|cols_inv|)."""
+    """A bending parameter whose isometry would overflow a float, or a NaN
+    one: `value` is |rate * s|, `bound` the bending's th_max, set per kind
+    as paths.Bending says (log of the largest float, about 709.78, less
+    log(3 max|cols| max|cols_inv|) on a hyperbolic line)."""
 
 
 class NoPrincipalLog(GeometryError):

@@ -25,7 +25,8 @@ product: congruent triples have conjugate holonomy, and there the
 representatives stay small however far the input was moved, so moving it
 changes the samples only by roundoff.  Bendings are natural under
 isometries, so a loop ends at its rectangle and never walks its outbound
-legs back.
+legs back.  A triple's surface data is read by triples.s_coords alone, at
+the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _shape_ratio
 from .errors import LeavesAdmissibleRegion, OnRamification, _require_above
 from .isometry import (
     Isometry,
@@ -50,7 +51,6 @@ from .triples import (
     Triple,
     _admits,
     _coordinate_move,
-    _invariants,
     _kappa,
     _reads_real,
     _standard_cols,
@@ -153,9 +153,10 @@ def vertical_part(T: Triple, vels: TripleVelocities) -> VerticalPart:
 
     The velocities must pair imaginarily with their base points (the scale
     gauge Re<v_j, p_j> = 0).  Raises OnRamification where the bending
-    fields stop being transverse coordinates.
+    fields stop being transverse coordinates, reading t by core._shape_ratio
+    as the coordinate moves do.
     """
-    _pin_sheet(_invariants(T)[2], "bending fields degenerate at t = 1")
+    _pin_sheet(_shape_ratio(T.gram().m, DEFAULT_TOL).real, "bending fields degenerate at t = 1")
     P = np.column_stack([p.rep for p in T.points])
     p_inv = np.linalg.inv(P)
     G = T.gram().m
@@ -227,7 +228,7 @@ def rectangle_holonomy(
     and its logarithm divided by the area converges to the normalized
     curvature as the sides shrink.
     """
-    c = s_coords(T)
+    c = s_coords(T, tol)
     _pin_sheet(c.t, "rectangle sheet is pinned only away from t = 1")
     for _ in range(8):
         corners = ((c.t1, c.t2 + ds1), (c.t1 + ds2, c.t2 + ds1), (c.t1 + ds2, c.t2))
@@ -249,7 +250,7 @@ def _canonical_base(T: Triple, tol: float) -> tuple[SCoords, Triple, list]:
     centralizer basis of its product.  That triple is congruent to T, so
     holonomy is read there, where representatives stay small however far
     an isometry has moved T."""
-    c = s_coords(T)
+    c = s_coords(T, tol)
     _pin_sheet(c.t, "holonomy is read on a pinned sheet, away from t = 1")
     base = _standard_triple(c, tol)
     return c, base, centralizer_basis(base.product())
@@ -260,7 +261,7 @@ def _walk(cur: Triple, cc: SCoords, pair: str, factor: float, sheet: int, tol: f
     `pair` tracks is `factor` times larger; returns it and its s_coords."""
     target = getattr(cc, _SWEPT[pair]) * factor
     cur, _ = _coordinate_move(cur, pair, target, sheet, tol)
-    return cur, s_coords(cur)
+    return cur, s_coords(cur, tol)
 
 
 def _basis_coords(basis, w) -> np.ndarray:
@@ -325,16 +326,18 @@ def holonomy_dimension(
     direction on the real locus, both off it.  So the rank is the reality
     verdict triples._reads_real, the one classify_triple gives, read in
     the precision of T's own representatives; nothing is walked, no
-    curvature is evaluated and no rank is measured.  The canonical triple
-    with T's S-coordinates is still built, and its product's centralizer
-    read: a non-regular product raises NotRegular, and t = 1 raises
-    OnRamification.  Regularity is read there, not on T.product(): far
-    out, the input's own product reads non-regular by roundoff, on 17 of
-    400 draws at scale 2 and 63 of 389 at scale 3 of the default_rng(99)
+    curvature is evaluated and no rank is measured.  The S-coordinates are
+    read at `tol`, the canonical triple with them is built, and its
+    product's centralizer read: a non-regular product raises NotRegular.
+    No sheet is pinned, so the ramification t = 1, where that product stays
+    regular, has a rank too.  Regularity is read there, not on T.product():
+    far out, the input's own product reads non-regular by roundoff, on 17
+    of 400 draws at scale 2 and 63 of 389 at scale 3 of the default_rng(99)
     sweep of moved triples (none at scales 1 and 1.5).  n_samples and rng
     are accepted for compatibility and unused; ds matters only as ds = 0.
     """
     if ds == 0:
         return 0
-    c, _, _ = _canonical_base(T, tol)
+    c = s_coords(T, tol)
+    centralizer_basis(_standard_triple(c, tol).product())
     return 1 if _reads_real(c.alpha, _kappa(T.points), tol) else 2

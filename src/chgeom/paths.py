@@ -270,11 +270,15 @@ class Bending:
     evaluate(1) carry the first point of the pair onto the second (onto its
     orthogonal partner when the pair mixes signs on a hyperbolic line).
 
-    A hyperbolic evaluate(s) is cols diag(e^{-th}, e^{th}, 1) cols_inv with
-    th = rate * s, so its entries stay below 3 max|cols| max|cols_inv|
-    e^{|th|}.  `th_max`, log of the largest float less
-    log(3 max|cols| max|cols_inv|), bounds |th| so that no entry overflows;
-    beyond it evaluate raises BendingOverflow.  Other kinds do not read it.
+    evaluate(s) is cols N(th) cols_inv with th = rate * s, and `th_max`
+    bounds |th| so that no entry overflows; beyond it, or at a NaN,
+    evaluate raises BendingOverflow.  With m = max|cols| max|cols_inv|:
+    hyperbolic N = diag(e^{-th}, e^{th}, 1) gives entries below 3 m e^{|th|},
+    so th_max is log of the largest float less log(3 m); euclidean N holds
+    th^2 / 2 (rate 1), so each entry, a sum of 9 products, stays below
+    4.5 m th^2, and th_max is the square root of the largest float over
+    max(1, 4.5 m); spherical N is a rotation, so th_max is the largest
+    float and only an infinite or NaN th fails.
     """
 
     kind: LineType
@@ -293,14 +297,14 @@ class Bending:
         # converts to N faster than nested ones.
         s = float(s)
         th = self.rate * s
+        if not abs(th) <= self.th_max:
+            raise BendingOverflow(
+                f"bending exponent {abs(th):.3e} exceeds {self.th_max:.3e}",
+                value=abs(th),
+                bound=self.th_max,
+            )
         kind = self.kind
         if kind is _HYPERBOLIC:
-            if not abs(th) <= self.th_max:
-                raise BendingOverflow(
-                    f"bending exponent {abs(th):.3e} exceeds {self.th_max:.2f}",
-                    value=abs(th),
-                    bound=self.th_max,
-                )
             m = (self.cols * np.exp([-th, th, 0.0])).dot(self.cols_inv)
         else:
             if kind is _SPHERICAL:
@@ -430,10 +434,16 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
         cols_inv = np.linalg.inv(cols)
     except np.linalg.LinAlgError as exc:
         raise EqualPoints("the adapted frame of the pair is singular") from exc
-    th_max = _EXP_MAX
+    # the bound of the Bending docstring, per kind; the max(1, .) keeps
+    # th^2 itself finite
+    mc = max(map(abs, cols.ravel().tolist()))
+    mci = max(map(abs, cols_inv.ravel().tolist()))
     if kind is _HYPERBOLIC:
-        size = 3.0 * max(map(abs, cols.ravel().tolist()))
-        th_max -= math.log(size * max(map(abs, cols_inv.ravel().tolist())))
+        th_max = _EXP_MAX - math.log(3.0 * mc * mci)
+    elif kind is _EUCLIDEAN:
+        th_max = math.sqrt(sys.float_info.max / max(1.0, 4.5 * mc * mci))
+    else:
+        th_max = sys.float_info.max
     return Bending(kind, _ro(cols), _ro(cols_inv), float(rate), th_max)
 
 

@@ -32,6 +32,9 @@ level: the pentagon's 34 move is the vertical line of its sub-triple
 A triple's invariants come from its Gram by two readers of core:
 _triple_invariants gives (t1, t2, alpha, beta), and _shape_ratio gives the
 complex shape ratio, whose real part is t, or raises DegenerateTau.
+s_coords combines them for strongly regular triples, at the caller's
+tolerance; code that needs t alone, to pick or pin a sheet, reads
+_shape_ratio.
 """
 
 from __future__ import annotations
@@ -255,14 +258,6 @@ def validate_coords(c: SCoords, tol: float = DEFAULT_TOL) -> None:
     scale = abs(c.t1 * c.t2) * (1.0 + (c.t - 1.0) * (c.t - 1.0))
     bound = CLOSURE_TOL * min(max(1.0, scale), np.finfo(float).max)
     _require(abs(c.residual()), bound, InadmissibleCoords, "surface residual")
-
-
-def _invariants(T: Triple, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
-    """(t1, t2, t, alpha, beta) of T from its Gram; DegenerateTau where the
-    shape ratio, and so t, is undefined."""
-    m = T.gram().m
-    t1, t2, a, b = _triple_invariants(m)
-    return t1, t2, _shape_ratio(m, tol).real, a, b
 
 
 def s_coords(T: Triple, tol: float = DEFAULT_TOL) -> SCoords:

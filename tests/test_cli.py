@@ -12,6 +12,7 @@ from chgeom import (
     bending,
     jsonio,
     pentagon_from_moduli,
+    point,
     reflection,
     s_coords,
     tance,
@@ -22,6 +23,7 @@ from chgeom.holonomy import holonomy_dimension, holonomy_samples
 from chgeom.sampling import (
     random_isometry,
     random_negative_point,
+    random_point,
     random_strongly_regular_triple,
 )
 
@@ -202,6 +204,24 @@ class TestBend:
         code, out = run(capsys, "bend", "--p1", a, "--p2", b, "--s", "1e6", "--steps", "0")
         assert code == 1
         assert "BendingOverflow" in out.err
+
+    def test_overflowing_euclidean_parameter_domain_error(self, tmp_path, capsys):
+        # s^2 / 2 overflows the normal form: a domain error, not numpy's
+        # non-finite norm read as a usage error
+        a = write(tmp_path, "a.json", point([0.0, 1.0, 0.0]))
+        b = write(tmp_path, "b.json", point([1.0, 1.0, 1.0]))
+        code, out = run(capsys, "bend", "--p1", a, "--p2", b, "--s", "1e200", "--steps", "0")
+        assert code == 1
+        assert "BendingOverflow: bending exponent 1.000e+200 exceeds 6.321e+153" in out.err
+
+    def test_default_steps_follow_a_hyperbolic_orbit(self, tmp_path, capsys):
+        a = write(tmp_path, "p1.json", random_negative_point(default_rng(1)))
+        b = write(tmp_path, "p2.json", random_negative_point(default_rng(2)))
+        code, out = run(capsys, "bend", "--p1", a, "--p2", b)
+        assert code == 0
+        d = json.loads(out.out)
+        assert d["kind"] == "hyperbolic"
+        assert d["follow_residual"] <= 1e-6
 
 
 class TestDecompose:
@@ -397,6 +417,64 @@ class TestPentagonVerbs:
         assert code == 0
         assert json.loads(out.out)["moves"] == []
 
+    def test_connect_a_moved_pair_bends_p4_and_p5(self, tmp_path, capsys):
+        # the moduli of the round trip above against a moved chart
+        # pentagon: the program ends on the pair 45
+        code, out = run(capsys, "pentagon", "new", "--delta", "1",
+                        "--moduli=-2.0,4.0,2.0,2.0187752,0.0")
+        assert code == 0
+        a = tmp_path / "a.json"
+        a.write_text(out.out)
+        P = pentagon_from_moduli((-1.5, 3.0, 2.5), CubeRoot(1), s5=0.3)
+        b = write(tmp_path, "b.json", P.apply(random_isometry(default_rng(5), 0.6)))
+        code, out = run(capsys, "pentagon", "connect", str(a), b)
+        assert code == 0
+        assert "45" in [m["pair"] for m in json.loads(out.out)["moves"]]
+
+    def test_connect_a_pair_that_needs_a_lift(self, tmp_path, capsys):
+        # pair 12 raises t2 before the 23 leg can reach its t1
+        files = []
+        for name, moduli in (("a", "-3.5,1.5,4.0,1.1529194354602996,0.0"),
+                             ("b", "-0.9,5.4,3.3,2.176423684656278,0.0")):
+            code, out = run(capsys, "pentagon", "new", "--delta", "1", f"--moduli={moduli}")
+            assert code == 0
+            files.append(tmp_path / f"{name}.json")
+            files[-1].write_text(out.out)
+        code, out = run(capsys, "pentagon", "connect", *map(str, files))
+        assert code == 0
+        pairs = [m["pair"] for m in json.loads(out.out)["moves"]]
+        assert pairs[:3] == ["12", "23", "12"]
+
+    @staticmethod
+    def signed_pentagon(tmp_path, capsys, name, p4_seed, p5_seed, p5_sign):
+        """A pentagon file built by `pentagon new --p4 --p5` on a positive p4
+        and a p5 of the given sign, drawn by random_point."""
+        p4 = write(tmp_path, f"{name}4.json", random_point(default_rng(p4_seed), sign=1))
+        p5 = write(tmp_path, f"{name}5.json", random_point(default_rng(p5_seed), sign=p5_sign))
+        code, out = run(capsys, "pentagon", "new", "--delta", "1", "--p4", p4, "--p5", p5)
+        assert code == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(out.out)
+        return str(path)
+
+    def test_connect_mixed_sign_pairs(self, tmp_path, capsys):
+        # p4 positive and p5 negative on both, so ta(p4, p5) <= 0 and the
+        # 34 legs slide both pentagons to the level of larger modulus
+        a = self.signed_pentagon(tmp_path, capsys, "a", 1, 2, -1)
+        b = self.signed_pentagon(tmp_path, capsys, "b", 3, 4, -1)
+        code, out = run(capsys, "pentagon", "connect", a, b)
+        assert code == 0
+        jsonio.decode_isometry(json.loads(out.out)["conjugator"])
+
+    def test_connect_refuses_pairs_of_other_signs(self, tmp_path, capsys):
+        # no bend and no isometry changes a sign: a (+, +) pair against a
+        # (+, -) one is refused before any move
+        a = self.signed_pentagon(tmp_path, capsys, "a", 1, 2, -1)
+        b = self.signed_pentagon(tmp_path, capsys, "b", 1, 7, 1)
+        code, out = run(capsys, "pentagon", "connect", a, b)
+        assert code == 1
+        assert "IncompatibleInvariants" in out.err
+
     def test_connect_different_delta(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", pentagon_from_moduli((-2, 3, 2), CubeRoot(1)))
         b = write(tmp_path, "b.json", pentagon_from_moduli((-2, 3, 2), CubeRoot(2)))
@@ -418,6 +496,14 @@ class TestHolonomyProbe:
         assert lines[0] == "c1,c2"
         assert len(lines) == 7
         assert all(len(line.split(",")) == 2 for line in lines[1:])
+
+    def test_probe_real_triple(self, tmp_path, capsys):
+        # a real strongly regular triple: its curvature spans one direction
+        T = random_strongly_regular_triple(default_rng(1), real=True)
+        t = write(tmp_path, "t.json", T)
+        code, out = run(capsys, "holonomy", "probe", "--triple", t, "--samples", "2")
+        assert code == 0
+        assert '"dimension": 1' in out.out
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_is_a_usage_error(self, tmp_path, capsys, tri, samples):

@@ -509,7 +509,7 @@ def test_tau_degenerate():
     assert chg.tau_complex(q1, q2, q3) == pytest.approx(0.0, abs=1e-12)
     for call in (
         lambda: chg.tau_complex(q1, q2, q3, tol=1e-4),
-        lambda: chg.triples._invariants(chg.triples.Triple(q1, q2, q3), tol=1e-4),
+        lambda: chg.core._shape_ratio(chg.triples.Triple(q1, q2, q3).gram().m, 1e-4),
     ):
         with pytest.raises(errors.DegenerateTau) as info:
             call()

@@ -413,13 +413,39 @@ class TestHolonomyDimension:
         sv = np.linalg.svd(rows, compute_uv=False)
         assert sv[1] > 1e-3 * sv[0]
 
-    def test_ramification_raises(self):
-        c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)
+    @pytest.mark.parametrize(
+        "alpha, beta, rank",
+        [(0.0, 9.0, 1), (0.5, 9.0 - 0.25 / 16.0, 2)],
+        ids=["real", "generic"],
+    )
+    def test_rank_is_read_on_the_ramification(self, alpha, beta, rank):
+        # the verdict pins no sheet: at t = 1 the canonical product is
+        # still regular, while the loops, which walk a sheet, refuse
+        c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=alpha, beta=beta)
+        T = triple_from_coords(c)
+        assert abs(s_coords(T).t - 1.0) <= 1e-12
+        assert holonomy_dimension(T) == rank
         with pytest.raises(OnRamification) as info:
-            holonomy_dimension(triple_from_coords(c))
-        assert info.value.value <= 1e-12
+            holonomy_samples(T, 4, rng=default_rng(6))
         assert info.value.bound == 1e-8
         assert str(info.value).startswith("holonomy is read on a pinned sheet")
+
+    def test_coordinates_are_read_at_the_callers_tolerance(self):
+        # beta = 5e-10 reads as zero at the default tolerance, so the
+        # triple is only regular there; at tol = 1e-12 it is strongly
+        # regular, and every holonomy reader must see it so
+        t1 = t2 = 4.0
+        alpha, beta = 0.5, 5e-10
+        t = 1.0 + np.sqrt(_sheet_gap(t1, t2, alpha, beta))
+        c = SCoords(t=t, t1=t1, t2=t2, sigma=(-1, -1, -1), alpha=alpha, beta=beta)
+        T = triple_from_coords(c, 1e-12)
+        assert s_coords(T, 1e-12).beta == pytest.approx(beta, rel=1e-3)
+        assert holonomy_dimension(T, tol=1e-12) == 2
+        g, used = rectangle_holonomy(T, 1e-3, 1e-3, 1e-12)
+        assert used == (1e-3, 1e-3)
+        assert form_residual(g.m) <= 1e-10
+        rows = holonomy_samples(T, 2, rng=default_rng(1), tol=1e-12)
+        assert rows.shape == (2, 2) and np.isfinite(rows).all()
 
     def test_samples_at_ramification_raise(self):
         c = SCoords(t=1.0, t1=4.0, t2=4.0, sigma=(-1, -1, -1), alpha=0.0, beta=9.0)

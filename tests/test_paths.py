@@ -649,6 +649,43 @@ def test_evaluate_overflow_carries_value_and_bound():
         assert np.isfinite(b.evaluate(s).m).all()
 
 
+def test_euclidean_overflow_carries_value_and_bound():
+    # entries of cols N(s) cols_inv are sums of 9 products, the largest
+    # holding s^2 / 2: |s| is bounded by sqrt(max float / (4.5 m))
+    b = bending(*EUCLIDEAN_PAIR)
+    assert b.kind is chg.LineType.EUCLIDEAN
+    m = np.abs(b.cols).max() * np.abs(b.cols_inv).max()
+    bound = np.sqrt(np.finfo(float).max / (4.5 * m))
+    assert b.th_max == pytest.approx(bound, rel=1e-12)
+    assert b.th_max == pytest.approx(6.321e153, rel=1e-3)
+    for s in (1e160, -1e160, float("inf"), float("nan")):
+        with pytest.raises(errors.BendingOverflow) as info:
+            b.evaluate(s)
+        assert info.value.bound == b.th_max
+        if s == s:
+            assert info.value.value == abs(s)
+
+
+def test_moved_euclidean_bendings_are_finite_up_to_their_bound():
+    # the suite turns an overflow's RuntimeWarning into an error
+    for _, _, b in moved_euclidean_bendings(default_rng(3), 1.0, 300):
+        assert b.th_max > 1e150
+        for s in (b.th_max, -b.th_max):
+            assert np.isfinite(b.evaluate(s).m).all()
+
+
+@pytest.mark.parametrize("s", [float("inf"), -float("inf"), float("nan")])
+def test_spherical_bending_refuses_a_non_finite_parameter(s):
+    # a rotation never overflows, so only a non-finite angle is refused
+    b = bending(*random_spherical_pair(default_rng(44)))
+    assert b.kind is chg.LineType.SPHERICAL
+    assert b.th_max == np.finfo(float).max
+    with pytest.raises(errors.BendingOverflow) as info:
+        b.evaluate(s)
+    assert info.value.bound == b.th_max
+    assert np.isfinite(b.evaluate(1e300).m).all()
+
+
 @pytest.mark.parametrize("pair", [random_hyperbolic_pair, random_spherical_pair])
 def test_bending_pairs_the_points_once(pair, count_calls):
     p1, p2 = pair(default_rng(43))

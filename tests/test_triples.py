@@ -612,11 +612,11 @@ def reference_coordinate_move(T, pair, target, sheet=None, tol=core.DEFAULT_TOL)
     b = bending(T.points[i], T.points[i + 1], tol)
     fixed = T.p3 if pair == "12" else T.p1
     cand_s = triples_module._bend_targets(b, T.p2, fixed, target, tol)
-    t_now = triples_module._invariants(T)[2] if sheet is None else None
+    t_now = core._shape_ratio(T.gram().m, tol).real if sheet is None else None
     best = None
     for s in cand_s:
         cand = Triple(*triples_module._bend(T.points, pair, s, tol, b))
-        tc = triples_module._invariants(cand)[2]
+        tc = core._shape_ratio(cand.gram().m, tol).real
         score = -abs(tc - t_now) if sheet is None else sheet * (tc - 1.0)
         if best is None or score > best[0]:
             best = (score, cand, s)
@@ -700,9 +700,10 @@ class TestOneCandidateMove:
             if len(ss) < 2:
                 continue
             ts = [
-                triples_module._invariants(
-                    Triple(*triples_module._bend(T.points, pair, s, 1e-9, b))
-                )[2]
+                core._shape_ratio(
+                    Triple(*triples_module._bend(T.points, pair, s, 1e-9, b)).gram().m,
+                    core.DEFAULT_TOL,
+                ).real
                 for s in ss
             ]
             if scale != 2.0:
