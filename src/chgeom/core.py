@@ -46,7 +46,7 @@ def form(u, v):
     # 2.4 us on (3,) arrays against 1.3 us here, and on stacks it is not the
     # per-column sum's bits: on the AVX-512 dispatch numpy rounds a complex
     # product of some 10^4 entries or more otherwise than a short one, so on
-    # follow_path's 10 000-row stacks about a third of the entries move.
+    # normalized_lift's 10 000-row stacks about a third of the entries move.
     if type(u) is np.ndarray and type(v) is np.ndarray and u.shape == v.shape == (3,):
         t = u * v.conj()
         return (t[0] + t[1]) - t[2]

@@ -8,6 +8,9 @@ star(Y) = -Y) are kept as plain 3x3 arrays.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -138,8 +141,12 @@ def _reflection_product(points) -> np.ndarray:
 def project_to_su(m) -> Isometry:
     """Nearest-isometry correction for a small perturbation of an isometry.
 
-    One Newton step restores the form condition quadratically; the
-    determinant is then renormalized by a principal cube root.
+    The input must be near the group, as a product of isometries carrying
+    roundoff is.  One Newton step restores the form condition
+    quadratically; the determinant is then renormalized by a principal cube
+    root.  Far from the group the steps need not converge and the result
+    is no isometry; this is not checked.  A zero or non-finite determinant
+    after the steps, which has no cube root to divide by, raises ValueError.
     """
     m = np.asarray(m, dtype=complex)
     for _ in range(3):
@@ -148,6 +155,8 @@ def project_to_su(m) -> Isometry:
             break
         m = m.dot(_EYE - 0.5 * J.dot(e))
     d = np.linalg.det(m)
+    if d == 0 or not cmath.isfinite(d):
+        raise ValueError(f"determinant {complex(d)} of the projected matrix has no cube root")
     m = m * np.exp(-np.log(d) / 3.0)
     return Isometry(_ro(m))
 
@@ -326,8 +335,20 @@ def center_reduce(g: Isometry) -> Isometry:
 
 def _frame_map(pa, pb) -> Isometry:
     """The isometry nearest the identity with g pa = z pb, |z| = 1, for
-    frames (columns) with equal Grams: pb pa^-1 projected onto the group."""
-    return center_reduce(project_to_su(pb.dot(np.linalg.inv(pa))))
+    frames (columns) with equal Grams: pb pa^-1 projected onto the group.
+
+    Frames whose Grams differ can leave that projection without a finite
+    result; then it raises NotConjugate carrying the largest |entry| (NaN
+    where project_to_su finds no determinant to divide by) as `value` and
+    the largest float as `bound`."""
+    m = pb.dot(np.linalg.inv(pa))
+    try:
+        g = project_to_su(m)
+        size = float(np.abs(g.m).max())
+    except ValueError:
+        size = math.nan
+    _require(size, sys.float_info.max, NotConjugate, "largest |entry| of the frame map")
+    return center_reduce(g)
 
 
 def trace_formula(G, tol: float = DEFAULT_TOL) -> complex:

@@ -174,6 +174,12 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     products in a batched matmul cost more per pair), and carries an odd
     last step up unchanged.  So the roundoff grows with log n rather than n
     (Blelloch, "Prefix sums and their applications").
+
+    Splitting the stack into blocks of 2^j steps keeps every association:
+    each of the first j levels pairs steps within a block (a full block
+    has an even count at each of them) and carries a partial last block's
+    odd step as the whole stack's odd last step, so reducing the blocks'
+    products again is this product, bit for bit.
     """
     while len(steps) > 1:
         left, right = steps[1::2], steps[:-1:2]
@@ -227,6 +233,12 @@ def _step_exponentials(m: np.ndarray, v: np.ndarray, sign: int) -> np.ndarray:
     return out
 
 
+#: Steps per block of follow_path's step stage.  It must be a power of two:
+#: then the blocks are subtrees of _ordered_product's tree over all the
+#: steps, and the blocking changes no bit of F (see _ordered_product).
+_BLOCK = 1024
+
+
 def follow_path(path) -> Isometry:
     """Integrate the tangent flow along a path of points.
 
@@ -237,17 +249,29 @@ def follow_path(path) -> Isometry:
     difference v made form-orthogonal to m.  The step exponentials come in
     closed form (_step_exponentials), are multiplied by a pairwise tree
     product (_ordered_product) and projected onto SU(2, 1) once, at the end.
+
+    The steps are taken _BLOCK at a time, from lift rows that overlap by
+    one, and each block's product is kept in one (blocks, 3, 3) stack that
+    _ordered_product reduces in turn.  So the working memory beyond the
+    lift does not grow with the path, and the result is that of one tree
+    over all the steps.
     """
     points = path.points if isinstance(path, PathSample) else list(path)
     lift = normalized_lift(points)
-    if len(lift) < 2:
+    n = len(lift) - 1
+    if n < 1:
         return IDENTITY
-    mids = 0.5 * (lift[:-1] + lift[1:])
-    mids = mids / np.sqrt(np.abs(form(mids, mids).real))[:, None]
-    vels = lift[1:] - lift[:-1]
-    vels = vels - (form(vels, mids) / form(mids, mids))[:, None] * mids
-    steps = _step_exponentials(mids, vels, points[0].sign)
-    return project_to_su(_ordered_product(steps))
+    sign = points[0].sign
+    starts = range(0, n, _BLOCK)
+    blocks = np.empty((len(starts), 3, 3), dtype=complex)
+    for k, start in enumerate(starts):
+        rows = lift[start : start + _BLOCK + 1]
+        mids = 0.5 * (rows[:-1] + rows[1:])
+        mids = mids / np.sqrt(np.abs(form(mids, mids).real))[:, None]
+        vels = rows[1:] - rows[:-1]
+        vels = vels - (form(vels, mids) / form(mids, mids))[:, None] * mids
+        blocks[k] = _ordered_product(_step_exponentials(mids, vels, sign))
+    return project_to_su(_ordered_product(blocks))
 
 
 #: Relative size of the coordinates off a bending's geodesic (or circle)

@@ -636,11 +636,11 @@ def _connect_triples(A: Triple, B: Triple, tol: float) -> tuple:
     for first in ("23", "12"):
         try:
             moves, cur = _bend_onto(A, ca, cb, first, tol)
+            g = _frame_map(_standard_cols(cur), _standard_cols(B))
         except GeometryError:
             if best is None:  # the first order's failure is the caller's
                 raise
             break
-        g = _frame_map(_standard_cols(cur), _standard_cols(B))
         residual = float(np.abs(star(g.m).dot(g.m) - _EYE).max())
         est = residual * _kappa(cur.points)
         if best is None or est < best[3]:

@@ -292,8 +292,8 @@ def test_form_of_two_vectors_is_bitwise_the_stacked_form():
 
 
 def test_long_stacks_are_bitwise_the_per_column_products():
-    """follow_path pairs stacks of 10 000 rows.  One array product over a
-    whole stack is not their bits: on the AVX-512 dispatch numpy rounds a
+    """normalized_lift pairs stacks of 10 000 rows.  One array product over
+    a whole stack is not their bits: on the AVX-512 dispatch numpy rounds a
     complex product of some 10^4 entries otherwise than a short one."""
     rng = default_rng(28)
     u, v = (rng.normal(size=(10_000, 3)) + 1j * rng.normal(size=(10_000, 3)) for _ in "uv")

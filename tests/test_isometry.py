@@ -6,6 +6,8 @@ reflections against its analytic statement.
 """
 
 import dataclasses
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +401,35 @@ class TestProjectToSu:
         assert form_residual(fixed.m) < 1e-14
         assert np.linalg.det(fixed.m) == pytest.approx(1.0, abs=1e-14)
         assert np.abs(fixed.m - g.m).max() < 1e-7
+
+    def test_zero_determinant_raises(self):
+        # the Newton steps keep the zero matrix, whose determinant has no
+        # cube root; once that warned in np.log and returned NaN entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="determinant"):
+                project_to_su(np.zeros((3, 3)))
+
+    def test_frame_map_of_incongruent_frames_raises(self):
+        # Frames of two unrelated triples have different Grams, and on the
+        # 99th of these pairs the Newton steps blow pb pa^-1 up to entries
+        # of 3e20 whose determinant computes to 0 (which other pairs do so
+        # depends on numpy's SIMD dispatch).  Every pair gives a finite map
+        # or raises NotConjugate, without a warning.
+        rng = default_rng(0)
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):
+                pa, pb = (_standard_cols(random_strongly_regular_triple(rng)) for _ in "ab")
+                try:
+                    g = _frame_map(pa, pb)
+                except errors.NotConjugate as err:
+                    assert np.isnan(err.value) and err.bound == sys.float_info.max
+                    raised += 1
+                else:
+                    assert np.isfinite(g.m).all()
+        assert raised >= 1
 
     def test_algebra_projection(self):
         rng = default_rng(12)
