@@ -296,6 +296,12 @@ def _cross(a, b) -> np.ndarray:
     return a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
 
 
+def _polar(a: np.ndarray, b: np.ndarray, tol: float) -> Point:
+    """The point conj(J a x J b), form-orthogonal to the vectors a and b;
+    the one place the formula is written, with no line type checked."""
+    return point(np.conj(_cross(J.dot(a), J.dot(b))), tol)
+
+
 def polar_point(p, q, tol: float = DEFAULT_TOL) -> Point:
     """The point orthogonal to both p and q.
 
@@ -303,8 +309,7 @@ def polar_point(p, q, tol: float = DEFAULT_TOL) -> Point:
     """
     if line_type(p, q, tol) is LineType.EUCLIDEAN:
         raise EuclideanLine("a euclidean line has an isotropic polar vector")
-    v = np.conj(_cross(J @ _rep(p), J @ _rep(q)))
-    return point(v, tol)
+    return _polar(_rep(p), _rep(q), tol)
 
 
 def project_orthogonal(base, v) -> np.ndarray:

@@ -188,11 +188,7 @@ def vertical_part(T: Triple, vels: TripleVelocities) -> VerticalPart:
 def omega_commutator(T: Triple) -> np.ndarray:
     """The curvature vector at p1: the vertical part of [b1, b2] applied
     to the first point, in closed form."""
-    return _omega(T, s_coords(T))
-
-
-def _omega(T: Triple, c: SCoords) -> np.ndarray:
-    """omega_commutator(T) with c = s_coords(T) already read."""
+    c = s_coords(T)
     _pin_sheet(c.t, "curvature normalization degenerates at t = 1")
     G = T.gram().m
     p1, p2, p3 = (p.rep for p in T.points)
@@ -246,12 +242,13 @@ def rectangle_holonomy(
 
 
 def _canonical_base(T: Triple, tol: float) -> tuple[SCoords, Triple, list]:
-    """T's S-coordinates c, the triple realizing standard_gram(c), and the
-    centralizer basis of its product.  That triple is congruent to T, so
-    holonomy is read there, where representatives stay small however far
-    an isometry has moved T."""
+    """T's S-coordinates c read at `tol`, the triple realizing
+    standard_gram(c), and the centralizer basis of its product, which
+    raises NotRegular for a non-regular product.  That triple is congruent
+    to T, so holonomy is read there, where representatives stay small
+    however far an isometry has moved T.  No sheet is pinned: the
+    ramification t = 1 has a canonical base too."""
     c = s_coords(T, tol)
-    _pin_sheet(c.t, "holonomy is read on a pinned sheet, away from t = 1")
     base = _standard_triple(c, tol)
     return c, base, centralizer_basis(base.product())
 
@@ -292,10 +289,12 @@ def holonomy_samples(
     halve until it fits.  Bendings are natural under isometries, so that
     rectangle's holonomy is the whole lasso's and no leg is walked back.
     Rows are in the centralizer basis of the canonical triple's product, so
-    moving T changes them only by roundoff.
+    moving T changes them only by roundoff.  The loops are walked on a
+    pinned sheet, so at the ramification t = 1 this raises OnRamification.
     """
     rng = np.random.default_rng(rng)
     c, base, basis = _canonical_base(T, tol)
+    _pin_sheet(c.t, "holonomy is read on a pinned sheet, away from t = 1")
 
     def loop() -> np.ndarray:
         cur, cc = base, c
@@ -326,11 +325,11 @@ def holonomy_dimension(
     direction on the real locus, both off it.  So the rank is the reality
     verdict triples._reads_real, the one classify_triple gives, read in
     the precision of T's own representatives; nothing is walked, no
-    curvature is evaluated and no rank is measured.  The S-coordinates are
-    read at `tol`, the canonical triple with them is built, and its
-    product's centralizer read: a non-regular product raises NotRegular.
-    No sheet is pinned, so the ramification t = 1, where that product stays
-    regular, has a rank too.  Regularity is read there, not on T.product():
+    curvature is evaluated and no rank is measured.  The canonical base is
+    read as holonomy_samples reads it (_canonical_base), so a non-regular
+    canonical product raises NotRegular.  No sheet is pinned, so the
+    ramification t = 1, where that product stays regular, has a rank too.
+    Regularity is read there, not on T.product():
     far out, the input's own product reads non-regular by roundoff, on 17
     of 400 draws at scale 2 and 63 of 389 at scale 3 of the default_rng(99)
     sweep of moved triples (none at scales 1 and 1.5).  n_samples and rng
@@ -338,6 +337,5 @@ def holonomy_dimension(
     """
     if ds == 0:
         return 0
-    c = s_coords(T, tol)
-    centralizer_basis(_standard_triple(c, tol).product())
+    c, _, _ = _canonical_base(T, tol)
     return 1 if _reads_real(c.alpha, _kappa(T.points), tol) else 2

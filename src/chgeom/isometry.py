@@ -12,7 +12,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from .errors import (
 
 #: |lambda| - 1 below this counts as a unit-modulus eigenvalue.
 EIGEN_TOL = 1e-7
+
+#: |lam conj(mu) - 1| at most this pairs two eigenvalues of an isometry
+#: (lam with 1/conj(lam)).
+PAIRING_TOL = 1e-6
 
 #: Eigenvalues closer than this, relative to max(1, |lambda|), make the
 #: eigenbasis of an isometry unusable.  Defective 3x3 matrices scatter
@@ -154,7 +158,9 @@ def project_to_su(m) -> Isometry:
         if float(np.abs(e).max()) < 1e-15:
             break
         m = m.dot(_EYE - 0.5 * J.dot(e))
-    d = np.linalg.det(m)
+    # an overflowing determinant is reported by the ValueError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.det(m)
     if d == 0 or not cmath.isfinite(d):
         raise ValueError(f"determinant {complex(d)} of the projected matrix has no cube root")
     m = m * np.exp(-np.log(d) / 3.0)
@@ -449,13 +455,13 @@ def _matched_eigen(F: Isometry, G: Isometry, tol: float):
         bound = SEPARATION_TOL * max(1.0, float(np.abs(vals).max()))
         _require_above(gap, bound, NotRegular, "eigenvalue gap")
     scale = max(1.0, float(np.abs(fvals).max()))
-    best, best_perm = None, None
-    for perm in permutations(range(3)):
-        d = float(np.abs(gvals[list(perm)] - fvals).max())
-        if best is None or d < best:
-            best, best_perm = d, list(perm)
-    _require(best, 1e3 * tol * scale, NotConjugate, "spectral mismatch")
-    return fvals, fvecs, gvals[best_perm], gvecs[:, best_perm]
+    # Each eigenvalue of F goes to its nearest of G's.  When that is a
+    # matching it is the closest of the six; when two share one, the spectra
+    # differ by half a gap of G's at least, and the mismatch reads inf.
+    order = [min(range(3), key=lambda j: abs(gvals[j] - f)) for f in fvals.tolist()]
+    d = float(np.abs(gvals[order] - fvals).max()) if len(set(order)) == 3 else math.inf
+    _require(d, 1e3 * tol * scale, NotConjugate, "spectral mismatch")
+    return fvals, fvecs, gvals[order], gvecs[:, order]
 
 
 def _null_pair(v: np.ndarray, w: np.ndarray, error: type) -> tuple[np.ndarray, np.ndarray]:
@@ -490,7 +496,7 @@ def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
             raise NotConjugate("spectrum is not closed under lam -> 1/conj(lam)")
         i, j = nonunit
         pair = float(abs(vals[i] * vals[j].conjugate() - 1.0))
-        _require(pair, 1e-6, NotConjugate, "eigenvalue pairing |lam conj(mu) - 1|")
+        _require(pair, PAIRING_TOL, NotConjugate, "eigenvalue pairing |lam conj(mu) - 1|")
         cols[i], cols[j] = _null_pair(vecs[:, i], vecs[:, j], NotRegular)
     return np.array(cols).T, signs
 
@@ -523,7 +529,8 @@ def split_two_reflections(
     Such G translate along a geodesic; the solutions form a one-parameter
     family sliding along it, and `s_param` picks one (x1 sits at geodesic
     parameter s_param).  Raises NotTwoReflectionProduct when the spectrum is
-    not {s, 1/s, 1} with s real, s > 1, and a positive unit eigenvector.
+    not {s, 1/s, 1} with s real, s > 1 + EIGEN_TOL (a unit-modulus s is no
+    translation), and a positive unit eigenvector.
     """
     vals, vecs = np.linalg.eig(G.m)
     scale = max(1.0, float(np.abs(vals).max()))
@@ -531,10 +538,10 @@ def split_two_reflections(
     _require(imag, 1e-7 * scale, NotTwoReflectionProduct, "spectrum imaginary part")
     order = np.argsort(vals.real)
     lam = vals.real[order]
-    if lam[0] <= 0 or abs(lam[1] - 1.0) > 1e-7 or lam[2] < 1.0 + 1e-9:
+    if lam[0] <= 0 or abs(lam[1] - 1.0) > EIGEN_TOL or lam[2] <= 1.0 + EIGEN_TOL:
         raise NotTwoReflectionProduct(f"spectrum {lam} is not (1/s, 1, s), s > 1")
     recip = float(abs(lam[0] * lam[2] - 1.0))
-    _require(recip, 1e-6, NotTwoReflectionProduct, "reciprocity |lam_min lam_max - 1|")
+    _require(recip, PAIRING_TOL, NotTwoReflectionProduct, "reciprocity |lam_min lam_max - 1|")
     u = vecs[:, order[1]]
     _require_above(self_product(u), 0.0, NotTwoReflectionProduct, "<u, u> at lam = 1")
     v1, v2 = _null_pair(vecs[:, order[2]], vecs[:, order[0]], NotTwoReflectionProduct)

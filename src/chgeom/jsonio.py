@@ -11,7 +11,6 @@ formats:
     SCoords     {"t":, "t1":, "t2":, "sigma": [+-1, +-1, +-1], "alpha":, "beta":}
     Move        {"pair": "12"|"23"|"34"|"45", "s": real}
     BendProgram [Move, ...]
-    PathSample  {"params": [...], "points": [Point, ...]}
     Triple      {"points": [3 Points]}
     Pentagon    {"delta": {"k":}, "points": [5 Points]}
 
@@ -33,7 +32,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Gram, Point, point
 from .isometry import CubeRoot, Isometry, isometry
-from .paths import PathSample, path_sample
 from .pentagons import RELATION_TOL, Pentagon, pentagon
 from .triples import _PAIR_START, Move, SCoords, Triple, triple
 
@@ -122,11 +120,6 @@ def decode_moves(data) -> list[Move]:
     return [Move(pair=_one_of(d["pair"], pairs), s=_finite(d["s"])) for d in data]
 
 
-def decode_path_sample(data, tol: float = DEFAULT_TOL) -> PathSample:
-    points = [decode_point(d, tol) for d in data["points"]]
-    return path_sample(points, [_finite(x) for x in data["params"]])
-
-
 def _decode_points(data, n: int, tol: float = DEFAULT_TOL) -> list[Point]:
     """The points of the list `data`; ValueError unless there are n."""
     points = [decode_point(d, tol) for d in data]
@@ -169,11 +162,6 @@ def encode(obj):
         }
     if isinstance(obj, Move):
         return {"pair": obj.pair, "s": obj.s}
-    if isinstance(obj, PathSample):
-        return {
-            "params": [float(x) for x in obj.params],
-            "points": [encode(p) for p in obj.points],
-        }
     if isinstance(obj, Triple):
         return {"points": [encode(p) for p in obj.points]}
     if isinstance(obj, Pentagon):

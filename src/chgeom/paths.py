@@ -25,10 +25,10 @@ from .core import (
     SIGNATURE,
     LineType,
     Point,
-    _cross,
     _minor_type,
     _norm,
     _pair_minor,
+    _polar,
     _rephase,
     form,
     point,
@@ -426,7 +426,7 @@ def bending(p1: Point, p2: Point, tol: float = DEFAULT_TOL) -> Bending:
     # p2's representative rotated so its pairing with p1 is real positive
     q2 = (g12 / g) * p2.rep
     if kind is not _EUCLIDEAN:
-        pol = point(np.conj(_cross(J.dot(p1.rep), J.dot(p2.rep))), tol)
+        pol = _polar(p1.rep, p2.rep, tol)
     if kind is _HYPERBOLIC:
         sd = np.sqrt(g * g - s1 * s2)
         rp = (-g + sd) / s1
@@ -613,12 +613,17 @@ _LEVEL_TOL = 1e-10
 def make_hyperbolic(p1: Point, p2: Point, p3: Point, tol: float = DEFAULT_TOL) -> float:
     """Bending parameter s of the pair (p1, p2) making (p2(s), p3) hyperbolic.
 
-    Returns 0.0 when the pair (p2, p3) is already hyperbolic.  Otherwise
-    moves p2 until the pairwise invariant clears the hyperbolicity threshold
-    1 by _MARGIN (0.5), raising ExceptionalCase for the configurations no
-    bending can repair: p3 on the euclidean line of (p1, p2), p3 the polar
-    point of a hyperbolic line, or a spherical bending whose orbit never
-    clears the threshold.
+    Returns 0.0 when the pair (p2, p3) is already hyperbolic, read from
+    its Gram minor with the exact signs, as `bending` reads its frame's
+    type: points of opposite sign always, same-sign points when the
+    pairwise invariant exceeds 1 beyond the band tol (1 + tance).  This is
+    read first, so an already hyperbolic pair returns whatever (p1, p2) is.
+    Otherwise, a pair inside the band included, moves p2 until the pairwise
+    invariant clears the hyperbolicity threshold 1 by _MARGIN (0.5),
+    raising ExceptionalCase for the configurations no bending can repair:
+    p3 on the euclidean line of (p1, p2), p3 the polar point of a
+    hyperbolic line, or a spherical bending whose orbit never clears the
+    threshold.
 
     p2 lies on its own line, so the pairing h(s) = <E(s) p2, p3> has a
     closed form in the bending's normal form: e^{-theta} a + e^{theta} b
@@ -636,11 +641,9 @@ def make_hyperbolic(p1: Point, p2: Point, p3: Point, tol: float = DEFAULT_TOL) -
     positive one, the margin capped at half the orbit's peak; on a
     euclidean line the positive root.
     """
-    if p2.sign * p3.sign < 0:
+    if _minor_type(p2.sign * p3.sign, abs(form(p2.rep, p3.rep)) ** 2, tol) is _HYPERBOLIC:
         return 0.0
     b = bending(p1, p2, tol)
-    if tance(p2, p3) > 1.0:
-        return 0.0
     if b.kind is not LineType.HYPERBOLIC:
         # coordinates of p2 in the adapted basis, pairings of the basis with p3
         c = (b.cols_inv @ p2.rep).tolist()

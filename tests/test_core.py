@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import chgeom as chg
 from chgeom import errors
+from chgeom.core import _cross
 from chgeom.sampling import default_rng, random_point, random_vector
 
 V_GRAM = np.array(
@@ -431,6 +432,21 @@ def test_cross_is_bitwise_numpy():
             a, b = a.real, b.real
         got, want = chg.core._cross(a, b), np.cross(a, b)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_polar_point_is_bitwise_the_formula():
+    # conj(J a x J b) is written once, in core._polar; bending's frame
+    # takes its polar column from it too
+    rng = default_rng(391)
+    for _ in range(300):
+        p, q = random_point(rng), random_point(rng)
+        try:
+            pol = chg.polar_point(p, q)
+        except errors.EuclideanLine:
+            continue
+        want = chg.point(np.conj(_cross(chg.J @ p.rep, chg.J @ q.rep)))
+        assert pol.rep.tobytes() == want.rep.tobytes() and pol.sign == want.sign
+        assert chg.bending(p, q).cols[:, 2].tobytes() == want.rep.tobytes()
 
 
 def test_polar_point_euclidean_line_fails():

@@ -16,7 +16,6 @@ from chgeom.errors import (
 from chgeom.holonomy import (
     _basis_coords,
     _canonical_base,
-    _omega,
     _walk,
     b_commutator,
     b_fields,
@@ -607,7 +606,7 @@ def curvature_span_ratio(T, tol=DEFAULT_TOL):
     for pair, factor in SPAN_MOVES:
         at.append(_walk(*at[-1], pair, factor, c.sheet, tol))
     p1 = np.array([P.p1.rep for P, _ in at])[:, None, :, None]
-    omega = np.array([_omega(P, cc) for P, cc in at])[..., None]
+    omega = np.array([omega_commutator(P) for P, _ in at])[..., None]
     rows = _basis_coords(np.array(basis) @ p1, omega)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     sv = np.linalg.svd(rows, compute_uv=False)

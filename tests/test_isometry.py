@@ -6,6 +6,7 @@ reflections against its analytic statement.
 """
 
 import dataclasses
+import itertools
 import sys
 import warnings
 
@@ -15,6 +16,7 @@ import scipy.linalg
 
 import chgeom as chg
 from chgeom import errors
+from chgeom.errors import _require, _require_above
 from chgeom.core import _rephase
 from chgeom.isometry import (
     EIGEN_TOL,
@@ -431,6 +433,22 @@ class TestProjectToSu:
                     assert np.isfinite(g.m).all()
         assert raised >= 1
 
+    def test_far_draws_return_or_raise_value_error(self):
+        # at scale 8 some Newton steps overflow; the determinant is then
+        # taken without a warning and refused by ValueError
+        rng = default_rng(7)
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                try:
+                    g = random_isometry(rng, 8.0)
+                except ValueError:
+                    raised += 1
+                else:
+                    assert np.isfinite(g.m).all()
+        assert 1 <= raised <= 10
+
     def test_algebra_projection(self):
         rng = default_rng(12)
         y = random_su_element(rng)
@@ -636,6 +654,57 @@ class TestStackedKernel:
                 assert np.abs(y @ p.rep).max() <= 1e-13 * np.abs(y).max() * np.abs(p.rep).max()
 
 
+def permutation_matched_eigen(F, G, tol):
+    """_matched_eigen as it was written: the closest of all six matchings."""
+    fvals, fvecs = np.linalg.eig(F.m)
+    gvals, gvecs = np.linalg.eig(G.m)
+    for vals in (fvals, gvals):
+        gap = float(np.abs(vals[[0, 0, 1]] - vals[[1, 2, 2]]).min())
+        bound = SEPARATION_TOL * max(1.0, float(np.abs(vals).max()))
+        _require_above(gap, bound, errors.NotRegular, "eigenvalue gap")
+    scale = max(1.0, float(np.abs(fvals).max()))
+    best, best_perm = None, None
+    for perm in itertools.permutations(range(3)):
+        d = float(np.abs(gvals[list(perm)] - fvals).max())
+        if best is None or d < best:
+            best, best_perm = d, list(perm)
+    _require(best, 1e3 * tol * scale, errors.NotConjugate, "spectral mismatch")
+    return fvals, fvecs, gvals[best_perm], gvecs[:, best_perm]
+
+
+def conjugator_outcomes(seed):
+    """conjugator of conjugate and of unrelated pairs, and
+    decompose_three_reflections, on draws at scales 0.3, 1 and 2: the
+    matrix bytes, or the error type."""
+    rng = default_rng(seed)
+    out = []
+
+    def run(f, *args):
+        try:
+            res = f(*args)
+        except errors.GeometryError as err:
+            return type(err).__name__
+        return res.m.tobytes() if isinstance(res, Isometry) else [p.rep.tobytes() for p in res.points]
+
+    for i in range(60):
+        f, g, h = (random_isometry(rng, (0.3, 1.0, 2.0)[i % 3]) for _ in "fgh")
+        out += [run(conjugator, f, g @ f @ g.inv()), run(conjugator, f, h)]
+        out.append(run(chg.decompose_three_reflections, f))
+    return out
+
+
+def test_nearest_match_is_bitwise_the_permutation_search(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules["chgeom.isometry"], "_matched_eigen", permutation_matched_eigen)
+        want = conjugator_outcomes(441)
+    got = conjugator_outcomes(441)
+    assert got == want
+    # most conjugate pairs connect (54 or 55 of 60 by SIMD dispatch; the
+    # rest miss the residual bound at scale 2), unrelated ones never do
+    assert sum(type(x) is bytes for x in got[0::3]) >= 50
+    assert set(got[1::3]) == {"NotConjugate"}
+
+
 class TestConjugator:
     def test_recovers_conjugation(self):
         rng = default_rng(20)
@@ -666,6 +735,17 @@ class TestConjugator:
             conjugator(f, g)
         # the spectral distance and the bound it was tested against
         assert info.value.value > info.value.bound >= 1e3 * chg.DEFAULT_TOL
+
+    def test_eigenvalues_sharing_a_nearest_one_are_not_conjugate(self):
+        # F's first two eigenvalues are both nearest G's first, and at tol
+        # 1e-6 every one is within the bound 1e-3 of it: no matching of the
+        # spectra, so no conjugator, whatever the tolerance
+        F = Isometry(np.diag(np.exp(1j * np.array([0.1, 0.1005, -0.2005]))))
+        G = Isometry(np.diag(np.exp(1j * np.array([0.1002, 0.1009, -0.2011]))))
+        for tol in (1e-9, 1e-6):
+            with pytest.raises(errors.NotConjugate, match="spectral mismatch") as info:
+                conjugator(F, G, tol)
+            assert info.value.value == np.inf and info.value.bound == pytest.approx(1e3 * tol)
 
     def test_same_trace_different_signs_not_conjugate(self):
         # Same eigenvalue multiset, but the negative eigendirection carries

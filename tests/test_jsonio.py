@@ -11,7 +11,6 @@ from chgeom import (
     Move,
     SCoords,
     gram,
-    path_sample,
     pentagon_from_moduli,
     point,
     triple,
@@ -170,22 +169,6 @@ class TestSmallRecords:
 
 
 class TestCompositeObjects:
-    def test_path_sample(self):
-        rng = default_rng(73)
-        pts = [random_point(rng) for _ in range(4)]
-        sample = path_sample(pts, [0.0, 0.1, 0.4, 1.0])
-        got = jsonio.decode_path_sample(wire(sample))
-        assert np.array_equal(got.params, sample.params)
-        for a, b in zip(got.points, sample.points):
-            assert np.array_equal(a.rep, b.rep)
-
-    def test_path_sample_rejects_non_finite_params(self):
-        rng = default_rng(73)
-        d = wire(path_sample([random_point(rng) for _ in range(3)]))
-        d["params"][1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            jsonio.decode_path_sample(d)
-
     def test_triple(self):
         T = random_strongly_regular_triple(default_rng(74))
         got = jsonio.decode_triple(wire(T))

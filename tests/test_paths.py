@@ -1110,6 +1110,34 @@ class TestMakeHyperbolic:
         p3 = random_point(rng, sign=1)
         assert make_hyperbolic(p1, p2, p3) == 0.0
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 5e-10, 1e-9])
+    def test_pair_inside_the_band_bends_to_the_margin(self, sign, delta):
+        # tance(p2, p3) = 1 + delta is within the band tol (1 + tance) of 1,
+        # where line_type reads the pair as one point: not hyperbolic yet,
+        # so p2 is bent as for an equal pair, to tance 1.5
+        g = random_isometry(default_rng(52), 0.5)
+        x = np.sqrt(delta / (1.0 + delta))
+        if sign < 0:
+            p2, p3 = point([0.0, 0.0, 1.0]), point([x, 0.0, 1.0])
+        else:
+            p2, p3 = point([1.0, 0.0, 0.0]), point([1.0, 0.0, x])
+        p1, p2, p3 = (g.apply(p) for p in (point([0.3, 0.2j, 1.0]), p2, p3))
+        assert chg.tance(p2, p3) - 1.0 == pytest.approx(delta, rel=1e-6, abs=1e-14)
+        s = make_hyperbolic(p1, p2, p3)
+        assert s > 1.0
+        _, q2 = bend_pair(p1, p2, s)
+        assert chg.line_type(q2, p3) is chg.LineType.HYPERBOLIC
+        assert chg.tance(q2, p3) == pytest.approx(1.5, abs=1e-9)
+
+    def test_a_hyperbolic_pair_is_read_before_the_bending(self):
+        # (p2, p3) is already hyperbolic, so (p1, p2) = (p2, p2), which has
+        # no bending, is never bent
+        p2, p3 = point([0.0, 0.0, 1.0]), point([0.5, 0.0, 1.0])
+        assert make_hyperbolic(p2, p2, p3) == 0.0
+        with pytest.raises(errors.EqualPoints):
+            bending(p2, p2)
+
     def test_spherical_flip(self):
         # bend a positive p2 on a hyperbolic line until its spherical
         # pair with p3 flips to hyperbolic, landing on the margin exactly

@@ -6,10 +6,12 @@ For each workload in the `WORKLOADS` dict of `bench/workloads.py` and each
 seed, draws the inputs with the workload's own `generate`, decodes them,
 runs every op once and prints sha256 digests: of the inputs, of the outputs (a raise counts as
 its error type), and, for holonomy, of each draw's canonical product
-`_standard_triple(s_coords(T)).product().m`.  The holonomy op returns only
-a rank, so its output digest cannot show a moved bit in the arithmetic
-behind the rank; the canonical products can.  The benchmark's files are
-only read.
+`_standard_triple(s_coords(T)).product().m` and of its verdict inputs
+`s_coords(T).alpha` and `triples._kappa(T.points)`, which `_reads_real`
+turns into the rank.  The holonomy op returns only a rank, so its output
+digest cannot show a moved bit in the arithmetic behind the rank; the
+canonical products and the verdict inputs can.  The benchmark's files
+are only read.
 
 `--against REV` runs the same digests on `git archive REV` in a second
 process and prints both sides, with the workloads whose digests differ.
@@ -30,6 +32,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -46,17 +50,29 @@ def _load(root: Path):
     return workloads
 
 
-def _canonical_products(items) -> list[bytes]:
-    """The canonical product of each decoded holonomy item (T, real, seed)."""
-    from chgeom.triples import _standard_triple, s_coords
-
+def _per_triple(items, f) -> list[bytes]:
+    """f(T) for the triple T of each decoded holonomy item (T, real, seed);
+    a raise counts as its error type."""
     out = []
     for T, *_ in items:
         try:
-            out.append(_standard_triple(s_coords(T)).product().m.tobytes())
+            out.append(f(T))
         except Exception as exc:
             out.append(f"raise {type(exc).__name__}".encode())
     return out
+
+
+def _canonical_product(T) -> bytes:
+    from chgeom.triples import _standard_triple, s_coords
+
+    return _standard_triple(s_coords(T)).product().m.tobytes()
+
+
+def _verdict_inputs(T) -> bytes:
+    """alpha and kappa, which _reads_real reads the holonomy rank from."""
+    from chgeom.triples import _kappa, s_coords
+
+    return np.array([s_coords(T).alpha, _kappa(T.points)]).tobytes()
 
 
 def _sha(chunks) -> str:
@@ -75,8 +91,8 @@ def _run(op, item) -> bytes:
 
 
 def digests(wl, seed: int) -> dict[str, str]:
-    """{"inputs", "outputs"[, "canonical"]} sha256 digests of one workload
-    at one seed."""
+    """{"inputs", "outputs"[, "canonical", "verdict"]} sha256 digests of one
+    workload at one seed."""
     raw, _ = wl.generate(seed)
     items = wl.decode(raw)
     out = {
@@ -84,7 +100,8 @@ def digests(wl, seed: int) -> dict[str, str]:
         "outputs": _sha(_run(wl.op, item) for item in items),
     }
     if wl.name == "holonomy":
-        out["canonical"] = _sha(_canonical_products(items))
+        out["canonical"] = _sha(_per_triple(items, _canonical_product))
+        out["verdict"] = _sha(_per_triple(items, _verdict_inputs))
     return out
 
 
