@@ -7,9 +7,9 @@ significant digits.  Exit status is 0 on success, 1 on a domain error
 (any GeometryError, reported with its class name), 2 on a usage error.
 
 The default tolerance is the library's, core.DEFAULT_TOL, overridable per
-call with --tol or globally with the environment variable CHG_TOL; it must
-be finite and >= 0.  `pentagon verify` defaults to the pentagon relation
-tolerance, pentagons.RELATION_TOL, instead; `fixture` takes no tolerance.
+call with --tol; it must be finite and >= 0.  `pentagon verify` defaults
+to the pentagon relation tolerance, pentagons.RELATION_TOL, instead;
+`fixture` takes no tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,7 +26,7 @@ from .core import DEFAULT_TOL, Gram, line_type, point, realize_gram, tance
 from .errors import GeometryError, InadmissibleModuli, _require
 from .holonomy import holonomy_dimension, holonomy_samples
 from .isometry import CubeRoot, reflection
-from .paths import bending, follow_path, path_sample
+from .paths import bending, follow_path
 from .pentagons import (
     RELATION_TOL,
     build_pentagon,
@@ -60,9 +59,9 @@ def _load(path: str):
 
 
 def _tol(args, fallback: float = DEFAULT_TOL) -> float:
-    """--tol, else CHG_TOL, else `fallback`; ValueError unless finite and >= 0
-    (a NaN tolerance would fail every `<= tol` test)."""
-    tol = args.tol if args.tol is not None else float(os.environ.get("CHG_TOL", fallback))
+    """--tol, else `fallback`; ValueError unless finite and >= 0 (a NaN
+    tolerance would fail every `<= tol` test)."""
+    tol = args.tol if args.tol is not None else fallback
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     return tol
@@ -110,8 +109,7 @@ def cmd_bend(args) -> str:
         # Re-derive the endpoint through the path integrator: transport
         # R(p1) along the sampled orbit and compare at the far end.
         params = np.linspace(0.0, args.s, args.steps + 1)
-        orbit = path_sample([b.evaluate(u).apply(p1, tol) for u in params], params)
-        F = follow_path(orbit)
+        F = follow_path([b.evaluate(u).apply(p1, tol) for u in params])
         lhs = reflection(moved1).m
         rhs = (F @ reflection(p1) @ F.inv()).m
         out["follow_residual"] = float(np.abs(lhs - rhs).max())
@@ -259,7 +257,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=None,
-        help=f"tolerance (default: CHG_TOL or {DEFAULT_TOL})",
+        help=f"tolerance (default: {DEFAULT_TOL})",
     )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 

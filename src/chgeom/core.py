@@ -123,8 +123,9 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     """Span a point by a vector.
 
     Raises IsotropicVector when the self-product is below `tol` relative to
-    the euclidean size of the vector, ValueError when its squared norm is
-    not finite (a NaN or infinite entry, or an overflow).
+    the euclidean size of the vector (the zero vector included), ValueError
+    when its squared norm is not finite (a NaN or infinite entry, or an
+    overflow) or underflows to 0 for a non-zero vector.
     """
     # Every bit of the result comes from a numpy operation, in this order:
     # the squared moduli t from v * v.conj(), the division by sqrt|s|, in
@@ -141,8 +142,10 @@ def point(v, tol: float = DEFAULT_TOL) -> Point:
     t0, t1, t2 = t0.real, t1.real, t2.real
     norm2 = t0 + t1 + t2
     if not 0.0 < norm2 < math.inf:
-        if norm2 == 0.0:
+        if not v.any():
             raise IsotropicVector("zero vector spans no point")
+        if norm2 == 0.0:
+            raise ValueError("squared norm of a non-zero vector underflows to 0")
         raise ValueError("vector has a non-finite squared norm")
     s = (t0 + t1) - t2
     if abs(s) <= tol * norm2:

@@ -30,8 +30,8 @@ from .errors import (
 #: |lambda| - 1 below this counts as a unit-modulus eigenvalue.
 EIGEN_TOL = 1e-7
 
-#: |lam conj(mu) - 1| at most this pairs two eigenvalues of an isometry
-#: (lam with 1/conj(lam)).
+#: |lam conj(mu) - 1| at most this pairs the two non-unit eigenvalues of an
+#: isometry (lam with 1/conj(lam)) in conjugator's eigenbases.
 PAIRING_TOL = 1e-6
 
 #: Eigenvalues closer than this, relative to max(1, |lambda|), make the
@@ -477,24 +477,27 @@ def _null_pair(v: np.ndarray, w: np.ndarray, error: type) -> tuple[np.ndarray, n
 def _normalize_eigenbasis(vals: np.ndarray, vecs: np.ndarray):
     """Scale eigenvectors of a regular isometry to a canonical Gram.
 
-    Unit-modulus eigenvalues get self-product +-1 vectors (their signs are
-    returned for compatibility checks); the two eigenvectors of a non-unit
-    pair (lam, 1/conj(lam)) are isotropic and are normalized to pair to 1/2.
+    An isometry's spectrum is all unit-modulus or a pair (lam, 1/conj(lam))
+    at the extreme moduli with a unit eigenvalue between them, so the
+    moduli are read in order: all three are unit when the largest is within
+    EIGEN_TOL of 1, else the middle one is.  Unit-modulus eigenvalues get
+    self-product +-1 vectors (their signs are returned for compatibility
+    checks); the two eigenvectors of the pair are isotropic and are
+    normalized to pair to 1/2, once |lam conj(mu) - 1| is within
+    PAIRING_TOL.
     """
     cols = [None, None, None]
     signs: dict[int, int] = {}
-    unit = [i for i in range(3) if abs(abs(vals[i]) - 1.0) <= EIGEN_TOL]
-    nonunit = [i for i in range(3) if i not in unit]
+    lo, mid, hi = sorted(range(3), key=lambda i: abs(vals[i]))
+    unit = (lo, mid, hi) if abs(abs(vals[hi]) - 1.0) <= EIGEN_TOL else (mid,)
     for i in unit:
         v = vecs[:, i]
         s = self_product(v)
         _require_above(abs(s), 1e-8, NotRegular, "|self-product| of a unit eigenvector")
         cols[i] = _rephase(v / np.sqrt(abs(s)))[0]
         signs[i] = 1 if s > 0 else -1
-    if nonunit:
-        if len(nonunit) != 2:
-            raise NotConjugate("spectrum is not closed under lam -> 1/conj(lam)")
-        i, j = nonunit
+    if len(unit) == 1:
+        i, j = sorted((lo, hi))
         pair = float(abs(vals[i] * vals[j].conjugate() - 1.0))
         _require(pair, PAIRING_TOL, NotConjugate, "eigenvalue pairing |lam conj(mu) - 1|")
         cols[i], cols[j] = _null_pair(vecs[:, i], vecs[:, j], NotRegular)
@@ -506,8 +509,8 @@ def conjugator(F: Isometry, G: Isometry, tol: float = DEFAULT_TOL) -> Isometry:
 
     Matches eigenvalues, normalizes both eigenbases to the same Gram, and
     reads g off as the change of basis.  Raises NotConjugate when the
-    spectra or the eigenvector sign patterns differ, NotRegular when the
-    eigenbasis method degenerates.
+    spectra or the eigenvector sign patterns differ or a non-unit pair
+    misses PAIRING_TOL, NotRegular when the eigenbasis method degenerates.
     """
     fvals, fvecs, gvals, gvecs = _matched_eigen(F, G, tol)
     bf, signs_f = _normalize_eigenbasis(fvals, fvecs)
@@ -529,8 +532,12 @@ def split_two_reflections(
     Such G translate along a geodesic; the solutions form a one-parameter
     family sliding along it, and `s_param` picks one (x1 sits at geodesic
     parameter s_param).  Raises NotTwoReflectionProduct when the spectrum is
-    not {s, 1/s, 1} with s real, s > 1 + EIGEN_TOL (a unit-modulus s is no
-    translation), and a positive unit eigenvector.
+    not real and positive with its middle eigenvalue within EIGEN_TOL of 1
+    and its largest s > 1 + EIGEN_TOL (a unit-modulus s is no translation),
+    when the unit eigenvector is not positive, when the extreme eigenvectors
+    pair to at most 1e-10 (`_null_pair`), and when the two reflections miss
+    G by more than 1e-6 max(1, |s|).  That last residual is the one judge of
+    whether the extremes are reciprocal, s and 1/s.
     """
     vals, vecs = np.linalg.eig(G.m)
     scale = max(1.0, float(np.abs(vals).max()))
@@ -540,8 +547,6 @@ def split_two_reflections(
     lam = vals.real[order]
     if lam[0] <= 0 or abs(lam[1] - 1.0) > EIGEN_TOL or lam[2] <= 1.0 + EIGEN_TOL:
         raise NotTwoReflectionProduct(f"spectrum {lam} is not (1/s, 1, s), s > 1")
-    recip = float(abs(lam[0] * lam[2] - 1.0))
-    _require(recip, PAIRING_TOL, NotTwoReflectionProduct, "reciprocity |lam_min lam_max - 1|")
     u = vecs[:, order[1]]
     _require_above(self_product(u), 0.0, NotTwoReflectionProduct, "<u, u> at lam = 1")
     v1, v2 = _null_pair(vecs[:, order[2]], vecs[:, order[0]], NotTwoReflectionProduct)

@@ -59,25 +59,16 @@ from .isometry import (
 )
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """A sampled path of points with parameter values."""
+def path_sample(points, params=None) -> list[Point]:
+    """The points of a sampled path as a list.
 
-    params: np.ndarray
-    points: list[Point]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def path_sample(points, params=None) -> PathSample:
+    A path is a sequence of points; nothing reads parameter values, so
+    `params`, when given, is only checked to hold one value per point.
+    """
     points = list(points)
-    if params is None:
-        params = np.linspace(0.0, 1.0, len(points))
-    params = np.asarray(params, dtype=float)
-    if params.shape != (len(points),):
+    if params is not None and np.shape(params) != (len(points),):
         raise ValueError("params and points lengths differ")
-    return PathSample(params=_ro(params.copy()), points=points)
+    return points
 
 
 @dataclass(frozen=True)
@@ -137,7 +128,7 @@ def normalized_lift(path) -> np.ndarray:
     raw representatives r_k; the lift is c_k = phase_k r_k with phase_k the
     running product of sign * <r_{k-1}, r_k> / |<r_{k-1}, r_k>|.
     """
-    points = path.points if isinstance(path, PathSample) else list(path)
+    points = list(path)
     sign = _same_sign(points)
     reps = np.concatenate([p.rep for p in points]).reshape(-1, 3)
     prev, nxt = reps[:-1], reps[1:]
@@ -256,7 +247,7 @@ def follow_path(path) -> Isometry:
     lift does not grow with the path, and the result is that of one tree
     over all the steps.
     """
-    points = path.points if isinstance(path, PathSample) else list(path)
+    points = list(path)
     lift = normalized_lift(points)
     n = len(lift) - 1
     if n < 1:

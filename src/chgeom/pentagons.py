@@ -153,7 +153,10 @@ def pentagon_from_moduli(
     t1 < 0 < 1 < t2 and the relation's (t - 1)^2 nonnegative), and for the
     central value 1, whose products have no (+1, -1, -1) triples.  Moduli
     in that region whose triple cannot be realized or read back in floats
-    (t1 = -1e20, say) raise triple_from_coords' InadmissibleCoords.
+    (t1 = -1e20, say) raise triple_from_coords' InadmissibleCoords.  The
+    five points go through `pentagon`, as build_pentagon's do, so a result
+    that misses the relation at RELATION_TOL, as far-out charts can, raises
+    NotAPentagon.
     """
     t1, t2, t4 = (float(v) for v in m)
     if delta.k not in (1, 2):
@@ -182,7 +185,7 @@ def pentagon_from_moduli(
     T = triple_from_coords(c, tol)
     g = Isometry(np.conj(delta.value) * T.product().m)
     x1, x2 = split_two_reflections(g, s5, tol)
-    return Pentagon(T.p1, T.p2, T.p3, x2, x1, delta)
+    return pentagon(T.p1, T.p2, T.p3, x2, x1)
 
 
 def is_real_pentagon(P: Pentagon) -> bool:

@@ -104,6 +104,15 @@ def test_point_rejects_non_finite_input():
                 chg.point([1.0, x, 0.5])
 
 
+def test_point_tells_an_underflowing_norm_from_the_zero_vector():
+    # |v|^2 = 1.01e-340 underflows to 0, though v is not zero
+    with pytest.raises(ValueError, match="underflows") as info:
+        chg.point([1e-170, 0.0, 1e-171])
+    assert not isinstance(info.value, errors.GeometryError)
+    with pytest.raises(errors.IsotropicVector, match="zero vector"):
+        chg.point(np.zeros(3, dtype=complex))
+
+
 def test_require_passes_at_the_bound_and_fails_nan():
     errors._require(1e-8, 1e-8, errors.NotAPentagon, "residual")
     for value in (2e-8, np.nan):

@@ -352,6 +352,20 @@ class TestLogm:
         with pytest.raises(errors.NoPrincipalLog, match="64 square roots"):
             _logm3(m)
 
+    def test_parabolic_far_from_the_identity(self):
+        # euclidean bendings are parabolic, with a unipotent part no
+        # eigendecomposition resolves: the log comes from square roots.
+        # The pair is test_paths.EUCLIDEAN_PAIR, as it is and moved.
+        rng = default_rng(3)
+        pair = (chg.point([0.0, 1.0, 0.0]), chg.point([1.0, 1.0, 1.0]))
+        for g in [IDENTITY] + [random_isometry(rng, 0.6) for _ in range(20)]:
+            b = chg.bending(*(g.apply(p) for p in pair))
+            assert b.kind is chg.LineType.EUCLIDEAN
+            for s in (0.3, 1.0, 3.0):
+                F = b.evaluate(s)
+                back = _expm3(isometry_log(F))
+                assert np.abs(back - F.m).max() <= 1e-10 * np.abs(F.m).max()
+
     def test_straddling_the_cut_raises_rather_than_drifts(self):
         # eigenvalues e^{+-i(pi - 1e-6)}: the square roots lose ~1e-3, so
         # no log comes back
@@ -784,9 +798,12 @@ class TestConjugator:
         assert info.value.bound == 1e-8
 
     def test_one_non_unit_eigenvalue_is_not_conjugate(self):
+        # the extremes 1 and 2 are read as the pair: |2 conj(1) - 1| = 1
         vals = np.array([2.0, 1.0, 1j])
-        with pytest.raises(errors.NotConjugate, match="not closed"):
+        with pytest.raises(errors.NotConjugate, match="pairing") as info:
             _normalize_eigenbasis(vals, np.eye(3, dtype=complex))
+        assert info.value.value == 1.0
+        assert info.value.bound == 1e-6
 
     def test_orthogonal_null_pair_carries_value_and_bound(self):
         # an isotropic vector pairs to zero with itself
@@ -869,12 +886,13 @@ class TestSplitTwoReflections:
         assert info.value.bound == pytest.approx(1e-7, rel=1e-12)
 
     def test_non_reciprocal_extremes_carry_value_and_bound(self):
-        # a real spectrum (1/2, 1, 3) no isometry has: 1/2 * 3 - 1 = 1/2
+        # a real spectrum (1/2, 1, 3) no isometry has: its extreme
+        # eigenvectors e1 and e3 are not isotropic and pair to 0
         g = Isometry(np.diag([0.5, 1.0, 3.0]).astype(complex))
         with pytest.raises(errors.NotTwoReflectionProduct) as info:
             split_two_reflections(g)
-        assert info.value.value == 0.5
-        assert info.value.bound == 1e-6
+        assert info.value.value == 0.0
+        assert info.value.bound == 1e-10
 
     def test_negative_unit_eigenvector_carries_value_and_bound(self):
         # spectrum (1/2, 1, 2), but the eigenvalue 1 sits on the negative

@@ -134,11 +134,10 @@ class TestTangentAndHat:
             assert np.allclose(h @ r + r @ h, 0.0, atol=1e-11)
 
 
-def test_path_sample_spaces_params_evenly_and_checks_lengths():
+def test_path_sample_lists_points_and_checks_lengths():
     points = [random_point(default_rng(30)) for _ in range(3)]
-    path = path_sample(points)
-    assert len(path) == 3
-    assert path.params.tolist() == [0.0, 0.5, 1.0]
+    assert path_sample(iter(points)) == points
+    assert path_sample(points, [0.0, 0.5, 1.0]) == points
     with pytest.raises(ValueError, match="lengths differ"):
         path_sample(points, [0.0, 1.0])
 
